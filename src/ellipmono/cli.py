@@ -127,6 +127,8 @@ def _cmd_coeffs(args) -> int:
     table = shared_coefficients()
     rows = []
     exact = not args.enclosure
+    if args.kind == "q":
+        quotient = j_quotient_coefficients(args.n_max + 1, table)
     for n in range(args.n_max + 1):
         if args.kind == "b":
             expr = table.b_coeff(n)
@@ -135,7 +137,7 @@ def _cmd_coeffs(args) -> int:
         elif args.kind == "v":
             expr = table.v_coeff(n)
         elif args.kind == "q":
-            expr = j_quotient_coefficients(args.n_max + 1, table)[n]
+            expr = quotient[n]
         else:  # c
             if args.p is None:
                 raise DomainError("--kind c needs --p")

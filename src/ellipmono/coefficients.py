@@ -19,8 +19,11 @@ free of per-coefficient gcd work.
 The table also maintains, per working precision, an interval-valued run
 of the same recurrence on  b~_n = b_n / e^(pi/2)  with pi enclosed and
 every step outward-rounded.  Those enclosures contain the exact values,
-so sign certificates derived from them are sound, and the build is
-O(N^2) cheap integer operations — the exact polynomial table is
+so sign certificates derived from them are sound.  The convolution sums
+of that run are exact integers, so they are evaluated in an online
+divide-and-conquer order whose block products are single big-integer
+multiplies (Kronecker substitution): N terms cost O(M(N P) log N) for
+P-bit bounds instead of N^2/2 products.  The exact polynomial table is
 O(N^3) big-integer work and is only grown on demand.
 
 The difference sequence  c_n(p) = b_n - p W_n  and the auxiliary exact
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Union
 
 from .intervals import Interval
@@ -59,6 +63,72 @@ __all__ = [
 
 _Rat = Union[int, Fraction]
 _PNum = Union[int, Fraction, PiExpression]
+
+# Runs of at most this many recurrence steps sum their convolutions
+# directly; longer runs split in two (see _extend_online).
+_DIRECT_STEPS = 32
+
+
+def _product_slice(a: list[int], c: list[int], start: int,
+                   stop: int) -> list[int]:
+    """Coefficients start..stop-1 of the product of the polynomials whose
+    coefficient lists are a and c, all entries nonnegative integers.
+
+    Kronecker substitution: each list is packed into one integer, one
+    slot per entry, with slots wide enough that no coefficient of the
+    product reaches into the next slot; one big-integer multiply then
+    forms every coefficient.  A negative entry makes ``to_bytes`` raise.
+    """
+    bits = (max(a).bit_length() + max(c).bit_length()
+            + min(len(a), len(c)).bit_length() + 1)
+    size = (bits + 7) // 8
+    pa = int.from_bytes(b"".join(x.to_bytes(size, "little") for x in a),
+                        "little")
+    pc = int.from_bytes(b"".join(x.to_bytes(size, "little") for x in c),
+                        "little")
+    raw = (pa * pc).to_bytes(size * (len(a) + len(c) - 1), "little")
+    return [int.from_bytes(raw[i:i + size], "little")
+            for i in range(start * size, stop * size, size)]
+
+
+def _extend_online(b: list[int], w: list[int], n: int, step) -> None:
+    """Append b_L..b_n to b (L = len(b)), where
+    b_{m+1} = step(m, b_m, sum_{k<=m} w_k b_{m-k}).
+
+    The sums are exact, so any evaluation order gives the same bits.
+    The weights are all known, only b is produced online: ``solve(l, r)``
+    produces b_{l+1..r} given the pending sums S_m (m in [l, r)) holding
+    every b_i with i <= l.  It solves the left half, adds b_{l+1..mid} to
+    S_m for m in [mid, r) with one packed product, then solves the right
+    half.  Growth first adds b_0..b_{L-1} with one prefix product; a
+    growth of at most _DIRECT_STEPS steps sums directly instead.
+    """
+    first = len(b) - 1
+    pending = [0] * (n - first)
+
+    def direct(l, r, frm):
+        for m in range(l, r):
+            s = pending[m - first] + sum(
+                map(mul, b[frm:m + 1], reversed(w[:m + 1 - frm])))
+            b.append(step(m, b[m], s))
+
+    def solve(l, r):
+        if r - l <= _DIRECT_STEPS:
+            direct(l, r, l + 1)
+            return
+        mid = (l + r) // 2
+        solve(l, mid)
+        extra = _product_slice(b[l + 1:mid + 1], w[:r - l - 1],
+                               mid - l - 1, r - l - 1)
+        for i, s in enumerate(extra, mid - first):
+            pending[i] += s
+        solve(mid, r)
+
+    if n - first <= _DIRECT_STEPS:
+        direct(first, n, 0)
+    else:
+        pending[:] = _product_slice(b, w[:n], first, n)
+        solve(first, n)
 
 
 class CoefficientTable:
@@ -206,47 +276,56 @@ class CoefficientTable:
                 "bhi": [1 << precision],
                 "wlo": [],
                 "whi": [],
-                "binom": [1],
+                "binom": 1,   # C(2k,k) for the next weight index k
             }
             self._values[precision] = st
         return st
 
     def ensure_values(self, n: int, precision: int) -> None:
-        """Run the interval recurrence so enclosures of b~_0..b~_n exist."""
+        """Run the interval recurrence so enclosures of b~_0..b~_n exist.
+
+        The bounds are fixed-point integers at ``precision`` bits.  Each
+        step floors (lower bound) or ceils (upper bound) only after its
+        exact convolution sum, so the divide-and-conquer order of
+        :func:`_extend_online` gives the bits of a term-by-term loop.
+        """
         with self._lock:
             st = self._value_state(precision)
             blo, bhi = st["blo"], st["bhi"]
             if len(blo) > n:
                 return
-            wlo, whi, binom = st["wlo"], st["whi"], st["binom"]
+            wlo, whi = st["wlo"], st["whi"]
             W = precision
             while len(wlo) <= n:
                 k = len(wlo)
-                while len(binom) <= k:
-                    m = len(binom)
-                    binom.append(binom[-1] * 2 * (2 * m - 1) // m)
-                num = binom[k] * binom[k]
-                den = (k + 1) << (4 * k)
-                q = (num << W) // den
+                binom = st["binom"]
+                q = ((binom * binom) << W) // ((k + 1) << (4 * k))
                 wlo.append(q)
                 whi.append(q + 1)
+                st["binom"] = binom * 2 * (2 * k + 1) // (k + 1)
             pi_lo, pi_hi = st["pi"]
-            while len(blo) <= n:
-                m = len(blo) - 1
-                slo = 0
-                shi = 0
-                for k in range(m + 1):
-                    slo += wlo[k] * blo[m - k]
-                    shi += whi[k] * bhi[m - k]
-                slo >>= W
-                shi = -((-shi) >> W)
-                t2lo = ((pi_lo * slo) >> W) // (8 * (m + 1))
-                x = -((-(pi_hi * shi)) >> W)
-                t2hi = -((-x) // (8 * (m + 1)))
-                t1lo = (m * blo[m]) // (m + 1)
-                t1hi = -((-(m * bhi[m])) // (m + 1))
-                blo.append(t1lo + t2lo)
-                bhi.append(t1hi + t2hi)
+
+            # b~_{m+1} = (m b~_m + (pi/8) S_m) / (m+1): the lower bound
+            # floors every division, the upper bound ceils it
+            def step_lo(m, bm, s):
+                t2 = ((pi_lo * (s >> W)) >> W) // (8 * (m + 1))
+                return (m * bm) // (m + 1) + t2
+
+            def step_hi(m, bm, s):
+                s = -((-s) >> W)
+                x = -((-(pi_hi * s)) >> W)
+                return -((-(m * bm)) // (m + 1)) - ((-x) // (8 * (m + 1)))
+
+            _extend_online(blo, wlo, n, step_lo)
+            _extend_online(bhi, whi, n, step_hi)
+
+    def btilde_enclosures(self, n: int, precision: int) -> list[Interval]:
+        """Enclosures of b_k / e^(pi/2) for k = 0..n."""
+        self.ensure_values(n, precision)
+        with self._lock:
+            st = self._values[precision]
+            return [Interval(lo, hi, precision)
+                    for lo, hi in zip(st["blo"][:n + 1], st["bhi"][:n + 1])]
 
     def btilde_enclosure(self, n: int, precision: int) -> Interval:
         """Enclosure of b_n / e^(pi/2)."""

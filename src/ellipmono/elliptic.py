@@ -220,7 +220,10 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
         if n >= cap:
             break
         if n % 32 == 0 or xf == 0:
-            gap = sup.hi_fraction() - Fraction(wal_num, wal_den)
+            # stop on the lower end of sup: sup is itself a few ulps
+            # wide, so a test on its upper end would never pass; the
+            # tail below still uses the upper end
+            gap = sup.lo_fraction() - Fraction(wal_num, wal_den)
             if 4 * gap <= tol or xf == 0:
                 break
         n += 1
@@ -228,12 +231,10 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
     tail_hi = 4 * (sup.hi_fraction() - Fraction(wal_num, wal_den))
     tail = Interval.hull_of_fractions(Fraction(0), max(tail_hi, Fraction(0)),
                                       work)
-    table.ensure_values(terms, work)
-    st = table._values[work]
-    blo, bhi = st["blo"], st["bhi"]
-    horner = Interval(blo[terms], bhi[terms], work)
+    btilde = table.btilde_enclosures(terms, work)
+    horner = btilde[terms]
     for k in range(terms - 1, -1, -1):
-        horner = horner.mul_scalar(xf) + Interval(blo[k], bhi[k], work)
+        horner = horner.mul_scalar(xf) + btilde[k]
     partial = horner * enclose_constant("exp_half_pi", work)
     return SeriesEval(terms_used=terms + 1, partial=partial.round_to(precision),
                       tail_bound=tail.round_to(precision))

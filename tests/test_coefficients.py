@@ -8,10 +8,12 @@ dps=45).
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import ellipmono.coefficients as coefficients
 from ellipmono.coefficients import (
     CoefficientTable,
     b_coeff,
@@ -25,6 +27,7 @@ from ellipmono.coefficients import (
     v_coeff,
     wallis,
 )
+from ellipmono.constants import enclose_constant
 from ellipmono.pi_expr import PiExpression
 
 F = Fraction
@@ -194,6 +197,111 @@ def test_value_table_growth_is_idempotent():
     table.ensure_values(200, 96)
     b = table.btilde_enclosure(50, 96)
     assert a == b
+
+
+def loop_values(n, precision):
+    """Bounds of b~_0..b~_n from the term-by-term interval recurrence, each
+    convolution summed in index order (the reference for the
+    divide-and-conquer table)."""
+    W = precision
+    pi = enclose_constant("pi", W).round_to(W)
+    pi_lo, pi_hi = pi.lo, pi.hi
+    wlo = []
+    for k in range(n + 1):
+        c = math.comb(2 * k, k)
+        wlo.append((c * c << W) // ((k + 1) << (4 * k)))
+    whi = [q + 1 for q in wlo]
+    blo, bhi = [1 << W], [1 << W]
+    for m in range(n):
+        slo = shi = 0
+        for k in range(m + 1):
+            slo += wlo[k] * blo[m - k]
+            shi += whi[k] * bhi[m - k]
+        slo >>= W
+        shi = -((-shi) >> W)
+        t2lo = ((pi_lo * slo) >> W) // (8 * (m + 1))
+        x = -((-(pi_hi * shi)) >> W)
+        t2hi = -((-x) // (8 * (m + 1)))
+        blo.append((m * blo[m]) // (m + 1) + t2lo)
+        bhi.append(-((-(m * bhi[m])) // (m + 1)) + t2hi)
+    return list(zip(blo, bhi))
+
+
+VALUE_N = 600
+_loop_cache = {}
+
+
+def loop_reference(precision):
+    if precision not in _loop_cache:
+        _loop_cache[precision] = loop_values(VALUE_N, precision)
+    return _loop_cache[precision]
+
+
+def value_bounds(table, n, precision):
+    return [(iv.lo, iv.hi) for iv in table.btilde_enclosures(n, precision)]
+
+
+BASE = coefficients._DIRECT_STEPS
+
+
+def seeded_extensions(seed):
+    """Lengths growing by random steps: single, short and long ones."""
+    rng = random.Random(seed)
+    n, out = 0, []
+    while n < VALUE_N:
+        step = rng.choice([1, rng.randrange(2, BASE + 1),
+                           rng.randrange(BASE + 1, 5 * BASE)])
+        n = min(VALUE_N, n + step)
+        out.append(n)
+    return out
+
+
+GROWTH_PATTERNS = {
+    "from_empty": [VALUE_N],
+    "by_one": list(range(1, 2 * BASE + 4)) + [VALUE_N],
+    # growths of exactly BASE steps sum directly, of BASE + 1 split
+    "across_base": [BASE, BASE + 1, 2 * BASE + 1, 3 * BASE + 2,
+                    4 * BASE + 3, VALUE_N],
+    "empty_past_base": [BASE + 1, VALUE_N],
+    "seeded": seeded_extensions(2405),
+}
+
+
+@pytest.mark.parametrize("precision", [64, 96, 128, 136, 312])
+@pytest.mark.parametrize("pattern", sorted(GROWTH_PATTERNS))
+def test_value_table_matches_term_by_term_loop(pattern, precision):
+    ref = loop_reference(precision)
+    table = CoefficientTable()
+    for n in GROWTH_PATTERNS[pattern]:
+        table.ensure_values(n, precision)
+        assert value_bounds(table, n, precision) == ref[:n + 1], (pattern, n)
+
+
+def test_seeded_growth_pattern_has_long_and_short_steps():
+    steps = GROWTH_PATTERNS["seeded"]
+    gaps = [b - a for a, b in zip([0] + steps, steps)]
+    assert min(gaps) == 1 and BASE < max(gaps)
+    assert any(1 < g <= BASE for g in gaps)
+
+
+def test_packed_product_matches_schoolbook():
+    rng = random.Random(7)
+    a = [rng.getrandbits(rng.randrange(1, 200)) for _ in range(37)]
+    c = [rng.getrandbits(rng.randrange(1, 200)) for _ in range(51)] + [0]
+    full = [sum(a[i] * c[m - i] for i in range(len(a)) if 0 <= m - i < len(c))
+            for m in range(len(a) + len(c) - 1)]
+    assert coefficients._product_slice(a, c, 0, len(full)) == full
+    assert coefficients._product_slice(a, c, 36, 52) == full[36:52]
+    # entries with every bit set: each product coefficient is as large as its
+    # length allows, so a slot without room for the carries overflows
+    ones = [(1 << 16) - 1] * 40
+    assert coefficients._product_slice(ones, ones, 0, 79) == [
+        min(m + 1, 79 - m) * ones[0] ** 2 for m in range(79)]
+
+
+def test_packed_product_rejects_negative_entries():
+    with pytest.raises(OverflowError):
+        coefficients._product_slice([3, -1], [1, 2], 0, 3)
 
 
 def test_exact_limit_tracks_growth():

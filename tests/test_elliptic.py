@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 import scipy.special
 
-from ellipmono.coefficients import u_coeff, v_coeff, wallis
+from ellipmono.coefficients import (shared_coefficients, u_coeff, v_coeff,
+                                    wallis)
+from ellipmono.constants import enclose_constant
 from ellipmono.elliptic import (
     HYP_KINDS,
     G4_eval,
@@ -189,8 +191,43 @@ def test_exp_K_tail_shrinks_with_terms():
         assert exp_K(x, 96, n_terms=n).tail_bound.lo_fraction() >= 0
 
 
+def exp_K_summed_to(x, precision, terms):
+    """exp_K's enclosure with the sum run to b_terms: the exp_K tail bound
+    4 (1/sqrt(1-x) - sum_{n<=terms} W_n x^n), no stopping test."""
+    work = precision + 32
+    sup = (Interval.from_int(1, work)
+           - Interval.from_fraction(x, work)).sqrt().recip()
+    # W_n x^n = C(2n,n) (p/q)^n with p/q = x/4
+    p, q = x.numerator, 4 * x.denominator
+    num, binom, pn = 0, 1, 1
+    for n in range(terms + 1):
+        num = num * q + binom * pn
+        binom = binom * 2 * (2 * n + 1) // (n + 1)
+        pn *= p
+    wal = F(num, q ** terms)
+    tail = Interval.hull_of_fractions(
+        F(0), max(4 * (sup.hi_fraction() - wal), F(0)), work)
+    horner = Interval.from_int(0, work)
+    for b in reversed(shared_coefficients().btilde_enclosures(terms, work)):
+        horner = horner.mul_scalar(x) + b
+    partial = horner * enclose_constant("exp_half_pi", work)
+    return partial.round_to(precision) + tail.round_to(precision)
+
+
+@pytest.mark.parametrize("r", [F(1, 10), F(3, 10), F(1, 2), F(7, 10),
+                               F(9, 10)])
+def test_exp_K_stops_early_with_the_capped_enclosure(r):
+    # the criterion-05 points at 280 bits: stopping once the Wallis tail
+    # is below tolerance gives the enclosure of the full 8*280-term sum
+    x = r * r
+    ev = exp_K(x, 280)
+    full = exp_K_summed_to(x, 280, 8 * 280)
+    assert ev.terms_used < 8 * 280 + 1
+    assert (ev.enclosure.lo, ev.enclosure.hi, ev.enclosure.prec) == (
+        full.lo, full.hi, full.prec)
+
+
 def test_exp_K_at_zero():
-    from ellipmono.constants import enclose_constant
     assert exp_K(F(0), 128).enclosure.overlaps(
         enclose_constant("exp_half_pi", 128))
 
