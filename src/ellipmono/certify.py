@@ -757,17 +757,20 @@ def j_quotient_coefficients(count: int,
                             table: Optional[CoefficientTable] = None
                             ) -> list[PiExpression]:
     """First ``count`` exact coefficients of the formal quotient
-    (sum_{n>=1} b_n x^n) / (sum_{n>=1} W_n x^n), by long division."""
+    (sum_{n>=1} b_n x^n) / (sum_{n>=1} W_n x^n).
+
+    They are read from the table's integer quotient polynomials
+    Q_k = q_k e^(-pi/2) 16^(k+1) (k+1)!, built by
+
+        Q_k = 2 B_{k+1} - 2 sum_{j<k} C(2(k+1-j), k+1-j) 4^(k-j-1)
+                                      (k+1)!/(j+1)! Q_j
+
+    (long division by sum W_n x^n cleared of denominators; see
+    :meth:`CoefficientTable.ensure_quotient`).  A later call reuses the
+    prefix built by an earlier one.
+    """
     table = table or shared_coefficients()
-    table.ensure_exact(count + 1)
-    w1 = table.wallis(1)  # 1/2
-    qs: list[PiExpression] = []
-    for k in range(count):
-        acc = table.b_coeff(k + 1)
-        for j, qj in enumerate(qs):
-            acc = acc - qj.scale(table.wallis(k + 1 - j))
-        qs.append(acc / w1)
-    return qs
+    return [table.quotient_coeff(k) for k in range(count)]
 
 
 def j_truncation_check(count: int = 50,

@@ -34,6 +34,24 @@ sequences
     v_n = sum_{k<=n} u_k
 
 are provided with integer numerators over 16^n (u_n = (pi P_n - R_n)/16^n).
+P_n = sum_k E_k E_{n-k} with E_k = C(2k,k)^2/(k+1) is not summed term by
+term: it obeys
+
+    2(m+1)(m+2)(m+3) P_{m+1} = 16(4m^3+12m^2+10m+3) P_m - 512 m^3 P_{m-1}
+
+with P_0 = 1, so each term costs O(1) big-integer operations.
+Derivation: F(y) = 2F1(1/2,1/2;2;y) = sum W_k^2/(k+1) y^k satisfies
+y(1-y)F'' + 2(1-y)F' - F/4 = 0.  Products of D-finite series are
+D-finite (Stanley, "Differentiably finite power series", 1980); the
+symmetric square G = F^2 satisfies
+
+    2y^2(1-y)^2 G''' + 12y(1-y)^2 G'' + 2(7y-6)(y-1) G' + (2y-3) G = 0,
+
+and P_n = 16^n [y^n] G, so the coefficients of that equation give the
+recurrence.
+
+The formal quotient (sum_{n>=1} b_n x^n) / (sum_{n>=1} W_n x^n) is kept
+as integer pi-polynomials too (see :meth:`CoefficientTable.ensure_quotient`).
 """
 
 from __future__ import annotations
@@ -131,6 +149,15 @@ def _extend_online(b: list[int], w: list[int], n: int, step) -> None:
         solve(first, n)
 
 
+def _exact_div(num: int, den: int) -> int:
+    """num / den for a division the algebra says is exact; raises if not."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"inexact division by {den} in an integer "
+                              "recurrence")
+    return q
+
+
 class CoefficientTable:
     """Growable store of exact and enclosed series coefficients."""
 
@@ -141,8 +168,9 @@ class CoefficientTable:
         self._D: list[int] = [1]
         self._A: list[int] = []       # A_k = 2 C(2k,k)^2/(k+1)
         self._binom: list[int] = []   # C(2k,k)
+        # formal quotient: integer polynomials Q_k over D_{k+1}
+        self._Q: list[list[int]] = []
         # exact u/v: integer pairs over 16^n
-        self._E: list[int] = []       # E_k = C(2k,k)^2/(k+1)
         self._P: list[int] = []
         self._R: list[int] = []
         self._VP: list[int] = []
@@ -151,6 +179,11 @@ class CoefficientTable:
         self._W: list[Fraction] = [Fraction(1)]
         # interval value tables, keyed by precision
         self._values: dict[int, dict] = {}
+        # enclosures of the parameter p of c_n(p), keyed by (id(p),
+        # precision): hashing a high-degree p costs more than a lookup
+        # saves.  Each entry holds p, so no other object takes its id.
+        self._p_enclosures: dict[tuple[int, int],
+                                 tuple[PiExpression, Interval]] = {}
 
     # ------------------------------------------------------------------
     # Wallis ratios
@@ -223,32 +256,88 @@ class CoefficientTable:
             Fraction(2 * n + 1, 2))
 
     # ------------------------------------------------------------------
+    # formal quotient (sum_{n>=1} b_n x^n) / (sum_{n>=1} W_n x^n)
+
+    def ensure_quotient(self, count: int) -> None:
+        """Grow the quotient table so q_0..q_{count-1} are available.
+
+        With Q_k = q_k e^(-pi/2) 16^(k+1) (k+1)!, the long division
+        q_k = (b_{k+1} - sum_{j<k} q_j W_{k+1-j}) / W_1 becomes
+
+            Q_k = 2 B_{k+1} - 2 sum_{j<k} C(2(k+1-j), k+1-j) 4^(k-j-1)
+                                          (k+1)!/(j+1)! Q_j,
+
+        integer polynomials in pi throughout (4^(k-j-1) is integral since
+        j <= k-1), so no rational arithmetic runs.
+        """
+        with self._lock:
+            if len(self._Q) >= count:
+                return
+            self.ensure_exact(count)
+            self._ensure_binom(count)
+            Q = self._Q
+            while len(Q) < count:
+                k = len(Q)
+                acc = [0] * (k + 2)
+                fact = 1  # (k+1)!/(j+1)!
+                for j in range(k - 1, -1, -1):
+                    fact *= j + 2
+                    d = k - j
+                    mult = (self._binom[d + 1] * fact) << (2 * (d - 1))
+                    for i, c in enumerate(Q[j]):
+                        acc[i] += mult * c
+                Q.append([2 * (b - a) for b, a in zip(self._B[k + 1], acc)])
+
+    def quotient_coeff(self, k: int) -> PiExpression:
+        """Exact coefficient q_k of the formal quotient, a pi-polynomial
+        times e^(pi/2)."""
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        self.ensure_quotient(k + 1)
+        with self._lock:
+            den = self._D[k + 1]
+            coeffs = tuple(Fraction(c, den) for c in self._Q[k])
+        return PiExpression(coeffs, exp_scale=True)
+
+    # ------------------------------------------------------------------
     # exact u/v
 
     def ensure_uv(self, n: int) -> None:
+        """Grow the u/v tables so u_0..u_n and v_0..v_n are available.
+
+        P_m comes from the three-term recurrence
+
+            2(m+1)(m+2)(m+3) P_{m+1}
+                = 16(4m^3+12m^2+10m+3) P_m - 512 m^3 P_{m-1},   P_0 = 1,
+
+        read off the third-order equation of G = F^2, F = 2F1(1/2,1/2;2;y),
+        with P_m = 16^m [y^m] G (derivation in the module docstring), in
+        place of the convolution sum_k E_k E_{m-k}.  Every division is
+        checked to be exact.
+        """
         with self._lock:
             if len(self._P) > n:
                 return
-            self._ensure_binom(n + 2)
-            while len(self._E) <= n + 1:
-                k = len(self._E)
-                self._E.append(self._binom[k] * self._binom[k] // (k + 1))
-            while len(self._P) <= n:
-                m = len(self._P)
-                E = self._E
-                s = 0
-                for k in range(m + 1):
-                    s += E[k] * E[m - k]
-                self._P.append(s)
-                binom_m = self._binom[m]
-                r = 6 * (2 * m + 1) * binom_m * binom_m
-                assert r % ((m + 1) * (m + 2)) == 0
-                self._R.append(r // ((m + 1) * (m + 2)))
+            self._ensure_binom(n)
+            P = self._P
+            while len(P) <= n:
+                m = len(P)
                 if m == 0:
-                    self._VP.append(self._P[0])
+                    P.append(1)
+                else:
+                    k = m - 1  # recurrence step k -> k+1
+                    s = 16 * (4 * k ** 3 + 12 * k * k + 10 * k + 3) * P[k]
+                    if k:
+                        s -= 512 * k ** 3 * P[k - 1]
+                    P.append(_exact_div(s, 2 * (k + 1) * (k + 2) * (k + 3)))
+                binom_m = self._binom[m]
+                self._R.append(_exact_div(6 * (2 * m + 1) * binom_m * binom_m,
+                                          (m + 1) * (m + 2)))
+                if m == 0:
+                    self._VP.append(P[0])
                     self._VR.append(self._R[0])
                 else:
-                    self._VP.append(16 * self._VP[-1] + self._P[m])
+                    self._VP.append(16 * self._VP[-1] + P[m])
                     self._VR.append(16 * self._VR[-1] + self._R[m])
 
     def u_coeff(self, n: int) -> PiExpression:
@@ -373,16 +462,26 @@ class CoefficientTable:
             # b_n - p W_n = e^(pi/2) (b~_n - q_p(pi) W_n) for scaled p
             if p.is_zero:
                 return self.b_enclosure(n, precision)
+            p_val = self._p_enclosure(p, work)
             if p.exp_scale:
-                inner = PiExpression(p.coeffs).evaluate(work).mul_scalar(w)
-                diff = self.btilde_enclosure(n, work) - inner
+                diff = self.btilde_enclosure(n, work) - p_val.mul_scalar(w)
                 return (diff * enclose_constant("exp_half_pi", work)
                         ).round_to(precision)
-            p_val = p.evaluate(work)
             return (self.b_enclosure(n, work) - p_val.mul_scalar(w)
                     ).round_to(precision)
         work = precision + 8
         return (self.b_enclosure(n, work) - Fraction(p) * w).round_to(precision)
+
+    def _p_enclosure(self, p: PiExpression, work: int) -> Interval:
+        """Enclosure of p, or of p / e^(pi/2) when p carries that scale,
+        at ``work`` bits; computed once per p object and ``work``."""
+        key = (id(p), work)
+        with self._lock:
+            hit = self._p_enclosures.get(key)
+            if hit is None:
+                inner = PiExpression(p.coeffs) if p.exp_scale else p
+                hit = self._p_enclosures[key] = (p, inner.evaluate(work))
+            return hit[1]
 
     def c_is_exactly_zero(self, n: int, p: _PNum) -> bool:
         """True iff c_n(p) cancels exactly (p must be an exact expression)."""

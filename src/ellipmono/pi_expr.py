@@ -129,17 +129,34 @@ class PiExpression:
     # ------------------------------------------------------------------
     # evaluation
 
+    def _numerators(self) -> tuple[list[int], int]:
+        """Integer numerators of the coefficients over their least common
+        denominator, and that denominator."""
+        den = 1
+        for c in self.coeffs:
+            den = den * c.denominator // gcd(den, c.denominator)
+        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
+
     def evaluate(self, precision: int) -> Interval:
-        """Certified enclosure at the given precision."""
+        """Certified enclosure at the given precision.
+
+        Horner runs on the exact integer numerators, so only the
+        enclosure of pi (and of e^(pi/2)) carries error, and the one
+        division by the common denominator comes last.  A degree-d
+        polynomial multiplies the error of pi at most d times, which the
+        ``len(nums).bit_length()`` extra working bits absorb.
+        """
         if self.is_zero:
             return Interval(0, 0, precision)
         if len(self.coeffs) == 1 and not self.exp_scale:
             return Interval.from_fraction(self.coeffs[0], precision)
-        work = precision + 16
+        nums, den = self._numerators()
+        work = precision + 16 + len(nums).bit_length()
         pi = enclose_constant("pi", work)
-        acc = Interval.from_fraction(self.coeffs[-1], work)
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * pi + c
+        acc = Interval.from_int(nums[-1], work)
+        for c in reversed(nums[:-1]):
+            acc = acc * pi + Interval.from_int(c, work)
+        acc = acc.mul_scalar(Fraction(1, den))
         if self.exp_scale:
             acc = acc * enclose_constant("exp_half_pi", work)
         return acc.round_to(precision)
@@ -154,15 +171,12 @@ class PiExpression:
         """
         if self.is_zero:
             return "0"
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
+        nums, den = self._numerators()
         terms = []
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[j]
-            if c == 0:
+        for j in range(len(nums) - 1, -1, -1):
+            n = nums[j]
+            if n == 0:
                 continue
-            n = c.numerator * (den // c.denominator)
             if j == 0:
                 mono = ""
             elif j == 1:

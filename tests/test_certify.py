@@ -21,7 +21,8 @@ from ellipmono.certify import (
     resolve_spec,
     sharpness_probe,
 )
-from ellipmono.coefficients import b_coeff, threshold, wallis
+from ellipmono.coefficients import (CoefficientTable, b_coeff, threshold,
+                                    wallis)
 from ellipmono.intervals import DomainError
 from ellipmono.pi_expr import PiExpression
 
@@ -228,14 +229,38 @@ def test_j_quotient_closed_forms():
     assert qs[1] == PiExpression((F(0), F(-3, 64), F(1, 64)), exp_scale=True)
 
 
+def long_division_quotient(count):
+    """q_0..q_{count-1} by Fraction long division of sum b_n x^n by
+    sum W_n x^n (both from n = 1), independent of the integer table."""
+    w1 = wallis(1)
+    qs = []
+    for k in range(count):
+        acc = b_coeff(k + 1)
+        for j, qj in enumerate(qs):
+            acc = acc - qj.scale(wallis(k + 1 - j))
+        qs.append(acc / w1)
+    return qs
+
+
+def test_j_quotient_matches_long_division():
+    assert j_quotient_coefficients(60) == long_division_quotient(60)
+
+
 def test_j_quotient_reconstructs_b():
     # sum_{j<=k} q_j W_{k+1-j} must rebuild b_{k+1} exactly
-    qs = j_quotient_coefficients(9)
-    for k in range(9):
+    qs = j_quotient_coefficients(100)
+    for k in list(range(9)) + [37, 64, 99]:
         acc = PiExpression.zero()
         for j in range(k + 1):
             acc = acc + qs[j] * wallis(k + 1 - j)
         assert acc == b_coeff(k + 1), k
+
+
+def test_j_quotient_prefix_is_reused():
+    table = CoefficientTable()
+    first = j_quotient_coefficients(12, table)
+    assert j_quotient_coefficients(30, table)[:12] == first
+    assert j_quotient_coefficients(5, table) == first[:5]
 
 
 def test_j_truncation_check():

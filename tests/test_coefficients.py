@@ -1,9 +1,9 @@
 """Coefficient tables against independent oracles.
 
 The production code builds b_n through an integer-polynomial recurrence
-and u_n/v_n through integer convolutions; the oracles here recompute
-both from their defining formulas with plain Fractions and compare
-exactly, then pin a few decimal values computed separately (mpmath,
+and u_n/v_n through a three-term integer recurrence; the oracles here
+recompute both from their defining formulas (plain Fractions, or the
+integer convolution that defines P_n) and compare exactly, then pin a few decimal values computed separately (mpmath,
 dps=45).
 """
 
@@ -122,6 +122,40 @@ def test_v_is_partial_sum_and_difference_identity():
             assert v_coeff(n) - v_coeff(n - 1) == u_coeff(n)
 
 
+def convolution_P(n_max):
+    """P_n = sum_k E_k E_{n-k}, E_k = C(2k,k)^2/(k+1), for n <= n_max."""
+    E = [math.comb(2 * k, k) ** 2 // (k + 1) for k in range(n_max + 1)]
+    return [sum(E[k] * E[n - k] for k in range(n + 1))
+            for n in range(n_max + 1)]
+
+
+def table_P(table, n):
+    # u_n = (pi P_n - R_n) / 16^n
+    return table.u_coeff(n).coeffs[1] * 16 ** n
+
+
+def test_P_recurrence_matches_convolution():
+    table = CoefficientTable()
+    for n, P in enumerate(convolution_P(400)):
+        assert table_P(table, n) == P, n
+
+
+@pytest.mark.parametrize("n", [1000, 2000, 4000])
+def test_P_recurrence_matches_single_sum(n):
+    E, binom = [], 1
+    for k in range(n + 1):
+        E.append(binom * binom // (k + 1))
+        binom = binom * 2 * (2 * k + 1) // (k + 1)
+    P = sum(E[k] * E[n - k] for k in range(n + 1))
+    assert table_P(shared_coefficients(), n) == P
+
+
+def test_exact_div_raises_on_remainder():
+    assert coefficients._exact_div(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        coefficients._exact_div(7, 2)
+
+
 def test_v1_value():
     assert v_coeff(1) == PiExpression((F(-15, 4), F(5, 4)))   # 5(pi-3)/4
     assert abs(v_coeff(1).evaluate(128).mid() - V1) < TOL
@@ -180,6 +214,25 @@ def test_c_coeff_values():
     # exact-parameter path agrees with the rational path at p = 4
     exactish = c_coeff(2, PiExpression((F(4),)), 128)
     assert exactish.overlaps(c_coeff(2, F(4), 128))
+
+
+def test_c_coeff_encloses_p_once_per_precision(monkeypatch):
+    table = CoefficientTable()
+    p = threshold(3)
+    first = [table.c_coeff(n, p, 128) for n in range(3, 40)]
+    calls = []
+    real = PiExpression.evaluate
+
+    def counting(self, precision):
+        calls.append(precision)
+        return real(self, precision)
+
+    monkeypatch.setattr(PiExpression, "evaluate", counting)
+    assert [table.c_coeff(n, p, 128) for n in range(3, 40)] == first
+    assert calls == []
+    table.c_coeff(3, p, 256)
+    table.c_coeff(4, p, 256)
+    assert calls == [264]
 
 
 def test_value_table_consistent_with_exact():

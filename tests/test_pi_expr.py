@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from ellipmono.certify import j_quotient_coefficients
+from ellipmono.coefficients import threshold
 from ellipmono.pi_expr import PiExpression
 from ellipmono.intervals import Interval
 
@@ -101,6 +104,58 @@ def test_evaluate_contains_oracle():
     e = PiExpression((F(0), F(1, 8)), exp_scale=True)
     assert abs(e.evaluate(160).mid()
                - F("1.889070050037577230183290742441")) < F(1, 10 ** 29)
+
+
+def mp_value(e):
+    """Value of e in the current mpmath precision."""
+    total = mpf(0)
+    for j, c in enumerate(e.coeffs):
+        total += mpf(c.numerator) / c.denominator * mp.pi ** j
+    return total * mp.exp(mp.pi / 2) if e.exp_scale else total
+
+
+def assert_encloses(e, iv, ref_bits):
+    """iv contains the value of e, computed by mpmath at ref_bits bits
+    (its own error is padded away)."""
+    with mp.workprec(ref_bits):
+        ref = mp_value(e)
+        size = sum(abs(mpf(c.numerator) / c.denominator) * 4 ** j
+                   for j, c in enumerate(e.coeffs)) * 5 + 1
+        pad = size * mpf(2) ** (40 - ref_bits)
+        lo = mpf(iv.lo) / mpf(2) ** iv.prec
+        hi = mpf(iv.hi) / mpf(2) ** iv.prec
+        assert lo - pad <= ref <= hi + pad
+
+
+@pytest.mark.parametrize("precision", [64, 128, 256])
+def test_evaluate_keeps_requested_bits_thresholds(precision):
+    # threshold(k) has degree k in pi: per-coefficient rounding lost about
+    # log2(pi) bits per degree; Horner on the integer numerators does not
+    for k in range(66):
+        iv = threshold(k).evaluate(precision)
+        assert iv.prec == precision and iv.hi - iv.lo <= 4, k
+        assert_encloses(threshold(k), iv, 4 * precision + 200)
+
+
+def test_evaluate_keeps_requested_bits_quotient():
+    for k, q in enumerate(j_quotient_coefficients(100)):
+        iv = q.evaluate(128)
+        assert iv.hi - iv.lo <= 4, k
+        assert_encloses(q, iv, 800)
+
+
+_coefficient = st.tuples(st.integers(-2 ** 200, 2 ** 200),
+                         st.integers(1, 2 ** 80))
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=st.lists(_coefficient, min_size=1, max_size=30),
+       exp_scale=st.booleans(), precision=st.integers(8, 320))
+def test_evaluate_contains_random_polynomials(terms, exp_scale, precision):
+    e = PiExpression(tuple(F(n, d) for n, d in terms), exp_scale)
+    iv = e.evaluate(precision)
+    assert iv.prec == precision
+    assert_encloses(e, iv, 2000)
 
 
 def test_evaluate_zero_is_exact():
