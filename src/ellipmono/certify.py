@@ -20,10 +20,11 @@ zeros rather than ground for refutation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .intervals import Interval, DomainError
 from .constants import enclose_constant
@@ -36,6 +37,7 @@ __all__ = [
     "Witness",
     "Certificate",
     "BoundSpec",
+    "Family",
     "FAMILIES",
     "SEQUENCE_CLAIMS",
     "default_grid",
@@ -112,6 +114,81 @@ def _param_str(p) -> str:
 
 
 # ======================================================================
+# one escalation engine and one sign-scan fold
+
+def _escalate(evaluate: Callable[[int], object], precision: int,
+              max_precision: int, done: Callable[[object, int], bool]):
+    """Evaluate at ``precision``, doubling it up to ``max_precision``
+    until ``done(value, prec)``; returns the last value and precision."""
+    prec = precision
+    while True:
+        value = evaluate(prec)
+        if done(value, prec) or prec >= max_precision:
+            return value, prec
+        prec = min(2 * prec, max_precision)
+
+
+def _sign_known(iv: Optional[Interval], prec: int) -> bool:
+    return iv is None or iv.lo > 0 or iv.hi < 0
+
+
+def _sign_failure(iv: Interval) -> Optional[CertStatus]:
+    if iv.hi < 0:
+        return CertStatus.REFUTED
+    if iv.lo <= 0:
+        return CertStatus.UNDECIDED
+    return None
+
+
+def _fold(claim: str, range_: str,
+          items: Iterable[tuple[str, Callable[[int], Optional[Interval]]]],
+          notes: tuple[str, str, str], *, t0: float, precision: int,
+          max_precision: int, scope: dict,
+          done=_sign_known, failure=_sign_failure,
+          key=Interval.lo_fraction) -> Certificate:
+    """Scan ``items``, (location, evaluate) pairs, into a certificate.
+
+    Each item escalates until ``done``; a value of None is an exact
+    boundary zero.  The first value ``failure`` gives a status ends the
+    scan and is the witness; if none does, the witness is the value of
+    smallest ``key``.  ``notes`` are the witness notes for the statuses
+    in :class:`CertStatus` order (Certified, Refuted, Undecided).
+    """
+    status = CertStatus.CERTIFIED
+    hi_prec = precision
+    zeros: list[str] = []
+    witness = smallest = None
+    for loc, evaluate in items:
+        iv, prec = _escalate(evaluate, precision, max_precision, done)
+        hi_prec = max(hi_prec, prec)
+        if iv is None:
+            zeros.append(loc)
+            continue
+        failed = failure(iv)
+        if failed is not None:
+            status, witness = failed, (loc, iv)
+            break
+        k = key(iv)
+        if smallest is None or k < smallest:
+            smallest, witness = k, (loc, iv)
+    witnesses = []
+    if witness is not None:
+        note = dict(zip(CertStatus, notes))[status]
+        witnesses.append(Witness(witness[0], witness[1].to_decimal(_DIGITS),
+                                 note))
+    return Certificate(
+        claim=claim,
+        range=range_,
+        status=status,
+        precision_used=hi_prec,
+        witnesses=witnesses,
+        runtime_ms=(time.perf_counter() - t0) * 1e3,
+        scope=scope,
+        boundary_zeros=zeros,
+    )
+
+
+# ======================================================================
 # inequality families on grids
 
 @dataclass(frozen=True)
@@ -167,8 +244,8 @@ def _inv_rprime(x: Fraction, precision: int) -> Interval:
 
 
 def _log_arg_margin(spec: BoundSpec, x: Fraction, precision: int,
-                    upper: bool, extrapolated: bool,
-                    table: CoefficientTable) -> Interval:
+                    table: CoefficientTable, *, upper: bool,
+                    extrapolated: bool) -> Interval:
     """Margin of the truncated-logarithm bounds at a single x.
 
     lower families return K - ln(arg); upper families ln(arg) - K.
@@ -204,7 +281,7 @@ def _log_arg_margin(spec: BoundSpec, x: Fraction, precision: int,
 
 
 def _sum_rule_margin(spec: BoundSpec, pt: tuple, precision: int,
-                     upper: bool, table: CoefficientTable) -> Interval:
+                     table: CoefficientTable, *, upper: bool) -> Interval:
     """Margin of the two-point comparison bounds (order 0 = bare case)."""
     x, y = pt
     m = spec.order
@@ -231,19 +308,25 @@ def _sum_rule_margin(spec: BoundSpec, pt: tuple, precision: int,
     return K(x) + K(y) - K(mid).mul_scalar(2) - corr
 
 
-def _ekd_margin(x: Fraction, precision: int, upper: bool) -> Interval:
+def _ekd_margin(spec: BoundSpec, x: Fraction, precision: int,
+                table: CoefficientTable, *, upper: bool) -> Interval:
+    """Margin of the difference bound with constant alpha (upper) or
+    beta (lower), shifted by the spec's ``param_offset``."""
     s = 1 - 2 * x
     if s == 0:
         raise DomainError("the difference bound degenerates at x = 1/2")
     e = elliptic.ekd_eval(x, precision)
-    if upper:
-        bound = elliptic.alpha_enclosure(precision).mul_scalar(s)
-        return (bound - e) if s > 0 else (e - bound)
-    bound = elliptic.beta_enclosure(precision).mul_scalar(s)
-    return (e - bound) if s > 0 else (bound - e)
+    const = (elliptic.alpha_enclosure(precision) if upper
+             else elliptic.beta_enclosure(precision))
+    if spec.param_offset:
+        const = const + Interval.from_fraction(spec.param_offset, precision)
+    bound = const.mul_scalar(s)
+    gap = (bound - e) if upper else (e - bound)
+    return gap if s > 0 else -gap
 
 
-def _linear_refinement_margin(x: Fraction, precision: int) -> Interval:
+def _linear_refinement_margin(spec: BoundSpec, x: Fraction, precision: int,
+                              table: CoefficientTable) -> Interval:
     """Margin of the linear-in-x refinement over the constant-shift bound."""
     pi = enclose_constant("pi", precision)
     ehp = enclose_constant("exp_half_pi", precision)
@@ -252,7 +335,8 @@ def _linear_refinement_margin(x: Fraction, precision: int) -> Interval:
     return slope.mul_scalar(x)
 
 
-def _vs_weighted_margin(x: Fraction, precision: int) -> Interval:
+def _vs_weighted_margin(spec: BoundSpec, x: Fraction, precision: int,
+                        table: CoefficientTable) -> Interval:
     """Margin of the r'-weighted two-term bound over the linear refinement."""
     pi = enclose_constant("pi", precision)
     ehp = enclose_constant("exp_half_pi", precision)
@@ -269,7 +353,8 @@ def _vs_weighted_margin(x: Fraction, precision: int) -> Interval:
     return a_yi - a_new
 
 
-def _first_order_identity_residual(x: Fraction, precision: int,
+def _first_order_identity_residual(spec: BoundSpec, x: Fraction,
+                                   precision: int,
                                    table: CoefficientTable) -> Interval:
     """Residual of the closed form for the gap between the order-1 and
     order-0 sharp truncated-logarithm arguments."""
@@ -292,80 +377,74 @@ def _first_order_identity_residual(x: Fraction, precision: int,
     return lhs - rhs
 
 
-def _dispatch(spec: BoundSpec, pt: _Point, precision: int,
-              table: CoefficientTable) -> Interval:
-    fam = spec.family
-    if fam == "P1_lower":
-        return _log_arg_margin(spec, pt, precision, upper=False,
-                               extrapolated=False, table=table)
-    if fam == "P1_upper":
-        return _log_arg_margin(spec, pt, precision, upper=True,
-                               extrapolated=False, table=table)
-    if fam == "P2_lower":
-        return _log_arg_margin(spec, pt, precision, upper=False,
-                               extrapolated=True, table=table)
-    if fam == "P2_upper":
-        return _log_arg_margin(spec, pt, precision, upper=True,
-                               extrapolated=True, table=table)
-    if fam == "P3_lower":
-        return _sum_rule_margin(spec, pt, precision, upper=False, table=table)
-    if fam == "P3_upper":
-        return _sum_rule_margin(spec, pt, precision, upper=True, table=table)
-    if fam == "CP3_lower":
-        return _sum_rule_margin(BoundSpec("P3_lower", 0), pt, precision,
-                                upper=False, table=table)
-    if fam == "CP3_upper":
-        return _sum_rule_margin(BoundSpec("P3_upper", 0), pt, precision,
-                                upper=True, table=table)
-    if fam == "EKDIFF_upper":
-        return _ekd_margin(pt, precision, upper=True)
-    if fam == "EKDIFF_lower":
-        return _ekd_margin(pt, precision, upper=False)
-    if fam == "RMK4_QI":
-        return _linear_refinement_margin(pt, precision)
-    if fam == "RMK4_YI":
-        return _vs_weighted_margin(pt, precision)
-    if fam == "M1_identity":
-        return _first_order_identity_residual(pt, precision, table)
-    raise DomainError(f"unknown family {fam!r}")
+@dataclass(frozen=True)
+class Family:
+    """One inequality family that :func:`grid_verify` certifies.
+
+    ``margin(spec, point, precision, table)`` encloses a quantity that is
+    positive where the bound holds, or for an ``identity`` family a
+    residual that must enclose zero.  Points are x, or pairs (x, y) for a
+    ``pair_domain`` family.  ``default_param(spec, table)`` gives the
+    sharp parameter used when the spec names none.  ``probe`` makes the
+    family a sharpness family: (offset sign, k -> k-th probe point), and
+    :func:`sharpness_probe` shifts the constant by sign * epsilon.
+    """
+
+    margin: Callable[[BoundSpec, _Point, int, CoefficientTable], Interval]
+    pair_domain: bool = False
+    identity: bool = False
+    default_param: Optional[
+        Callable[[BoundSpec, CoefficientTable], object]] = None
+    probe: Optional[tuple[int, Callable[[int], Fraction]]] = None
 
 
-# family name -> (is_pair_domain, is_identity)
-FAMILIES: dict[str, tuple[bool, bool]] = {
-    "P1_lower": (False, False),
-    "P1_upper": (False, False),
-    "P2_lower": (False, False),
-    "P2_upper": (False, False),
-    "P3_lower": (True, False),
-    "P3_upper": (True, False),
-    "CP3_lower": (True, False),
-    "CP3_upper": (True, False),
-    "EKDIFF_upper": (False, False),
-    "EKDIFF_lower": (False, False),
-    "RMK4_QI": (False, False),
-    "RMK4_YI": (False, False),
-    "M1_identity": (False, True),
-}
-
-# families whose parameter defaults to the sharp constant of the order
-_DEFAULT_PARAM: dict[str, Callable[[BoundSpec, CoefficientTable], object]] = {
-    "P1_lower": lambda s, t: t.threshold(s.order + 1),
-    "P1_upper": lambda s, t: Fraction(4),
-    "P2_lower": lambda s, t: Fraction(4),
-    "P2_upper": lambda s, t: Fraction(4),
-    "P3_lower": lambda s, t: t.threshold(2),
-    "P3_upper": lambda s, t: Fraction(4),
+FAMILIES: dict[str, Family] = {
+    "P1_lower": Family(
+        partial(_log_arg_margin, upper=False, extrapolated=False),
+        default_param=lambda s, t: t.threshold(s.order + 1),
+        probe=(1, lambda k: Fraction(1, 1 << (2 * k)))),
+    "P1_upper": Family(
+        partial(_log_arg_margin, upper=True, extrapolated=False),
+        default_param=lambda s, t: Fraction(4),
+        probe=(-1, lambda k: 1 - Fraction(1, 1 << k))),
+    "P2_lower": Family(
+        partial(_log_arg_margin, upper=False, extrapolated=True),
+        default_param=lambda s, t: Fraction(4)),
+    "P2_upper": Family(
+        partial(_log_arg_margin, upper=True, extrapolated=True),
+        default_param=lambda s, t: Fraction(4)),
+    "P3_lower": Family(
+        partial(_sum_rule_margin, upper=False), pair_domain=True,
+        default_param=lambda s, t: t.threshold(2)),
+    "P3_upper": Family(
+        partial(_sum_rule_margin, upper=True), pair_domain=True,
+        default_param=lambda s, t: Fraction(4)),
+    # the bare comparison bounds: order 0 whatever the spec asks
+    "CP3_lower": Family(lambda s, pt, prec, t: _sum_rule_margin(
+        BoundSpec("P3_lower"), pt, prec, t, upper=False), pair_domain=True),
+    "CP3_upper": Family(lambda s, pt, prec, t: _sum_rule_margin(
+        BoundSpec("P3_upper"), pt, prec, t, upper=True), pair_domain=True),
+    "EKDIFF_upper": Family(
+        partial(_ekd_margin, upper=True),
+        probe=(-1, lambda k: Fraction(1, 1 << (2 * k)))),
+    "EKDIFF_lower": Family(
+        partial(_ekd_margin, upper=False),
+        probe=(1, lambda k: Fraction(1, 2) - Fraction(1, 1 << (k + 1)))),
+    "RMK4_QI": Family(_linear_refinement_margin),
+    "RMK4_YI": Family(_vs_weighted_margin),
+    "M1_identity": Family(_first_order_identity_residual, identity=True),
 }
 
 
 def resolve_spec(spec: BoundSpec,
                  table: Optional[CoefficientTable] = None) -> BoundSpec:
     """Fill in the family's sharp default parameter when none is given."""
-    table = table or shared_coefficients()
-    if spec.param is None and spec.family in _DEFAULT_PARAM:
-        return BoundSpec(spec.family, spec.order,
-                         _DEFAULT_PARAM[spec.family](spec, table),
-                         spec.param_offset)
+    family = FAMILIES.get(spec.family)
+    if family is None:
+        raise DomainError(f"unknown family {spec.family!r}")
+    if spec.param is None and family.default_param is not None:
+        param = family.default_param(spec, table or shared_coefficients())
+        return replace(spec, param=param)
     return spec
 
 
@@ -390,6 +469,25 @@ def _pt_str(pt: _Point) -> str:
     return f"x={pt}"
 
 
+def _margin_items(family: Family, spec: BoundSpec, points: Sequence[_Point],
+                  table: CoefficientTable):
+    return ((_pt_str(pt),
+             lambda prec, pt=pt: family.margin(spec, pt, prec, table))
+            for pt in points)
+
+
+def _residual_tight(iv: Interval, prec: int) -> bool:
+    return iv.width() <= Fraction(1, 1 << max(32, prec // 2))
+
+
+def _residual_failure(iv: Interval) -> Optional[CertStatus]:
+    if not iv.contains(Fraction(0)):
+        return CertStatus.REFUTED
+    if iv.width() > Fraction(1, 1 << 32):
+        return CertStatus.UNDECIDED
+    return None
+
+
 def grid_verify(spec: BoundSpec,
                 grid: Optional[Sequence[_Point]] = None,
                 precision: int = 96,
@@ -403,77 +501,26 @@ def grid_verify(spec: BoundSpec,
     t0 = time.perf_counter()
     table = table or shared_coefficients()
     spec = resolve_spec(spec, table)
-    if spec.family not in FAMILIES:
-        raise DomainError(f"unknown family {spec.family!r}")
-    pair_domain, identity = FAMILIES[spec.family]
+    family = FAMILIES[spec.family]
     if grid is None:
-        grid = default_pair_grid() if pair_domain else default_grid()
+        grid = default_pair_grid() if family.pair_domain else default_grid()
     grid = list(grid)
-    claim = (f"{spec.family} residual encloses zero" if identity
-             else f"{spec.family} margin positive")
     scope = spec.describe()
     scope["points"] = len(grid)
-    hi_prec = precision
-    worst: Optional[tuple[Fraction, _Point, Interval]] = None
-    status = CertStatus.CERTIFIED
-    witnesses: list[Witness] = []
-
-    for pt in grid:
-        prec = precision
-        while True:
-            margin = _dispatch(spec, pt, prec, table)
-            hi_prec = max(hi_prec, prec)
-            if identity:
-                tol = Fraction(1, 1 << max(32, prec // 2))
-                if margin.width() <= tol:
-                    break
-            else:
-                if margin.lo_fraction() > 0 or margin.hi_fraction() < 0:
-                    break
-            if prec >= max_precision:
-                break
-            prec = min(2 * prec, max_precision)
-        if identity:
-            if not margin.contains(Fraction(0)):
-                status = CertStatus.REFUTED
-                witnesses = [Witness(_pt_str(pt), margin.to_decimal(_DIGITS),
-                                     "residual excludes zero")]
-                break
-            if margin.width() > Fraction(1, 1 << 32):
-                status = CertStatus.UNDECIDED
-                witnesses = [Witness(_pt_str(pt), margin.to_decimal(_DIGITS),
-                                     "residual enclosure too wide")]
-                break
-            key = margin.width()
-        else:
-            if margin.hi_fraction() < 0:
-                status = CertStatus.REFUTED
-                witnesses = [Witness(_pt_str(pt), margin.to_decimal(_DIGITS),
-                                     "margin provably negative")]
-                break
-            if margin.lo_fraction() <= 0:
-                status = CertStatus.UNDECIDED
-                witnesses = [Witness(_pt_str(pt), margin.to_decimal(_DIGITS),
-                                     "sign undecided at precision cap")]
-                break
-            key = margin.lo_fraction()
-        if worst is None or key < worst[0]:
-            worst = (key, pt, margin)
-
-    if status is CertStatus.CERTIFIED and worst is not None:
-        note = ("widest residual" if identity else "smallest margin")
-        witnesses = [Witness(_pt_str(worst[1]), worst[2].to_decimal(_DIGITS),
-                             note)]
-    cert = Certificate(
-        claim=claim,
-        range=f"{len(grid)} grid points",
-        status=status,
-        precision_used=hi_prec,
-        witnesses=witnesses,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-        scope=scope,
-    )
-    return cert
+    run = dict(t0=t0, precision=precision, max_precision=max_precision,
+               scope=scope)
+    items = _margin_items(family, spec, grid, table)
+    if family.identity:
+        return _fold(f"{spec.family} residual encloses zero",
+                     f"{len(grid)} grid points", items,
+                     ("widest residual", "residual excludes zero",
+                      "residual enclosure too wide"),
+                     done=_residual_tight, failure=_residual_failure,
+                     key=lambda iv: -iv.width(), **run)
+    return _fold(f"{spec.family} margin positive",
+                 f"{len(grid)} grid points", items,
+                 ("smallest margin", "margin provably negative",
+                  "sign undecided at precision cap"), **run)
 
 
 # ======================================================================
@@ -531,82 +578,46 @@ def certify_sequence(claim: str, n_start: int, n_end: int,
     table = table or shared_coefficients()
     if claim not in SEQUENCE_CLAIMS:
         raise DomainError(f"unknown sequence claim {claim!r}")
-    if claim in ("c_nonneg", "c_nonpos") and p is None:
+    c_claim = claim in ("c_nonneg", "c_nonpos")
+    if c_claim and p is None:
         raise DomainError(f"claim {claim!r} needs the parameter p")
-    zeros: list[str] = []
-    hi_prec = precision
-    worst: Optional[tuple[Fraction, int, Interval]] = None
-    status = CertStatus.CERTIFIED
-    witnesses: list[Witness] = []
 
     # warm the shared tables once at base precision
     if claim in ("ratio_increasing", "ratio_below_4", "gap_positive"):
         table.ensure_values(
             n_end + (0 if claim == "ratio_below_4" else 1), precision)
-    elif claim in ("c_nonneg", "c_nonpos"):
+    elif c_claim:
         table.ensure_values(n_end, precision + 8)
 
-    for n in range(n_start, n_end + 1):
-        prec = precision
-        decided = False
-        while True:
-            margin = _sequence_margin(claim, n, p, prec, table)
-            hi_prec = max(hi_prec, prec)
-            if margin.lo_fraction() > 0:
-                decided = True
-                break
-            if margin.hi_fraction() < 0:
-                break
-            if (claim in ("c_nonneg", "c_nonpos")
-                    and n <= _EXACT_ZERO_CAP
-                    and table.c_is_exactly_zero(n, p)):
-                zeros.append(f"n={n}")
-                decided = True
-                margin = None
-                break
-            if prec >= max_precision:
-                break
-            prec = min(2 * prec, max_precision)
-        if margin is None:
-            continue
-        if decided:
-            key = margin.lo_fraction()
-            if worst is None or key < worst[0]:
-                worst = (key, n, margin)
-            continue
-        if margin.hi_fraction() < 0:
-            status = CertStatus.REFUTED
-            witnesses = [Witness(f"n={n}", margin.to_decimal(_DIGITS),
-                                 "sign provably violated")]
-        else:
-            status = CertStatus.UNDECIDED
-            witnesses = [Witness(f"n={n}", margin.to_decimal(_DIGITS),
-                                 "sign undecided at precision cap")]
-        break
+    def evaluate(n: int, prec: int) -> Optional[Interval]:
+        margin = _sequence_margin(claim, n, p, prec, table)
+        if (c_claim and margin.lo <= 0 <= margin.hi
+                and n <= _EXACT_ZERO_CAP
+                and table.c_is_exactly_zero(n, p)):
+            return None
+        return margin
 
-    if status is CertStatus.CERTIFIED and worst is not None:
-        witnesses = [Witness(f"n={worst[1]}", worst[2].to_decimal(_DIGITS),
-                             "smallest margin")]
     scope = {"claim": claim}
     if p is not None:
         scope["p"] = _param_str(p)
-    cert = Certificate(
-        claim=claim,
-        range=f"n={n_start}..{n_end}",
-        status=status,
-        precision_used=hi_prec,
-        witnesses=witnesses,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-        scope=scope,
-        boundary_zeros=zeros,
-    )
-    return cert
+    return _fold(claim, f"n={n_start}..{n_end}",
+                 ((f"n={n}", partial(evaluate, n))
+                  for n in range(n_start, n_end + 1)),
+                 ("smallest margin", "sign provably violated",
+                  "sign undecided at precision cap"),
+                 t0=t0, precision=precision, max_precision=max_precision,
+                 scope=scope)
 
 
 # ======================================================================
 # sharpness probes
 
-SHARPNESS_FAMILIES = ("P1_lower", "P1_upper", "EKDIFF_upper", "EKDIFF_lower")
+SHARPNESS_FAMILIES = tuple(name for name, family in FAMILIES.items()
+                           if family.probe is not None)
+
+
+def _violated(iv: Interval) -> Optional[CertStatus]:
+    return CertStatus.REFUTED if iv.hi < 0 else None
 
 
 def sharpness_probe(family: str, epsilon: Fraction,
@@ -627,67 +638,25 @@ def sharpness_probe(family: str, epsilon: Fraction,
     eps = Fraction(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
-    if family == "P1_lower":
-        spec = BoundSpec("P1_lower", order, table.threshold(order + 1), eps)
-        points = [Fraction(1, 1 << (2 * k)) for k in range(1, max_steps + 1)]
-    elif family == "P1_upper":
-        spec = BoundSpec("P1_upper", order, Fraction(4), -eps)
-        points = [1 - Fraction(1, 1 << k) for k in range(1, max_steps + 1)]
-    elif family == "EKDIFF_upper":
-        spec = BoundSpec("EKDIFF_upper", 0, None, -eps)
-        points = [Fraction(1, 1 << (2 * k)) for k in range(1, max_steps + 1)]
-    elif family == "EKDIFF_lower":
-        spec = BoundSpec("EKDIFF_lower", 0, None, eps)
-        points = [Fraction(1, 2) - Fraction(1, 1 << k)
-                  for k in range(2, max_steps + 2)]
-    else:
+    if family not in SHARPNESS_FAMILIES:
         raise DomainError(f"no sharpness probe for family {family!r}")
-
-    hi_prec = precision
-    status = CertStatus.UNDECIDED
-    witnesses: list[Witness] = []
-    for pt in points:
-        prec = precision
-        while True:
-            margin = _probe_margin(spec, pt, prec, table)
-            hi_prec = max(hi_prec, prec)
-            if margin.lo_fraction() > 0 or margin.hi_fraction() < 0:
-                break
-            if prec >= max_precision:
-                break
-            prec = min(2 * prec, max_precision)
-        if margin.hi_fraction() < 0:
-            status = CertStatus.REFUTED
-            witnesses = [Witness(_pt_str(pt), margin.to_decimal(_DIGITS),
-                                 "perturbed bound provably violated")]
-            break
-    if status is CertStatus.UNDECIDED:
-        witnesses = [Witness(_pt_str(points[-1]), "",
-                             "no violation found within scan range")]
-    return Certificate(
-        claim=f"{family} constant sharp within epsilon={eps}",
-        range=f"{len(points)} dyadic probe points",
-        status=status,
-        precision_used=hi_prec,
-        witnesses=witnesses,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-        scope={"family": family, "epsilon": str(eps), "order": order},
-    )
-
-
-def _probe_margin(spec: BoundSpec, pt: Fraction, precision: int,
-                  table: CoefficientTable) -> Interval:
-    if spec.family in ("EKDIFF_upper", "EKDIFF_lower"):
-        # rebuild the margin with the perturbed constant
-        s = 1 - 2 * pt
-        e = elliptic.ekd_eval(pt, precision)
-        off = Interval.from_fraction(spec.param_offset, precision)
-        if spec.family == "EKDIFF_upper":
-            bound = (elliptic.alpha_enclosure(precision) + off).mul_scalar(s)
-            return (bound - e) if s > 0 else (e - bound)
-        bound = (elliptic.beta_enclosure(precision) + off).mul_scalar(s)
-        return (e - bound) if s > 0 else (bound - e)
-    return _dispatch(spec, pt, precision, table)
+    record = FAMILIES[family]
+    sign, point = record.probe
+    spec = resolve_spec(BoundSpec(family, order, None, sign * eps), table)
+    points = [point(k) for k in range(1, max_steps + 1)]
+    cert = _fold(f"{family} constant sharp within epsilon={eps}",
+                 f"{len(points)} dyadic probe points",
+                 _margin_items(record, spec, points, table),
+                 ("", "perturbed bound provably violated", ""),
+                 failure=_violated, t0=t0, precision=precision,
+                 max_precision=max_precision,
+                 scope={"family": family, "epsilon": str(eps),
+                        "order": order})
+    if cert.status is CertStatus.CERTIFIED:  # nothing refuted the bound
+        cert.status = CertStatus.UNDECIDED
+        cert.witnesses = [Witness(_pt_str(points[-1]), "",
+                                  "no violation found within scan range")]
+    return cert
 
 
 # ======================================================================
@@ -707,47 +676,21 @@ def h_monotonicity(xs: Sequence[Fraction],
     right = [x for x in pts if x > half]
     pairs = [(a, b, True) for a, b in zip(left, left[1:])]
     pairs += [(a, b, False) for a, b in zip(right, right[1:])]
-    hi_prec = precision
-    status = CertStatus.CERTIFIED
-    witnesses: list[Witness] = []
-    worst = None
-    for a, b, decreasing in pairs:
-        prec = precision
-        while True:
-            ha = elliptic.H_eval(a, prec)
-            hb = elliptic.H_eval(b, prec)
-            diff = (ha - hb) if decreasing else (hb - ha)
-            hi_prec = max(hi_prec, prec)
-            if diff.lo_fraction() > 0 or diff.hi_fraction() < 0:
-                break
-            if prec >= max_precision:
-                break
-            prec = min(2 * prec, max_precision)
-        loc = f"x={a}..{b}"
-        if diff.hi_fraction() < 0:
-            status = CertStatus.REFUTED
-            witnesses = [Witness(loc, diff.to_decimal(_DIGITS),
-                                 "monotonicity provably violated")]
-            break
-        if diff.lo_fraction() <= 0:
-            status = CertStatus.UNDECIDED
-            witnesses = [Witness(loc, diff.to_decimal(_DIGITS),
-                                 "undecided at precision cap")]
-            break
-        if worst is None or diff.lo_fraction() < worst[0]:
-            worst = (diff.lo_fraction(), loc, diff)
-    if status is CertStatus.CERTIFIED and worst is not None:
-        witnesses = [Witness(worst[1], worst[2].to_decimal(_DIGITS),
-                             "smallest step")]
-    return Certificate(
-        claim="symmetrized difference quotient is V-shaped about 1/2",
-        range=f"{len(pairs)} adjacent pairs",
-        status=status,
-        precision_used=hi_prec,
-        witnesses=witnesses,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-        scope={"points": len(pts)},
-    )
+
+    def step(a: Fraction, b: Fraction, decreasing: bool,
+             prec: int) -> Interval:
+        ha = elliptic.H_eval(a, prec)
+        hb = elliptic.H_eval(b, prec)
+        return (ha - hb) if decreasing else (hb - ha)
+
+    return _fold("symmetrized difference quotient is V-shaped about 1/2",
+                 f"{len(pairs)} adjacent pairs",
+                 ((f"x={a}..{b}", partial(step, a, b, decreasing))
+                  for a, b, decreasing in pairs),
+                 ("smallest step", "monotonicity provably violated",
+                  "undecided at precision cap"),
+                 t0=t0, precision=precision, max_precision=max_precision,
+                 scope={"points": len(pts)})
 
 
 # ======================================================================
@@ -782,47 +725,12 @@ def j_truncation_check(count: int = 50,
     t0 = time.perf_counter()
     table = table or shared_coefficients()
     qs = j_quotient_coefficients(count, table)
-    hi_prec = precision
-    status = CertStatus.CERTIFIED
-    witnesses: list[Witness] = []
-    zeros: list[str] = []
-    worst = None
-    for k, q in enumerate(qs):
-        if q.is_zero:
-            zeros.append(f"n={k}")
-            continue
-        prec = precision
-        while True:
-            val = q.evaluate(prec)
-            hi_prec = max(hi_prec, prec)
-            if val.lo_fraction() > 0 or val.hi_fraction() < 0:
-                break
-            if prec >= max_precision:
-                break
-            prec = min(2 * prec, max_precision)
-        if val.hi_fraction() < 0:
-            status = CertStatus.REFUTED
-            witnesses = [Witness(f"n={k}", val.to_decimal(_DIGITS),
-                                 "coefficient provably negative")]
-            break
-        if val.lo_fraction() <= 0:
-            status = CertStatus.UNDECIDED
-            witnesses = [Witness(f"n={k}", val.to_decimal(_DIGITS),
-                                 "sign undecided at precision cap")]
-            break
-        if worst is None or val.lo_fraction() < worst[0]:
-            worst = (val.lo_fraction(), k, val)
-    if status is CertStatus.CERTIFIED and worst is not None:
-        witnesses = [Witness(f"n={worst[1]}", worst[2].to_decimal(_DIGITS),
-                             "smallest coefficient")]
-    cert = Certificate(
-        claim="quotient-series coefficients nonnegative",
-        range=f"n=0..{count - 1}",
-        status=status,
-        precision_used=hi_prec,
-        witnesses=witnesses,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-        scope={"count": count},
-        boundary_zeros=zeros,
-    )
+    cert = _fold("quotient-series coefficients nonnegative",
+                 f"n=0..{count - 1}",
+                 ((f"n={k}", (lambda prec: None) if q.is_zero else q.evaluate)
+                  for k, q in enumerate(qs)),
+                 ("smallest coefficient", "coefficient provably negative",
+                  "sign undecided at precision cap"),
+                 t0=t0, precision=precision, max_precision=max_precision,
+                 scope={"count": count})
     return cert, qs

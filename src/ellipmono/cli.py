@@ -179,8 +179,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = BoundSpec(args.family, args.order, args.p)
-    pair_domain, _ = FAMILIES[args.family]
-    if pair_domain:
+    if FAMILIES[args.family].pair_domain:
         grid = default_pair_grid(args.density)
     else:
         grid = default_grid(args.density)
@@ -199,6 +198,23 @@ def _cmd_sharpness(args) -> int:
     return _cert_exit(cert, CertStatus.REFUTED)
 
 
+# eval targets that enclose one function of at most one point:
+# --what -> (function in elliptic, the flag giving the point or None).
+# Looked up by name at call time, so a wrapped function is the one run.
+_EVAL_AT_POINT = {
+    "expK": ("exp_K_agm", "x"),
+    "g": ("g_eval", "x"),
+    "g0": ("g0_eval", "x"),
+    "G": ("G_eval", "x"),
+    "G4": ("G4_eval", "x"),
+    "H": ("H_eval", "x"),
+    "ekd": ("ekd_eval", "x"),
+    "defect": ("asymptotic_defect", "m"),
+    "alpha": ("alpha_enclosure", None),
+    "beta": ("beta_enclosure", None),
+}
+
+
 def _cmd_eval(args) -> int:
     what = args.what
     prec = args.precision
@@ -209,13 +225,15 @@ def _cmd_eval(args) -> int:
             raise DomainError(f"eval --what {what} needs {flag}")
         return val
 
-    if what == "K":
+    if what in _EVAL_AT_POINT:
+        name, arg = _EVAL_AT_POINT[what]
+        point = (need(arg, f"--{arg}"),) if arg else ()
+        iv = getattr(elliptic, name)(*point, prec)
+    elif what == "K":
         if args.m is not None:
             iv = elliptic.agm_K_m(args.m, prec)
         else:
             iv = elliptic.agm_K(need("r", "--r or --m"), prec)
-    elif what == "expK":
-        iv = elliptic.exp_K_agm(need("x", "--x"), prec)
     elif what == "expK_series":
         ev = elliptic.exp_K(need("x", "--x"), prec, args.terms)
         iv = ev.enclosure
@@ -223,24 +241,6 @@ def _cmd_eval(args) -> int:
         ev = elliptic.hyp_series(need("kind", "--kind"), need("x", "--x"),
                                  prec, args.terms)
         iv = ev.enclosure
-    elif what == "g":
-        iv = elliptic.g_eval(need("x", "--x"), prec)
-    elif what == "g0":
-        iv = elliptic.g0_eval(need("x", "--x"), prec)
-    elif what == "G":
-        iv = elliptic.G_eval(need("x", "--x"), prec)
-    elif what == "G4":
-        iv = elliptic.G4_eval(need("x", "--x"), prec)
-    elif what == "H":
-        iv = elliptic.H_eval(need("x", "--x"), prec)
-    elif what == "ekd":
-        iv = elliptic.ekd_eval(need("x", "--x"), prec)
-    elif what == "defect":
-        iv = elliptic.asymptotic_defect(need("m", "--m"), prec)
-    elif what == "alpha":
-        iv = elliptic.alpha_enclosure(prec)
-    elif what == "beta":
-        iv = elliptic.beta_enclosure(prec)
     elif what == "lt":
         triple = need("triple", "--triple")
         parts = [Fraction(t) for t in triple.split(",")]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ellipmono.certify import (
+    FAMILIES,
     SEQUENCE_CLAIMS,
     SHARPNESS_FAMILIES,
     BoundSpec,
@@ -21,8 +22,8 @@ from ellipmono.certify import (
     resolve_spec,
     sharpness_probe,
 )
-from ellipmono.coefficients import (CoefficientTable, b_coeff, threshold,
-                                    wallis)
+from ellipmono.coefficients import (CoefficientTable, b_coeff,
+                                    shared_coefficients, threshold, wallis)
 from ellipmono.intervals import DomainError
 from ellipmono.pi_expr import PiExpression
 
@@ -268,3 +269,36 @@ def test_j_truncation_check():
     assert cert.status is CertStatus.CERTIFIED
     assert len(qs) == 12
     assert isinstance(cert, Certificate)
+
+
+# ----------------------------------------------------------------------
+# family registry
+
+def test_ekdiff_offset_shifts_the_constant():
+    # beta + 1/1000 is past the sharp constant: the grid must refute it
+    spec = BoundSpec("EKDIFF_lower", 0, None, F(1, 1000))
+    cert = grid_verify(spec)
+    assert cert.status is CertStatus.REFUTED, cert.to_json_dict()
+    assert cert.witnesses[0].location == "x=91/201"
+    assert cert.scope["param_offset"] == "1/1000"
+
+
+def test_identity_witness_is_the_widest_residual():
+    spec = BoundSpec("M1_identity", 0)
+    grid = default_grid()
+    cert = grid_verify(spec, grid)
+    assert cert.status is CertStatus.CERTIFIED
+    assert cert.precision_used == 96  # every point decided at 96 bits
+    residual = FAMILIES["M1_identity"].margin
+    table = shared_coefficients()
+    widths = {x: residual(spec, x, 96, table).width() for x in grid}
+    widest = max(grid, key=widths.__getitem__)
+    assert widest == F(2047, 2048)
+    assert cert.witnesses[0].location == f"x={widest}"
+    assert cert.witnesses[0].note == "widest residual"
+
+
+def test_sharpness_families_come_from_the_registry():
+    assert SHARPNESS_FAMILIES == ("P1_lower", "P1_upper", "EKDIFF_upper",
+                                  "EKDIFF_lower")
+    assert all(FAMILIES[f].probe for f in SHARPNESS_FAMILIES)
