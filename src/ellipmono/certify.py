@@ -149,7 +149,8 @@ def _fold(claim: str, range_: str,
     """Scan ``items``, (location, evaluate) pairs, into a certificate.
 
     Each item escalates until ``done``; a value of None is an exact
-    boundary zero.  The first value ``failure`` gives a status ends the
+    boundary zero.  An empty scan raises DomainError rather than certify
+    nothing.  The first value ``failure`` gives a status ends the
     scan and is the witness; if none does, the witness is the value of
     smallest ``key``.  ``notes`` are the witness notes for the statuses
     in :class:`CertStatus` order (Certified, Refuted, Undecided).
@@ -171,6 +172,8 @@ def _fold(claim: str, range_: str,
         k = key(iv)
         if smallest is None or k < smallest:
             smallest, witness = k, (loc, iv)
+    if witness is None and not zeros:  # every item leaves one or the other
+        raise DomainError(f"{claim}: nothing to certify over {range_}")
     witnesses = []
     if witness is not None:
         note = dict(zip(CertStatus, notes))[status]

@@ -12,18 +12,12 @@ Exit codes: 0 on success (for ``certify``/``verify`` that means
 ``Certified``; for ``sharpness`` it means the perturbed bound was
 ``Refuted``), 1 when a certificate fails to reach the expected status,
 2 on usage or domain errors.
-
-Defaults may be supplied through ``ELLIPMONO_``-prefixed environment
-variables (``ELLIPMONO_PRECISION``, ``ELLIPMONO_MAX_PRECISION``,
-``ELLIPMONO_DIGITS``, ``ELLIPMONO_FORMAT``, ``ELLIPMONO_DENSITY``);
-explicit flags win over the environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -31,7 +25,6 @@ from typing import Optional
 
 from .intervals import DomainError, BudgetError
 from .constants import CONSTANT_NAMES, enclose_constant
-from .pi_expr import PiExpression
 from .coefficients import shared_coefficients
 from . import elliptic
 from .certify import (
@@ -50,24 +43,6 @@ from .certify import (
     j_truncation_check,
 )
 
-_ENV_PREFIX = "ELLIPMONO_"
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(
-            f"invalid integer in {_ENV_PREFIX + name}: {raw!r}") from None
-
-
-def _env_str(name: str, default: str) -> str:
-    return os.environ.get(_ENV_PREFIX + name, default)
-
-
 def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -76,13 +51,12 @@ def parse_fraction(text: str) -> Fraction:
             f"not an exact rational: {text!r}") from None
 
 
-# Named exact parameter values accepted by --p (whitespace-insensitive).
+# Named exact parameter values accepted by --p (whitespace-insensitive):
+# the sharp thresholds b_k/W_k they equal, by k.
 _NAMED_PARAMS = {
-    "exp(pi/2)": PiExpression((Fraction(1),), exp_scale=True),
-    "pi*exp(pi/2)/4": PiExpression((Fraction(0), Fraction(1, 4)),
-                                   exp_scale=True),
-    "pi*(pi+9)*exp(pi/2)/48": PiExpression(
-        (Fraction(0), Fraction(9, 48), Fraction(1, 48)), exp_scale=True),
+    "exp(pi/2)": 0,
+    "pi*exp(pi/2)/4": 1,
+    "pi*(pi+9)*exp(pi/2)/48": 2,
 }
 
 
@@ -90,7 +64,7 @@ def parse_param(text: str):
     """Parse --p: a named exact constant, threshold(k), or a rational."""
     key = text.strip().lower().replace(" ", "")
     if key in _NAMED_PARAMS:
-        return _NAMED_PARAMS[key]
+        return shared_coefficients().threshold(_NAMED_PARAMS[key])
     if key.startswith("threshold(") and key.endswith(")"):
         try:
             k = int(key[len("threshold("):-1])
@@ -279,19 +253,16 @@ def _cmd_constants(args) -> int:
 def _add_common(p: argparse.ArgumentParser, *, max_prec: bool = False,
                 digits: bool = False, fmt: bool = False,
                 timestamp: bool = False) -> None:
-    p.add_argument("--precision", type=int,
-                   default=_env_int("PRECISION", 128),
+    p.add_argument("--precision", type=int, default=128,
                    help="working precision in bits (default 128)")
     if max_prec:
-        p.add_argument("--max-precision", type=int,
-                       default=_env_int("MAX_PRECISION", 2048),
+        p.add_argument("--max-precision", type=int, default=2048,
                        help="precision cap for escalation (default 2048)")
     if digits:
-        p.add_argument("--digits", type=int, default=_env_int("DIGITS", 30),
+        p.add_argument("--digits", type=int, default=30,
                        help="decimal digits to display (default 30)")
     if fmt:
-        p.add_argument("--format", choices=("csv", "json"),
-                       default=_env_str("FORMAT", "csv"),
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="output format (default csv)")
     if timestamp:
         p.add_argument("--no-timestamp", action="store_true",
@@ -331,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="truncation order m of the correction sum")
     p.add_argument("--p", type=parse_param, default=None,
                    help="series parameter (defaults to the sharp constant)")
-    p.add_argument("--density", type=int, default=_env_int("DENSITY", 200),
+    p.add_argument("--density", type=int, default=200,
                    help="grid density (default 200)")
     _add_common(p, max_prec=True, timestamp=True)
     p.set_defaults(func=_cmd_verify)

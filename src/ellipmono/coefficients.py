@@ -57,6 +57,7 @@ as integer pi-polynomials too (see :meth:`CoefficientTable.ensure_quotient`).
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Union
@@ -179,11 +180,8 @@ class CoefficientTable:
         self._W: list[Fraction] = [Fraction(1)]
         # interval value tables, keyed by precision
         self._values: dict[int, dict] = {}
-        # enclosures of the parameter p of c_n(p), keyed by (id(p),
-        # precision): hashing a high-degree p costs more than a lookup
-        # saves.  Each entry holds p, so no other object takes its id.
-        self._p_enclosures: dict[tuple[int, int],
-                                 tuple[PiExpression, Interval]] = {}
+        # enclosures of the parameter p of c_n(p), keyed by (p, precision)
+        self._p_enclosures: dict[tuple[PiExpression, int], Interval] = {}
 
     # ------------------------------------------------------------------
     # Wallis ratios
@@ -246,9 +244,7 @@ class CoefficientTable:
             raise ValueError("n must be nonnegative")
         self.ensure_exact(n)
         with self._lock:
-            den = self._D[n]
-            coeffs = tuple(Fraction(c, den) for c in self._B[n])
-        return PiExpression(coeffs, exp_scale=True)
+            return PiExpression(self._B[n], exp_scale=True, den=self._D[n])
 
     def gap_exact(self, n: int) -> PiExpression:
         """Exact (n+1) b_{n+1} - (n+1/2) b_n."""
@@ -295,9 +291,8 @@ class CoefficientTable:
             raise ValueError("k must be nonnegative")
         self.ensure_quotient(k + 1)
         with self._lock:
-            den = self._D[k + 1]
-            coeffs = tuple(Fraction(c, den) for c in self._Q[k])
-        return PiExpression(coeffs, exp_scale=True)
+            return PiExpression(self._Q[k], exp_scale=True,
+                                den=self._D[k + 1])
 
     # ------------------------------------------------------------------
     # exact u/v
@@ -343,14 +338,12 @@ class CoefficientTable:
     def u_coeff(self, n: int) -> PiExpression:
         """Exact u_n = (pi * P_n - R_n)/16^n (degree one in pi)."""
         self.ensure_uv(n)
-        d = 1 << (4 * n)
-        return PiExpression((Fraction(-self._R[n], d), Fraction(self._P[n], d)))
+        return PiExpression((-self._R[n], self._P[n]), den=1 << (4 * n))
 
     def v_coeff(self, n: int) -> PiExpression:
         """Exact v_n = sum_{k<=n} u_k (degree one in pi)."""
         self.ensure_uv(n)
-        d = 1 << (4 * n)
-        return PiExpression((Fraction(-self._VR[n], d), Fraction(self._VP[n], d)))
+        return PiExpression((-self._VR[n], self._VP[n]), den=1 << (4 * n))
 
     # ------------------------------------------------------------------
     # interval value table (b~_n = b_n / e^(pi/2))
@@ -474,14 +467,14 @@ class CoefficientTable:
 
     def _p_enclosure(self, p: PiExpression, work: int) -> Interval:
         """Enclosure of p, or of p / e^(pi/2) when p carries that scale,
-        at ``work`` bits; computed once per p object and ``work``."""
-        key = (id(p), work)
+        at ``work`` bits; computed once per value of p and ``work``."""
+        key = (p, work)
         with self._lock:
             hit = self._p_enclosures.get(key)
             if hit is None:
-                inner = PiExpression(p.coeffs) if p.exp_scale else p
-                hit = self._p_enclosures[key] = (p, inner.evaluate(work))
-            return hit[1]
+                hit = self._p_enclosures[key] = replace(
+                    p, exp_scale=False).evaluate(work)
+            return hit
 
     def c_is_exactly_zero(self, n: int, p: _PNum) -> bool:
         """True iff c_n(p) cancels exactly (p must be an exact expression)."""

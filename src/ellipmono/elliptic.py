@@ -117,7 +117,7 @@ def exp_K_agm(m, precision: int) -> Interval:
 # ----------------------------------------------------------------------
 # Gauss series
 
-# (a, b, c) with all entries doubled to stay integer-keyed
+# the supported Gauss series by name: (a, b, c) of 2F1(a, b; c; x)
 HYP_KINDS = {
     "hh1": (Fraction(1, 2), Fraction(1, 2), Fraction(1)),
     "hh2": (Fraction(1, 2), Fraction(1, 2), Fraction(2)),

@@ -28,7 +28,6 @@ __all__ = [
     "Sign",
     "DomainError",
     "BudgetError",
-    "interval_fn",
     "BIT_BUDGET",
 ]
 
@@ -483,52 +482,3 @@ def _fraction_to_decimal_up(x: Fraction, sig: int) -> str:
         s = s[0] + "." + s[1:]
     return f"{s}e{e:+d}"
 
-
-# ----------------------------------------------------------------------
-# generic evaluator
-
-
-_UNARY = {
-    "neg": lambda a: -a,
-    "sqrt": lambda a: a.sqrt(),
-    "exp": lambda a: a.exp(),
-    "ln": lambda a: a.ln(),
-    "recip": lambda a: a.recip(),
-    "square": lambda a: a.square(),
-    "abs": lambda a: a.abs(),
-}
-
-_BINARY = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-
-def interval_fn(op: str, args, precision: int) -> Interval:
-    """Apply a named operation to intervals/rationals at a target precision.
-
-    Rationals among ``args`` are enclosed exactly first; the result is
-    outward-rounded to ``precision``.
-    """
-    ivs = [a if isinstance(a, Interval) else Interval.from_fraction(a, precision)
-           for a in args]
-    if op in _UNARY:
-        if len(ivs) != 1:
-            raise DomainError(f"{op} takes one argument")
-        out = _UNARY[op](ivs[0].round_to(max(precision, ivs[0].prec)))
-    elif op in _BINARY:
-        if len(ivs) != 2:
-            raise DomainError(f"{op} takes two arguments")
-        out = _BINARY[op](ivs[0], ivs[1])
-    elif op == "pow":
-        if len(ivs) != 2 or not ivs[1].is_point():
-            raise DomainError("pow takes (interval, exact integer)")
-        k = ivs[1].lo >> ivs[1].prec
-        if (k << ivs[1].prec) != ivs[1].lo:
-            raise DomainError("pow exponent must be an integer")
-        out = ivs[0].pow_int(k)
-    else:
-        raise DomainError(f"unknown operation {op!r}")
-    return out.round_to(precision)

@@ -7,8 +7,9 @@ derived quantity this library certifies — lives in the ring
 
 :class:`PiExpression` represents one element exactly.  Structural
 equality is semantic equality: {pi^j} and {pi^j * e^(pi/2)} are linearly
-independent over the rationals, so canonical coefficients (trailing
-zeros trimmed, zero normalized) decide everything.
+independent over the rationals, so the canonical form (integer
+numerators over their least common denominator, trailing zeros trimmed,
+zero normalized) decides everything.
 
 Addition is only defined between operands with the same ``exp_scale``
 (the mixed sum is not an element of either ring); callers that need a
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
 from .intervals import Interval
@@ -33,36 +34,60 @@ _Rat = Union[int, Fraction]
 
 @dataclass(frozen=True)
 class PiExpression:
-    """``sum_j coeffs[j] * pi**j``, times ``e**(pi/2)`` if ``exp_scale``."""
+    """``sum_j nums[j] * pi**j / den``, times ``e**(pi/2)`` if ``exp_scale``.
 
-    coeffs: tuple[Fraction, ...] = ()
+    The constructor takes rational coefficients (over ``den``, default 1)
+    and keeps the canonical form: integer ``nums`` with no trailing
+    zeros and a positive ``den`` with gcd(den, *nums) = 1, so ``den`` is
+    the least common denominator of the coefficients.  Zero is
+    ``nums=()``, ``den=1`` and unscaled.
+    """
+
+    nums: tuple[int, ...] = ()
     exp_scale: bool = False
+    den: int = 1
 
     def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
-        if not cs:
+        nums, den = self.nums, self.den
+        if den <= 0:
+            raise ValueError("den must be a positive integer")
+        if not all(isinstance(c, int) for c in nums):
+            cs = [Fraction(c) for c in nums]
+            common = lcm(*(c.denominator for c in cs))
+            nums = [c.numerator * (common // c.denominator) for c in cs]
+            den *= common
+        top = len(nums)
+        while top and nums[top - 1] == 0:
+            top -= 1
+        nums = nums[:top]
+        g = gcd(den, *nums)
+        object.__setattr__(self, "nums", tuple(c // g for c in nums))
+        object.__setattr__(self, "den", den // g)
+        if not nums:
             object.__setattr__(self, "exp_scale", False)
 
     # ------------------------------------------------------------------
     @classmethod
     def from_rational(cls, q: _Rat, exp_scale: bool = False) -> "PiExpression":
-        return cls((Fraction(q),), exp_scale)
+        return cls((q,), exp_scale)
 
     @classmethod
     def zero(cls) -> "PiExpression":
         return cls()
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients nums[j]/den."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int:
         """Degree in pi (-1 for the zero expression)."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     # ------------------------------------------------------------------
     # ring operations
@@ -80,22 +105,25 @@ class PiExpression:
 
     def __add__(self, other: "PiExpression") -> "PiExpression":
         scale = self._check_scale(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
-        return PiExpression(tuple(x + y for x, y in zip(a, b)), scale)
+        den = lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.nums]
+        b = [c * (den // other.den) for c in other.nums]
+        if len(a) < len(b):
+            a, b = b, a
+        for j, c in enumerate(b):
+            a[j] += c
+        return PiExpression(a, scale, den)
 
     def __neg__(self) -> "PiExpression":
-        return PiExpression(tuple(-c for c in self.coeffs), self.exp_scale)
+        return self.scale(-1)
 
     def __sub__(self, other: "PiExpression") -> "PiExpression":
         return self + (-other)
 
     def scale(self, q: _Rat) -> "PiExpression":
         q = Fraction(q)
-        if q == 0:
-            return PiExpression.zero()
-        return PiExpression(tuple(c * q for c in self.coeffs), self.exp_scale)
+        return PiExpression(tuple(c * q.numerator for c in self.nums),
+                            self.exp_scale, self.den * q.denominator)
 
     def __mul__(self, q):
         if isinstance(q, (int, Fraction)):
@@ -106,13 +134,14 @@ class PiExpression:
             if self.exp_scale and q.exp_scale:
                 raise ValueError(
                     "product would carry exp(pi); outside the coefficient ring")
-            prod = [Fraction(0)] * (len(self.coeffs) + len(q.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
+            prod = [0] * (len(self.nums) + len(q.nums) - 1)
+            for i, a in enumerate(self.nums):
                 if a == 0:
                     continue
-                for j, b in enumerate(q.coeffs):
+                for j, b in enumerate(q.nums):
                     prod[i + j] += a * b
-            return PiExpression(tuple(prod), self.exp_scale or q.exp_scale)
+            return PiExpression(prod, self.exp_scale or q.exp_scale,
+                                self.den * q.den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -124,18 +153,11 @@ class PiExpression:
         """Multiply by pi**power (shift coefficients)."""
         if self.is_zero:
             return self
-        return PiExpression((Fraction(0),) * power + self.coeffs, self.exp_scale)
+        return PiExpression((0,) * power + self.nums, self.exp_scale,
+                            self.den)
 
     # ------------------------------------------------------------------
     # evaluation
-
-    def _numerators(self) -> tuple[list[int], int]:
-        """Integer numerators of the coefficients over their least common
-        denominator, and that denominator."""
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
 
     def evaluate(self, precision: int) -> Interval:
         """Certified enclosure at the given precision.
@@ -148,9 +170,9 @@ class PiExpression:
         """
         if self.is_zero:
             return Interval(0, 0, precision)
-        if len(self.coeffs) == 1 and not self.exp_scale:
-            return Interval.from_fraction(self.coeffs[0], precision)
-        nums, den = self._numerators()
+        nums, den = self.nums, self.den
+        if len(nums) == 1 and not self.exp_scale:
+            return Interval.from_fraction(Fraction(nums[0], den), precision)
         work = precision + 16 + len(nums).bit_length()
         pi = enclose_constant("pi", work)
         acc = Interval.from_int(nums[-1], work)
@@ -171,7 +193,7 @@ class PiExpression:
         """
         if self.is_zero:
             return "0"
-        nums, den = self._numerators()
+        nums, den = self.nums, self.den
         terms = []
         for j in range(len(nums) - 1, -1, -1):
             n = nums[j]

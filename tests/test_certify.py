@@ -302,3 +302,39 @@ def test_sharpness_families_come_from_the_registry():
     assert SHARPNESS_FAMILIES == ("P1_lower", "P1_upper", "EKDIFF_upper",
                                   "EKDIFF_lower")
     assert all(FAMILIES[f].probe for f in SHARPNESS_FAMILIES)
+
+
+# ----------------------------------------------------------------------
+# empty scans certify nothing
+
+def test_grid_verify_rejects_an_empty_grid():
+    # a pair grid of density 1 has no pair x < y
+    assert default_pair_grid(1) == []
+    with pytest.raises(DomainError):
+        grid_verify(BoundSpec("P3_lower", 0), default_pair_grid(1))
+
+
+def test_certify_sequence_rejects_an_empty_range():
+    with pytest.raises(DomainError):
+        certify_sequence("gap_positive", 5, 3)
+
+
+def test_sharpness_probe_rejects_zero_steps():
+    with pytest.raises(DomainError):
+        sharpness_probe("P1_lower", F(1, 100), max_steps=0)
+
+
+def test_h_monotonicity_rejects_a_single_point():
+    with pytest.raises(DomainError):
+        h_monotonicity([F(1, 4)])
+
+
+def test_j_truncation_check_rejects_zero_count():
+    with pytest.raises(DomainError):
+        j_truncation_check(0)
+
+
+def test_scan_of_only_boundary_zeros_certifies():
+    cert = certify_sequence("c_nonneg", 1, 1, p=threshold(1))
+    assert cert.status is CertStatus.CERTIFIED
+    assert cert.boundary_zeros == ["n=1"] and cert.witnesses == []

@@ -191,14 +191,14 @@ def test_parse_param_forms():
     assert named == threshold(1)
 
 
-def test_env_default_digits(capsys, monkeypatch):
-    monkeypatch.setenv("ELLIPMONO_DIGITS", "8")
-    rc, out, _ = run(capsys, "constants", "--names", "pi")
-    assert rc == 0
-    assert '"3.14159265 ' in out.splitlines()[1]
 
-
-def test_env_invalid_integer(monkeypatch):
-    monkeypatch.setenv("ELLIPMONO_PRECISION", "lots")
-    with pytest.raises(SystemExit):
-        main(["constants", "--names", "pi"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "P3_lower", "--density", "1"),
+    ("certify", "--claim", "u_signs", "--n-start", "5", "--n-end", "3"),
+    ("sharpness", "--family", "P1_lower", "--epsilon", "1/100",
+     "--max-steps", "0"),
+])
+def test_empty_scan_is_a_usage_error(capsys, argv):
+    rc, out, err = run(capsys, *argv, "--no-timestamp")
+    assert rc == 2 and not out
+    assert err.startswith("error:") and "nothing to certify" in err

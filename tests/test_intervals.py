@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from ellipmono.intervals import BudgetError, DomainError, Interval, Sign, interval_fn
+from ellipmono.intervals import BudgetError, DomainError, Interval, Sign
 
 
 def mp_value(iv):
@@ -199,13 +199,3 @@ def test_pad_ulp_grows_both_sides():
     assert padded.encloses(iv)
     assert padded.width() == Fraction(4, 1 << 32)
 
-
-def test_interval_fn_dispatch():
-    out = interval_fn("add", [Fraction(1, 3), Fraction(1, 6)], 64)
-    assert out.contains(Fraction(1, 2))
-    out = interval_fn("sqrt", [Fraction(9, 4)], 64)
-    assert out.contains(Fraction(3, 2))
-    out = interval_fn("pow", [Fraction(2, 3), 3], 64)
-    assert out.contains(Fraction(8, 27))
-    with pytest.raises(DomainError):
-        interval_fn("frobnicate", [Fraction(1)], 64)

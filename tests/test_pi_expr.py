@@ -1,5 +1,6 @@
 """Exact pi-polynomial values: ring laws, canonical form, evaluation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,8 @@ def test_zero_normalizes_scale():
     z = PiExpression((F(0),), exp_scale=True)
     assert z.is_zero and not z.exp_scale
     assert z == PiExpression.zero()
+    z = PiExpression((0, 0), exp_scale=True, den=7)
+    assert (z.nums, z.den, z.exp_scale) == ((), 1, False)
 
 
 def test_from_rational_and_equality():
@@ -170,3 +173,57 @@ def test_structural_equality_is_semantic():
     b = PiExpression((F(2, 6), F(2)))
     assert a == b and hash(a) == hash(b)
     assert a != PiExpression((F(1, 3), F(2)), exp_scale=True)
+
+
+# ----------------------------------------------------------------------
+# canonical form: integer numerators over one least common denominator
+
+def lcm_numerators(coeffs):
+    """Integer numerators of reduced rational coefficients over their
+    least common denominator, and that denominator (the lcm form the
+    renderer used to rebuild from Fraction coefficients)."""
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
+_rational = st.fractions(min_value=-10 ** 12, max_value=10 ** 12,
+                         max_denominator=10 ** 9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(_rational, max_size=12), exp_scale=st.booleans())
+def test_canonical_form_is_the_lcm_form(coeffs, exp_scale):
+    e = PiExpression(tuple(coeffs), exp_scale)
+    trimmed = list(coeffs)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    assert (e.nums, e.den) == lcm_numerators(trimmed)
+    assert all(type(c) is int for c in e.nums) and e.den > 0
+    assert math.gcd(e.den, *e.nums) == 1
+    assert e.coeffs == tuple(trimmed)
+    assert PiExpression(e.coeffs, exp_scale) == e
+    assert e.exp_scale == (exp_scale and bool(trimmed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nums=st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=10),
+       den=st.integers(1, 10 ** 20))
+def test_integer_numerators_over_den(nums, den):
+    e = PiExpression(tuple(nums), den=den)
+    assert e == PiExpression(tuple(F(c, den) for c in nums))
+    assert e.coeffs == tuple(F(c, den) for c in nums)[:e.degree + 1]
+
+
+def test_den_and_rational_construction_agree():
+    a = PiExpression((2, 4), den=6)
+    b = PiExpression((F(1, 3), F(2, 3)))
+    assert a == b and hash(a) == hash(b)
+    assert (a.nums, a.den) == ((1, 2), 3)
+
+
+@pytest.mark.parametrize("den", [0, -3])
+def test_nonpositive_den_raises(den):
+    with pytest.raises(ValueError):
+        PiExpression((1, 2), den=den)
