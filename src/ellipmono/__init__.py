@@ -4,125 +4,16 @@ tables for the exponential series exp(K), interval evaluation of K and
 related hypergeometric functionals, and grid/sequence certification of
 the truncated logarithmic bounds they generate."""
 
-from .intervals import (
-    Interval,
-    Sign,
-    DomainError,
-    BudgetError,
-)
-from .constants import (
-    CONSTANT_NAMES,
-    ConstantTable,
-    shared_table,
-    enclose_constant,
-)
-from .pi_expr import PiExpression
-from .coefficients import (
-    CoefficientTable,
-    shared_coefficients,
-    wallis,
-    b_coeff,
-    u_coeff,
-    v_coeff,
-    c_coeff,
-    c_exact,
-    ratio,
-    ratio_gap,
-    threshold,
-)
-from .elliptic import (
-    SeriesEval,
-    HYP_KINDS,
-    agm_K,
-    agm_K_m,
-    exp_K,
-    exp_K_agm,
-    hyp_series,
-    g_eval,
-    g0_eval,
-    G_eval,
-    G4_eval,
-    H_eval,
-    ekd_eval,
-    asymptotic_defect,
-    alpha_enclosure,
-    beta_enclosure,
-    lt_check,
-)
-from .certify import (
-    CertStatus,
-    Witness,
-    Certificate,
-    BoundSpec,
-    Family,
-    FAMILIES,
-    SEQUENCE_CLAIMS,
-    SHARPNESS_FAMILIES,
-    default_grid,
-    default_pair_grid,
-    grid_verify,
-    certify_sequence,
-    sharpness_probe,
-    h_monotonicity,
-    j_quotient_coefficients,
-    j_truncation_check,
-)
+from . import certify, coefficients, constants, elliptic, intervals, pi_expr
+from .intervals import *
+from .constants import *
+from .pi_expr import *
+from .coefficients import *
+from .elliptic import *
+from .certify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Interval",
-    "Sign",
-    "DomainError",
-    "BudgetError",
-    "CONSTANT_NAMES",
-    "ConstantTable",
-    "shared_table",
-    "enclose_constant",
-    "PiExpression",
-    "CoefficientTable",
-    "shared_coefficients",
-    "wallis",
-    "b_coeff",
-    "u_coeff",
-    "v_coeff",
-    "c_coeff",
-    "c_exact",
-    "ratio",
-    "ratio_gap",
-    "threshold",
-    "SeriesEval",
-    "HYP_KINDS",
-    "agm_K",
-    "agm_K_m",
-    "exp_K",
-    "exp_K_agm",
-    "hyp_series",
-    "g_eval",
-    "g0_eval",
-    "G_eval",
-    "G4_eval",
-    "H_eval",
-    "ekd_eval",
-    "asymptotic_defect",
-    "alpha_enclosure",
-    "beta_enclosure",
-    "lt_check",
-    "CertStatus",
-    "Witness",
-    "Certificate",
-    "BoundSpec",
-    "Family",
-    "FAMILIES",
-    "SEQUENCE_CLAIMS",
-    "SHARPNESS_FAMILIES",
-    "default_grid",
-    "default_pair_grid",
-    "grid_verify",
-    "certify_sequence",
-    "sharpness_probe",
-    "h_monotonicity",
-    "j_quotient_coefficients",
-    "j_truncation_check",
-    "__version__",
-]
+__all__ = [*intervals.__all__, *constants.__all__, *pi_expr.__all__,
+           *coefficients.__all__, *elliptic.__all__, *certify.__all__,
+           "__version__"]

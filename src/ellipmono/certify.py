@@ -105,14 +105,6 @@ class Certificate:
         return d
 
 
-def _param_str(p) -> str:
-    if p is None:
-        return ""
-    if isinstance(p, PiExpression):
-        return p.render()
-    return str(p)
-
-
 # ======================================================================
 # one escalation engine and one sign-scan fold
 
@@ -212,7 +204,7 @@ class BoundSpec:
     def describe(self) -> dict:
         d = {"family": self.family, "order": self.order}
         if self.param is not None:
-            d["param"] = _param_str(self.param)
+            d["param"] = PiExpression.of(self.param).render()
         if self.param_offset:
             d["param_offset"] = str(self.param_offset)
         return d
@@ -222,10 +214,7 @@ def _param_interval(spec: BoundSpec, precision: int) -> Interval:
     p = spec.param
     if p is None:
         raise DomainError(f"family {spec.family!r} needs a parameter")
-    if isinstance(p, PiExpression):
-        base = p.evaluate(precision)
-    else:
-        base = Interval.from_fraction(Fraction(p), precision)
+    base = PiExpression.of(p).evaluate(precision)
     if spec.param_offset:
         base = base + Interval.from_fraction(spec.param_offset, precision)
     return base
@@ -584,6 +573,12 @@ def certify_sequence(claim: str, n_start: int, n_end: int,
     c_claim = claim in ("c_nonneg", "c_nonpos")
     if c_claim and p is None:
         raise DomainError(f"claim {claim!r} needs the parameter p")
+    if n_start < 0:
+        raise DomainError(f"n_start={n_start} is negative")
+    scope = {"claim": claim}
+    if p is not None:
+        p = PiExpression.of(p)
+        scope["p"] = p.render()
 
     # warm the shared tables once at base precision
     if claim in ("ratio_increasing", "ratio_below_4", "gap_positive"):
@@ -600,9 +595,6 @@ def certify_sequence(claim: str, n_start: int, n_end: int,
             return None
         return margin
 
-    scope = {"claim": claim}
-    if p is not None:
-        scope["p"] = _param_str(p)
     return _fold(claim, f"n={n_start}..{n_end}",
                  ((f"n={n}", partial(evaluate, n))
                   for n in range(n_start, n_end + 1)),

@@ -60,9 +60,8 @@ import threading
 from dataclasses import replace
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Union
 
-from .intervals import Interval
+from .intervals import DomainError, Interval
 from .constants import enclose_constant
 from .pi_expr import PiExpression
 
@@ -79,9 +78,6 @@ __all__ = [
     "ratio_gap",
     "threshold",
 ]
-
-_Rat = Union[int, Fraction]
-_PNum = Union[int, Fraction, PiExpression]
 
 # Runs of at most this many recurrence steps sum their convolutions
 # directly; longer runs split in two (see _extend_online).
@@ -150,6 +146,11 @@ def _extend_online(b: list[int], w: list[int], n: int, step) -> None:
         solve(first, n)
 
 
+def _check_index(n: int) -> None:
+    if n < 0:
+        raise DomainError(f"index {n} is negative")
+
+
 def _exact_div(num: int, den: int) -> int:
     """num / den for a division the algebra says is exact; raises if not."""
     q, r = divmod(num, den)
@@ -187,6 +188,8 @@ class CoefficientTable:
     # Wallis ratios
 
     def wallis(self, n: int) -> Fraction:
+        """W_n = (2n-1)!!/(2n)!!."""
+        _check_index(n)
         with self._lock:
             while len(self._W) <= n:
                 m = len(self._W) - 1
@@ -233,15 +236,9 @@ class CoefficientTable:
                 self._B.append(new)
                 self._D.append(self._D[-1] * 16 * (m + 1))
 
-    @property
-    def exact_limit(self) -> int:
-        """Largest n for which the exact polynomial of b_n is built."""
-        return len(self._B) - 1
-
     def b_coeff(self, n: int) -> PiExpression:
         """Exact b_n as a pi-polynomial times e^(pi/2)."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        _check_index(n)
         self.ensure_exact(n)
         with self._lock:
             return PiExpression(self._B[n], exp_scale=True, den=self._D[n])
@@ -287,8 +284,7 @@ class CoefficientTable:
     def quotient_coeff(self, k: int) -> PiExpression:
         """Exact coefficient q_k of the formal quotient, a pi-polynomial
         times e^(pi/2)."""
-        if k < 0:
-            raise ValueError("k must be nonnegative")
+        _check_index(k)
         self.ensure_quotient(k + 1)
         with self._lock:
             return PiExpression(self._Q[k], exp_scale=True,
@@ -310,6 +306,7 @@ class CoefficientTable:
         place of the convolution sum_k E_k E_{m-k}.  Every division is
         checked to be exact.
         """
+        _check_index(n)
         with self._lock:
             if len(self._P) > n:
                 return
@@ -358,7 +355,7 @@ class CoefficientTable:
                 "bhi": [1 << precision],
                 "wlo": [],
                 "whi": [],
-                "binom": 1,   # C(2k,k) for the next weight index k
+                "E": 1,   # C(2k,k)^2/(k+1) for the next weight index k
             }
             self._values[precision] = st
         return st
@@ -370,7 +367,11 @@ class CoefficientTable:
         step floors (lower bound) or ceils (upper bound) only after its
         exact convolution sum, so the divide-and-conquer order of
         :func:`_extend_online` gives the bits of a term-by-term loop.
+        The weights W_k^2/(k+1) = E_k/16^k floor to (E_k << P) >> 4k,
+        with the integer E_k = C(2k,k)^2/(k+1) carried by
+        E_{k+1} = E_k 4(2k+1)^2/((k+1)(k+2)), an exact division.
         """
+        _check_index(n)
         with self._lock:
             st = self._value_state(precision)
             blo, bhi = st["blo"], st["bhi"]
@@ -380,11 +381,11 @@ class CoefficientTable:
             W = precision
             while len(wlo) <= n:
                 k = len(wlo)
-                binom = st["binom"]
-                q = ((binom * binom) << W) // ((k + 1) << (4 * k))
+                E = st["E"]
+                q = (E << W) >> (4 * k)
                 wlo.append(q)
                 whi.append(q + 1)
-                st["binom"] = binom * 2 * (2 * k + 1) // (k + 1)
+                st["E"] = E * 4 * (2 * k + 1) ** 2 // ((k + 1) * (k + 2))
             pi_lo, pi_hi = st["pi"]
 
             # b~_{m+1} = (m b~_m + (pi/8) S_m) / (m+1): the lower bound
@@ -433,37 +434,27 @@ class CoefficientTable:
     # ------------------------------------------------------------------
     # difference sequence c_n(p) = b_n - p W_n
 
-    def c_exact(self, n: int, p: PiExpression) -> PiExpression:
-        """Exact c_n(p); requires p in the e^(pi/2)-scaled ring."""
-        if not isinstance(p, PiExpression):
-            raise TypeError("exact path needs an exact PiExpression p")
-        if not p.is_zero and not p.exp_scale:
-            raise ValueError(
-                "b_n carries the e^(pi/2) scale; c_n(p) with a plain "
-                "rational p is not a PiExpression — use c_coeff instead")
-        return self.b_coeff(n) - p.scale(self.wallis(n))
+    def c_exact(self, n: int, p) -> PiExpression:
+        """Exact c_n(p) for p in the e^(pi/2)-scaled ring; an unscaled
+        nonzero p raises the ring's mixed-scale ValueError."""
+        return self.b_coeff(n) - PiExpression.of(p).scale(self.wallis(n))
 
-    def c_coeff(self, n: int, p: _PNum, precision: int) -> Interval:
-        """Enclosure of c_n(p) = b_n - p W_n.
+    def c_coeff(self, n: int, p, precision: int) -> Interval:
+        """Enclosure of c_n(p) = b_n - p W_n for a rational or
+        :class:`PiExpression` p.
 
         Exact-cancellation cases are decided by :meth:`c_exact` /
         :meth:`c_is_exactly_zero`; this method encloses.
         """
-        w = self.wallis(n)
-        if isinstance(p, PiExpression):
-            work = precision + 8
-            # b_n - p W_n = e^(pi/2) (b~_n - q_p(pi) W_n) for scaled p
-            if p.is_zero:
-                return self.b_enclosure(n, precision)
-            p_val = self._p_enclosure(p, work)
-            if p.exp_scale:
-                diff = self.btilde_enclosure(n, work) - p_val.mul_scalar(w)
-                return (diff * enclose_constant("exp_half_pi", work)
-                        ).round_to(precision)
-            return (self.b_enclosure(n, work) - p_val.mul_scalar(w)
-                    ).round_to(precision)
+        p = PiExpression.of(p)
         work = precision + 8
-        return (self.b_enclosure(n, work) - Fraction(p) * w).round_to(precision)
+        p_w = self._p_enclosure(p, work).mul_scalar(self.wallis(n))
+        if p.exp_scale:
+            # b_n - p W_n = e^(pi/2) (b~_n - q_p(pi) W_n) for scaled p
+            diff = self.btilde_enclosure(n, work) - p_w
+            return (diff * enclose_constant("exp_half_pi", work)
+                    ).round_to(precision)
+        return (self.b_enclosure(n, work) - p_w).round_to(precision)
 
     def _p_enclosure(self, p: PiExpression, work: int) -> Interval:
         """Enclosure of p, or of p / e^(pi/2) when p carries that scale,
@@ -476,13 +467,11 @@ class CoefficientTable:
                     p, exp_scale=False).evaluate(work)
             return hit
 
-    def c_is_exactly_zero(self, n: int, p: _PNum) -> bool:
-        """True iff c_n(p) cancels exactly (p must be an exact expression)."""
-        if not isinstance(p, PiExpression):
-            return False  # b_n is irrational times e^(pi/2); p rational
-        if not p.exp_scale and not p.is_zero:
-            return False
-        return self.c_exact(n, p).is_zero
+    def c_is_exactly_zero(self, n: int, p) -> bool:
+        """True iff c_n(p) cancels exactly.  b_n is a nonzero multiple of
+        e^(pi/2), so only a scaled p can cancel it."""
+        p = PiExpression.of(p)
+        return p.exp_scale and self.c_exact(n, p).is_zero
 
     # ------------------------------------------------------------------
 
@@ -498,46 +487,14 @@ def shared_coefficients() -> CoefficientTable:
     return _shared
 
 
-def _table(table: Optional[CoefficientTable]) -> CoefficientTable:
-    return _shared if table is None else table
-
-
-def wallis(n: int, table: Optional[CoefficientTable] = None) -> Fraction:
-    """W_n = (2n-1)!!/(2n)!!."""
-    return _table(table).wallis(n)
-
-
-def b_coeff(n: int, table: Optional[CoefficientTable] = None) -> PiExpression:
-    return _table(table).b_coeff(n)
-
-
-def u_coeff(n: int, table: Optional[CoefficientTable] = None) -> PiExpression:
-    return _table(table).u_coeff(n)
-
-
-def v_coeff(n: int, table: Optional[CoefficientTable] = None) -> PiExpression:
-    return _table(table).v_coeff(n)
-
-
-def c_coeff(n: int, p: _PNum, precision: int,
-            table: Optional[CoefficientTable] = None) -> Interval:
-    return _table(table).c_coeff(n, p, precision)
-
-
-def c_exact(n: int, p: PiExpression,
-            table: Optional[CoefficientTable] = None) -> PiExpression:
-    return _table(table).c_exact(n, p)
-
-
-def ratio(n: int, precision: int,
-          table: Optional[CoefficientTable] = None) -> Interval:
-    return _table(table).ratio(n, precision)
-
-
-def ratio_gap(n: int, precision: int,
-              table: Optional[CoefficientTable] = None) -> Interval:
-    return _table(table).ratio_gap(n, precision)
-
-
-def threshold(k: int, table: Optional[CoefficientTable] = None) -> PiExpression:
-    return _table(table).threshold(k)
+# the module-level readers read the shared table; a separate
+# CoefficientTable offers the same methods on its own state
+wallis = _shared.wallis
+b_coeff = _shared.b_coeff
+u_coeff = _shared.u_coeff
+v_coeff = _shared.v_coeff
+c_coeff = _shared.c_coeff
+c_exact = _shared.c_exact
+ratio = _shared.ratio
+ratio_gap = _shared.ratio_gap
+threshold = _shared.threshold

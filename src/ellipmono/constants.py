@@ -156,9 +156,6 @@ class ConstantTable:
             self._answers[key] = out
         return out
 
-    def width_bound(self, precision: int) -> Fraction:
-        return Fraction(4, 1 << precision)
-
 
 _shared = ConstantTable()
 

@@ -28,7 +28,6 @@ __all__ = [
     "Sign",
     "DomainError",
     "BudgetError",
-    "BIT_BUDGET",
 ]
 
 #: Hard ceiling on the bit length of any scaled endpoint.  Operations that
@@ -289,13 +288,6 @@ class Interval:
             if bit == "1":
                 result = result * self
         return result
-
-    def abs(self) -> "Interval":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Interval(0, max(-self.lo, self.hi), self.prec)
 
     # ------------------------------------------------------------------
     # algebraic / transcendental

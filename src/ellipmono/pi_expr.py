@@ -68,8 +68,10 @@ class PiExpression:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_rational(cls, q: _Rat, exp_scale: bool = False) -> "PiExpression":
-        return cls((q,), exp_scale)
+    def of(cls, p: Union[_Rat, "PiExpression"]) -> "PiExpression":
+        """p itself if it is an expression, else the rational p lifted
+        to an unscaled constant."""
+        return p if isinstance(p, PiExpression) else cls((p,))
 
     @classmethod
     def zero(cls) -> "PiExpression":

@@ -202,3 +202,11 @@ def test_empty_scan_is_a_usage_error(capsys, argv):
     rc, out, err = run(capsys, *argv, "--no-timestamp")
     assert rc == 2 and not out
     assert err.startswith("error:") and "nothing to certify" in err
+
+
+@pytest.mark.parametrize("n_end", ["2", "-1"])
+def test_negative_n_start_is_a_usage_error(capsys, n_end):
+    rc, out, err = run(capsys, "certify", "--claim", "gap_positive",
+                       "--n-start", "-3", "--n-end", n_end, "--no-timestamp")
+    assert rc == 2 and not out
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -11,6 +11,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 import ellipmono.coefficients as coefficients
@@ -28,6 +29,7 @@ from ellipmono.coefficients import (
     wallis,
 )
 from ellipmono.constants import enclose_constant
+from ellipmono.intervals import DomainError
 from ellipmono.pi_expr import PiExpression
 
 F = Fraction
@@ -201,10 +203,21 @@ def test_c_exact_boundary_zeros():
 
 
 def test_c_exact_requires_matching_scale():
-    with pytest.raises(ValueError):
-        c_exact(1, PiExpression((F(4),)))  # plain rational as expression
-    with pytest.raises(TypeError):
-        c_exact(1, F(4))
+    for p in (PiExpression((F(4),)), F(4), 4):  # unscaled p of any type
+        with pytest.raises(ValueError):
+            c_exact(1, p)
+
+
+def mp_b(n_max):
+    """b_0..b_n_max from exp(K(sqrt(x))) = exp((pi/2) sum W_k^2 x^k):
+    (n+1) b_{n+1} = (pi/2) sum_{j<=n} (j+1) W_{j+1}^2 b_{n-j}."""
+    mp.mp.prec = 400
+    w = [mp.binomial(2 * k, k) / mp.mpf(4) ** k for k in range(n_max + 1)]
+    b = [mp.exp(mp.pi / 2)]
+    for n in range(n_max):
+        s = mp.fsum((j + 1) * w[j + 1] ** 2 * b[n - j] for j in range(n + 1))
+        b.append(mp.pi / 2 * s / (n + 1))
+    return b, w
 
 
 def test_c_coeff_values():
@@ -214,6 +227,14 @@ def test_c_coeff_values():
     # exact-parameter path agrees with the rational path at p = 4
     exactish = c_coeff(2, PiExpression((F(4),)), 128)
     assert exactish.overlaps(c_coeff(2, F(4), 128))
+    # a non-dyadic rational p: its enclosure is rounded before scaling
+    b, w = mp_b(20)
+    for n in range(21):
+        iv = c_coeff(n, F(1, 3), 128)
+        lo, hi = iv.lo_fraction(), iv.hi_fraction()
+        ref = b[n] - w[n] / 3
+        assert mp.mpf(lo.numerator) / lo.denominator <= ref
+        assert ref <= mp.mpf(hi.numerator) / hi.denominator
 
 
 def test_c_coeff_encloses_p_once_per_precision(monkeypatch):
@@ -357,13 +378,17 @@ def test_packed_product_rejects_negative_entries():
         coefficients._product_slice([3, -1], [1, 2], 0, 3)
 
 
-def test_exact_limit_tracks_growth():
-    table = CoefficientTable()
-    assert table.exact_limit == 0
-    table.ensure_exact(7)
-    assert table.exact_limit == 7
-
-
 def test_negative_index_rejected():
-    with pytest.raises(ValueError):
-        b_coeff(-1)
+    table = CoefficientTable()
+    readers = (wallis, b_coeff, u_coeff, v_coeff, table.quotient_coeff,
+               lambda n: table.btilde_enclosure(n, 128),
+               lambda n: table.btilde_enclosures(n, 128))
+    for read in readers:
+        with pytest.raises(DomainError):
+            read(-1)
+
+
+def test_module_readers_read_the_shared_table():
+    for read in (wallis, b_coeff, u_coeff, v_coeff, c_coeff, c_exact,
+                 ratio, ratio_gap, threshold):
+        assert read.__self__ is shared_coefficients()

@@ -178,10 +178,10 @@ def test_intersect_hull():
         lo.intersect(hi)
 
 
-def test_abs_and_neg():
+def test_neg():
     iv = Interval(-(3 << 32), 1 << 32, 32)  # [-3, 1]
-    assert iv.abs().lo_fraction() == 0
-    assert iv.abs().hi_fraction() == 3
+    assert (-iv).lo_fraction() == -1
+    assert (-iv).hi_fraction() == 3
     assert (-iv).contains(2)
 
 

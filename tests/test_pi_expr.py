@@ -29,8 +29,11 @@ def test_zero_normalizes_scale():
     assert (z.nums, z.den, z.exp_scale) == ((), 1, False)
 
 
-def test_from_rational_and_equality():
-    assert PiExpression.from_rational(F(3, 4)) == PiExpression((F(3, 4),))
+def test_of_and_equality():
+    assert PiExpression.of(F(3, 4)) == PiExpression((F(3, 4),))
+    assert PiExpression.of(4) == PiExpression((4,))
+    scaled = PiExpression((0, 1), exp_scale=True)
+    assert PiExpression.of(scaled) is scaled
     assert PiExpression((0, 1)) == PiExpression((F(0), F(1)))
 
 
