@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .intervals import Interval, DomainError
 from .constants import enclose_constant
-from .coefficients import CoefficientTable, shared_coefficients
+from .coefficients import shared_coefficients
 from .pi_expr import PiExpression
 from . import elliptic
 
@@ -53,6 +53,11 @@ __all__ = [
 
 _Point = Union[Fraction, tuple]
 _DIGITS = 30
+
+# the one coefficient table every check reads; call its methods through
+# it, not through readers bound at import, so that a wrapper installed on
+# a CoefficientTable method sees every call
+_table = shared_coefficients()
 
 
 class CertStatus(str, Enum):
@@ -84,10 +89,6 @@ class Certificate:
     runtime_ms: float = 0.0
     scope: Optional[dict] = None
     boundary_zeros: list[str] = field(default_factory=list)
-
-    @property
-    def certified(self) -> bool:
-        return self.status is CertStatus.CERTIFIED
 
     def to_json_dict(self) -> dict:
         d = {
@@ -220,12 +221,11 @@ def _param_interval(spec: BoundSpec, precision: int) -> Interval:
     return base
 
 
-def _c_interval(table: CoefficientTable, n: int, spec: BoundSpec,
-                precision: int) -> Interval:
+def _c_interval(n: int, spec: BoundSpec, precision: int) -> Interval:
     """Enclosure of c_n at the (possibly offset) parameter."""
-    base = table.c_coeff(n, spec.param, precision)
+    base = _table.c_coeff(n, spec.param, precision)
     if spec.param_offset:
-        off = spec.param_offset * table.wallis(n)
+        off = spec.param_offset * _table.wallis(n)
         return base - Interval.from_fraction(off, precision)
     return base
 
@@ -235,9 +235,8 @@ def _inv_rprime(x: Fraction, precision: int) -> Interval:
             - Interval.from_fraction(x, precision)).sqrt().recip()
 
 
-def _log_arg_margin(spec: BoundSpec, x: Fraction, precision: int,
-                    table: CoefficientTable, *, upper: bool,
-                    extrapolated: bool) -> Interval:
+def _log_arg_margin(spec: BoundSpec, x: Fraction, precision: int, *,
+                    upper: bool, extrapolated: bool) -> Interval:
     """Margin of the truncated-logarithm bounds at a single x.
 
     lower families return K - ln(arg); upper families ln(arg) - K.
@@ -253,7 +252,7 @@ def _log_arg_margin(spec: BoundSpec, x: Fraction, precision: int,
         total = Interval.from_int(0, precision)
         xp = Fraction(1)
         for n in range(m + 1):
-            cn = _c_interval(table, n, spec, precision)
+            cn = _c_interval(n, spec, precision)
             total = total + cn
             arg = arg + cn.mul_scalar(xp)
             xp *= x
@@ -262,7 +261,7 @@ def _log_arg_margin(spec: BoundSpec, x: Fraction, precision: int,
         top = m + 1 if (extrapolated and upper) else m
         xp = Fraction(1)
         for n in range(top + 1):
-            arg = arg + _c_interval(table, n, spec, precision).mul_scalar(xp)
+            arg = arg + _c_interval(n, spec, precision).mul_scalar(xp)
             xp *= x
     K = elliptic.agm_K_m(x, precision)
     if arg.lo <= 0:
@@ -272,8 +271,8 @@ def _log_arg_margin(spec: BoundSpec, x: Fraction, precision: int,
     return (L - K) if upper else (K - L)
 
 
-def _sum_rule_margin(spec: BoundSpec, pt: tuple, precision: int,
-                     table: CoefficientTable, *, upper: bool) -> Interval:
+def _sum_rule_margin(spec: BoundSpec, pt: tuple, precision: int, *,
+                     upper: bool) -> Interval:
     """Margin of the two-point comparison bounds (order 0 = bare case)."""
     x, y = pt
     m = spec.order
@@ -283,12 +282,12 @@ def _sum_rule_margin(spec: BoundSpec, pt: tuple, precision: int,
         if upper:
             s = x + y
             for n in range(1, m + 1):
-                cn = _c_interval(table, n, spec, precision)
+                cn = _c_interval(n, spec, precision)
                 corr = corr + cn.mul_scalar(x ** n + y ** n - s ** n)
         else:
             mid = (x + y) / 2
             for n in range(1, m + 1):
-                cn = _c_interval(table, n, spec, precision)
+                cn = _c_interval(n, spec, precision)
                 corr = corr + cn.mul_scalar(x ** n + y ** n - 2 * mid ** n)
     if upper:
         if not x + y < 1:
@@ -300,8 +299,8 @@ def _sum_rule_margin(spec: BoundSpec, pt: tuple, precision: int,
     return K(x) + K(y) - K(mid).mul_scalar(2) - corr
 
 
-def _ekd_margin(spec: BoundSpec, x: Fraction, precision: int,
-                table: CoefficientTable, *, upper: bool) -> Interval:
+def _ekd_margin(spec: BoundSpec, x: Fraction, precision: int, *,
+                upper: bool) -> Interval:
     """Margin of the difference bound with constant alpha (upper) or
     beta (lower), shifted by the spec's ``param_offset``."""
     s = 1 - 2 * x
@@ -317,8 +316,8 @@ def _ekd_margin(spec: BoundSpec, x: Fraction, precision: int,
     return gap if s > 0 else -gap
 
 
-def _linear_refinement_margin(spec: BoundSpec, x: Fraction, precision: int,
-                              table: CoefficientTable) -> Interval:
+def _linear_refinement_margin(spec: BoundSpec, x: Fraction,
+                              precision: int) -> Interval:
     """Margin of the linear-in-x refinement over the constant-shift bound."""
     pi = enclose_constant("pi", precision)
     ehp = enclose_constant("exp_half_pi", precision)
@@ -327,8 +326,8 @@ def _linear_refinement_margin(spec: BoundSpec, x: Fraction, precision: int,
     return slope.mul_scalar(x)
 
 
-def _vs_weighted_margin(spec: BoundSpec, x: Fraction, precision: int,
-                        table: CoefficientTable) -> Interval:
+def _vs_weighted_margin(spec: BoundSpec, x: Fraction,
+                        precision: int) -> Interval:
     """Margin of the r'-weighted two-term bound over the linear refinement."""
     pi = enclose_constant("pi", precision)
     ehp = enclose_constant("exp_half_pi", precision)
@@ -346,17 +345,16 @@ def _vs_weighted_margin(spec: BoundSpec, x: Fraction, precision: int,
 
 
 def _first_order_identity_residual(spec: BoundSpec, x: Fraction,
-                                   precision: int,
-                                   table: CoefficientTable) -> Interval:
+                                   precision: int) -> Interval:
     """Residual of the closed form for the gap between the order-1 and
     order-0 sharp truncated-logarithm arguments."""
-    p1 = table.threshold(1)
-    p2 = table.threshold(2)
+    p1 = _table.threshold(1)
+    p2 = _table.threshold(2)
     inv = _inv_rprime(x, precision)
     lhs = (p2.evaluate(precision) - p1.evaluate(precision)) * inv \
-        + table.c_coeff(0, p2, precision) \
-        + table.c_coeff(1, p2, precision).mul_scalar(x) \
-        - table.c_coeff(0, p1, precision)
+        + _table.c_coeff(0, p2, precision) \
+        + _table.c_coeff(1, p2, precision).mul_scalar(x) \
+        - _table.c_coeff(0, p1, precision)
     pi = enclose_constant("pi", precision)
     ehp = enclose_constant("exp_half_pi", precision)
     rp = (Interval.from_int(1, precision)
@@ -373,49 +371,48 @@ def _first_order_identity_residual(spec: BoundSpec, x: Fraction,
 class Family:
     """One inequality family that :func:`grid_verify` certifies.
 
-    ``margin(spec, point, precision, table)`` encloses a quantity that is
+    ``margin(spec, point, precision)`` encloses a quantity that is
     positive where the bound holds, or for an ``identity`` family a
     residual that must enclose zero.  Points are x, or pairs (x, y) for a
-    ``pair_domain`` family.  ``default_param(spec, table)`` gives the
+    ``pair_domain`` family.  ``default_param(spec)`` gives the
     sharp parameter used when the spec names none.  ``probe`` makes the
     family a sharpness family: (offset sign, k -> k-th probe point), and
     :func:`sharpness_probe` shifts the constant by sign * epsilon.
     """
 
-    margin: Callable[[BoundSpec, _Point, int, CoefficientTable], Interval]
+    margin: Callable[[BoundSpec, _Point, int], Interval]
     pair_domain: bool = False
     identity: bool = False
-    default_param: Optional[
-        Callable[[BoundSpec, CoefficientTable], object]] = None
+    default_param: Optional[Callable[[BoundSpec], object]] = None
     probe: Optional[tuple[int, Callable[[int], Fraction]]] = None
 
 
 FAMILIES: dict[str, Family] = {
     "P1_lower": Family(
         partial(_log_arg_margin, upper=False, extrapolated=False),
-        default_param=lambda s, t: t.threshold(s.order + 1),
+        default_param=lambda s: _table.threshold(s.order + 1),
         probe=(1, lambda k: Fraction(1, 1 << (2 * k)))),
     "P1_upper": Family(
         partial(_log_arg_margin, upper=True, extrapolated=False),
-        default_param=lambda s, t: Fraction(4),
+        default_param=lambda s: Fraction(4),
         probe=(-1, lambda k: 1 - Fraction(1, 1 << k))),
     "P2_lower": Family(
         partial(_log_arg_margin, upper=False, extrapolated=True),
-        default_param=lambda s, t: Fraction(4)),
+        default_param=lambda s: Fraction(4)),
     "P2_upper": Family(
         partial(_log_arg_margin, upper=True, extrapolated=True),
-        default_param=lambda s, t: Fraction(4)),
+        default_param=lambda s: Fraction(4)),
     "P3_lower": Family(
         partial(_sum_rule_margin, upper=False), pair_domain=True,
-        default_param=lambda s, t: t.threshold(2)),
+        default_param=lambda s: _table.threshold(2)),
     "P3_upper": Family(
         partial(_sum_rule_margin, upper=True), pair_domain=True,
-        default_param=lambda s, t: Fraction(4)),
+        default_param=lambda s: Fraction(4)),
     # the bare comparison bounds: order 0 whatever the spec asks
-    "CP3_lower": Family(lambda s, pt, prec, t: _sum_rule_margin(
-        BoundSpec("P3_lower"), pt, prec, t, upper=False), pair_domain=True),
-    "CP3_upper": Family(lambda s, pt, prec, t: _sum_rule_margin(
-        BoundSpec("P3_upper"), pt, prec, t, upper=True), pair_domain=True),
+    "CP3_lower": Family(lambda s, pt, prec: _sum_rule_margin(
+        BoundSpec("P3_lower"), pt, prec, upper=False), pair_domain=True),
+    "CP3_upper": Family(lambda s, pt, prec: _sum_rule_margin(
+        BoundSpec("P3_upper"), pt, prec, upper=True), pair_domain=True),
     "EKDIFF_upper": Family(
         partial(_ekd_margin, upper=True),
         probe=(-1, lambda k: Fraction(1, 1 << (2 * k)))),
@@ -428,15 +425,13 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-def resolve_spec(spec: BoundSpec,
-                 table: Optional[CoefficientTable] = None) -> BoundSpec:
+def resolve_spec(spec: BoundSpec) -> BoundSpec:
     """Fill in the family's sharp default parameter when none is given."""
     family = FAMILIES.get(spec.family)
     if family is None:
         raise DomainError(f"unknown family {spec.family!r}")
     if spec.param is None and family.default_param is not None:
-        param = family.default_param(spec, table or shared_coefficients())
-        return replace(spec, param=param)
+        return replace(spec, param=family.default_param(spec))
     return spec
 
 
@@ -461,11 +456,8 @@ def _pt_str(pt: _Point) -> str:
     return f"x={pt}"
 
 
-def _margin_items(family: Family, spec: BoundSpec, points: Sequence[_Point],
-                  table: CoefficientTable):
-    return ((_pt_str(pt),
-             lambda prec, pt=pt: family.margin(spec, pt, prec, table))
-            for pt in points)
+def _margin_items(family: Family, spec: BoundSpec, points: Sequence[_Point]):
+    return ((_pt_str(pt), partial(family.margin, spec, pt)) for pt in points)
 
 
 def _residual_tight(iv: Interval, prec: int) -> bool:
@@ -483,16 +475,14 @@ def _residual_failure(iv: Interval) -> Optional[CertStatus]:
 def grid_verify(spec: BoundSpec,
                 grid: Optional[Sequence[_Point]] = None,
                 precision: int = 96,
-                max_precision: int = 1024,
-                table: Optional[CoefficientTable] = None) -> Certificate:
+                max_precision: int = 1024) -> Certificate:
     """Certify a strict inequality family (or identity residual) on a grid.
 
     Inequality families must show a positive margin at every point;
     the identity family must enclose zero tightly at every point.
     """
     t0 = time.perf_counter()
-    table = table or shared_coefficients()
-    spec = resolve_spec(spec, table)
+    spec = resolve_spec(spec)
     family = FAMILIES[spec.family]
     if grid is None:
         grid = default_pair_grid() if family.pair_domain else default_grid()
@@ -501,7 +491,7 @@ def grid_verify(spec: BoundSpec,
     scope["points"] = len(grid)
     run = dict(t0=t0, precision=precision, max_precision=max_precision,
                scope=scope)
-    items = _margin_items(family, spec, grid, table)
+    items = _margin_items(family, spec, grid)
     if family.identity:
         return _fold(f"{spec.family} residual encloses zero",
                      f"{len(grid)} grid points", items,
@@ -518,60 +508,72 @@ def grid_verify(spec: BoundSpec,
 # ======================================================================
 # coefficient-sequence claims
 
-SEQUENCE_CLAIMS = (
-    "u_signs",
-    "v_positive",
-    "ratio_increasing",
-    "ratio_below_4",
-    "gap_positive",
-    "c_nonneg",
-    "c_nonpos",
-)
+@dataclass(frozen=True)
+class _Claim:
+    """One sign claim that :func:`certify_sequence` scans over n.
+
+    ``margin(n, p, precision)`` is positive iff the claim holds at index
+    n.  ``warm`` is the value table built once before the scan: (index
+    past n_end, bits above the base precision), or None.  A ``needs_p``
+    claim takes the parameter p, so c_n(p) may vanish exactly; such
+    indices are boundary zeros, not failures.
+    """
+
+    margin: Callable[[int, Optional[PiExpression], int], Interval]
+    warm: Optional[tuple[int, int]] = None
+    needs_p: bool = False
+
+
+def _u_sign_margin(n: int, p, precision: int) -> Interval:
+    val = _table.u_coeff(n).evaluate(precision)
+    return val if n < 2 else -val
+
+
+def _ratio_step_margin(n: int, p, precision: int) -> Interval:
+    a = _table.btilde_enclosure(n + 1, precision).mul_scalar(
+        1 / _table.wallis(n + 1))
+    b = _table.btilde_enclosure(n, precision).mul_scalar(
+        1 / _table.wallis(n))
+    return a - b  # positive e^(pi/2) factor dropped; sign unchanged
+
+
+_CLAIMS: dict[str, _Claim] = {
+    "u_signs": _Claim(_u_sign_margin),
+    "v_positive": _Claim(
+        lambda n, p, prec: _table.v_coeff(n).evaluate(prec)),
+    "ratio_increasing": _Claim(_ratio_step_margin, warm=(1, 0)),
+    "ratio_below_4": _Claim(
+        lambda n, p, prec: Interval.from_int(4, prec) - _table.ratio(n, prec),
+        warm=(0, 0)),
+    "gap_positive": _Claim(
+        lambda n, p, prec: _table.ratio_gap(n, prec), warm=(1, 0)),
+    "c_nonneg": _Claim(
+        lambda n, p, prec: _table.c_coeff(n, p, prec),
+        warm=(0, 8), needs_p=True),
+    "c_nonpos": _Claim(
+        lambda n, p, prec: -_table.c_coeff(n, p, prec),
+        warm=(0, 8), needs_p=True),
+}
+
+SEQUENCE_CLAIMS = tuple(_CLAIMS)
 
 _EXACT_ZERO_CAP = 64
-
-
-def _sequence_margin(claim: str, n: int, p, precision: int,
-                     table: CoefficientTable) -> Interval:
-    """Positive iff the claim holds at index n."""
-    if claim == "u_signs":
-        val = table.u_coeff(n).evaluate(precision)
-        return val if n < 2 else -val
-    if claim == "v_positive":
-        return table.v_coeff(n).evaluate(precision)
-    if claim == "ratio_increasing":
-        a = table.btilde_enclosure(n + 1, precision).mul_scalar(
-            1 / table.wallis(n + 1))
-        b = table.btilde_enclosure(n, precision).mul_scalar(
-            1 / table.wallis(n))
-        return a - b  # positive e^(pi/2) factor dropped; sign unchanged
-    if claim == "ratio_below_4":
-        return Interval.from_int(4, precision) - table.ratio(n, precision)
-    if claim == "gap_positive":
-        return table.ratio_gap(n, precision)
-    if claim == "c_nonneg":
-        return table.c_coeff(n, p, precision)
-    if claim == "c_nonpos":
-        return -table.c_coeff(n, p, precision)
-    raise DomainError(f"unknown sequence claim {claim!r}")
 
 
 def certify_sequence(claim: str, n_start: int, n_end: int,
                      p=None,
                      precision: int = 128,
-                     max_precision: int = 8192,
-                     table: Optional[CoefficientTable] = None) -> Certificate:
+                     max_precision: int = 8192) -> Certificate:
     """Certify a sign claim for every index n in [n_start, n_end].
 
     The two c-claims allow exact cancellation: indices where c_n(p)
     vanishes symbolically are recorded as boundary zeros, not failures.
     """
     t0 = time.perf_counter()
-    table = table or shared_coefficients()
-    if claim not in SEQUENCE_CLAIMS:
+    record = _CLAIMS.get(claim)
+    if record is None:
         raise DomainError(f"unknown sequence claim {claim!r}")
-    c_claim = claim in ("c_nonneg", "c_nonpos")
-    if c_claim and p is None:
+    if record.needs_p and p is None:
         raise DomainError(f"claim {claim!r} needs the parameter p")
     if n_start < 0:
         raise DomainError(f"n_start={n_start} is negative")
@@ -579,19 +581,15 @@ def certify_sequence(claim: str, n_start: int, n_end: int,
     if p is not None:
         p = PiExpression.of(p)
         scope["p"] = p.render()
-
-    # warm the shared tables once at base precision
-    if claim in ("ratio_increasing", "ratio_below_4", "gap_positive"):
-        table.ensure_values(
-            n_end + (0 if claim == "ratio_below_4" else 1), precision)
-    elif c_claim:
-        table.ensure_values(n_end, precision + 8)
+    if record.warm is not None:  # the shared value table, once
+        past, bits = record.warm
+        _table.ensure_values(n_end + past, precision + bits)
 
     def evaluate(n: int, prec: int) -> Optional[Interval]:
-        margin = _sequence_margin(claim, n, p, prec, table)
-        if (c_claim and margin.lo <= 0 <= margin.hi
+        margin = record.margin(n, p, prec)
+        if (record.needs_p and margin.lo <= 0 <= margin.hi
                 and n <= _EXACT_ZERO_CAP
-                and table.c_is_exactly_zero(n, p)):
+                and _table.c_is_exactly_zero(n, p)):
             return None
         return margin
 
@@ -619,8 +617,7 @@ def sharpness_probe(family: str, epsilon: Fraction,
                     order: int = 0,
                     max_steps: int = 40,
                     precision: int = 96,
-                    max_precision: int = 1024,
-                    table: Optional[CoefficientTable] = None) -> Certificate:
+                    max_precision: int = 1024) -> Certificate:
     """Show a constant is sharp by refuting the epsilon-perturbed bound.
 
     The perturbed family is scanned along a dyadic approach to the
@@ -629,7 +626,6 @@ def sharpness_probe(family: str, epsilon: Fraction,
     within the scan range — i.e. the probe failed.
     """
     t0 = time.perf_counter()
-    table = table or shared_coefficients()
     eps = Fraction(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
@@ -637,11 +633,11 @@ def sharpness_probe(family: str, epsilon: Fraction,
         raise DomainError(f"no sharpness probe for family {family!r}")
     record = FAMILIES[family]
     sign, point = record.probe
-    spec = resolve_spec(BoundSpec(family, order, None, sign * eps), table)
+    spec = resolve_spec(BoundSpec(family, order, None, sign * eps))
     points = [point(k) for k in range(1, max_steps + 1)]
     cert = _fold(f"{family} constant sharp within epsilon={eps}",
                  f"{len(points)} dyadic probe points",
-                 _margin_items(record, spec, points, table),
+                 _margin_items(record, spec, points),
                  ("", "perturbed bound provably violated", ""),
                  failure=_violated, t0=t0, precision=precision,
                  max_precision=max_precision,
@@ -691,9 +687,7 @@ def h_monotonicity(xs: Sequence[Fraction],
 # ======================================================================
 # quotient-series nonnegativity
 
-def j_quotient_coefficients(count: int,
-                            table: Optional[CoefficientTable] = None
-                            ) -> list[PiExpression]:
+def j_quotient_coefficients(count: int) -> list[PiExpression]:
     """First ``count`` exact coefficients of the formal quotient
     (sum_{n>=1} b_n x^n) / (sum_{n>=1} W_n x^n).
 
@@ -707,19 +701,16 @@ def j_quotient_coefficients(count: int,
     :meth:`CoefficientTable.ensure_quotient`).  A later call reuses the
     prefix built by an earlier one.
     """
-    table = table or shared_coefficients()
-    return [table.quotient_coeff(k) for k in range(count)]
+    return [_table.quotient_coeff(k) for k in range(count)]
 
 
 def j_truncation_check(count: int = 50,
                        precision: int = 128,
-                       max_precision: int = 2048,
-                       table: Optional[CoefficientTable] = None
+                       max_precision: int = 2048
                        ) -> tuple[Certificate, list[PiExpression]]:
     """Certify the first ``count`` quotient coefficients are nonnegative."""
     t0 = time.perf_counter()
-    table = table or shared_coefficients()
-    qs = j_quotient_coefficients(count, table)
+    qs = j_quotient_coefficients(count)
     cert = _fold("quotient-series coefficients nonnegative",
                  f"n=0..{count - 1}",
                  ((f"n={k}", (lambda prec: None) if q.is_zero else q.evaluate)

@@ -40,7 +40,6 @@ from .certify import (
     grid_verify,
     sharpness_probe,
     j_quotient_coefficients,
-    j_truncation_check,
 )
 
 def parse_fraction(text: str) -> Fraction:
@@ -102,7 +101,7 @@ def _cmd_coeffs(args) -> int:
     rows = []
     exact = not args.enclosure
     if args.kind == "q":
-        quotient = j_quotient_coefficients(args.n_max + 1, table)
+        quotient = j_quotient_coefficients(args.n_max + 1)
     for n in range(args.n_max + 1):
         if args.kind == "b":
             expr = table.b_coeff(n)
@@ -142,8 +141,6 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if args.claim in ("c_nonneg", "c_nonpos") and args.p is None:
-        raise DomainError(f"claim {args.claim} needs --p")
     cert = certify_sequence(args.claim, args.n_start, args.n_end,
                             p=args.p, precision=args.precision,
                             max_precision=args.max_precision)

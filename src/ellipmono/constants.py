@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .intervals import Interval, _ln2_fp, _shr_ceil
+from .intervals import Interval, _ln2_fp
 
 __all__ = ["ConstantTable", "enclose_constant", "CONSTANT_NAMES", "shared_table"]
 

@@ -13,15 +13,20 @@ Gauss series F(a,b;c;x) for the four parameter triples that occur in the
 coefficient work are summed with exact rational term ratios and an
 explicit geometric tail bound (:class:`SeriesEval`).  The exponential
 series exp(K(sqrt(x))) = sum b_n x^n is summed from the certified
-coefficient table with the tail dominated by 4 * sum_{n>N} W_n x^n
-(valid since b_n < 4 W_n for n >= 1).
+coefficient table with the tail dominated by e^(pi/2) sum_{n>N} W_n x^n.
+That bound needs no sign claim about the b_n: it follows from
+
+    exp(K(sqrt(x))) = e^(pi/2) exp((pi/2) sum_{k>=1} W_k^2 x^k)
+
+and W_k^2 < 1/(pi k), so the inner series is dominated coefficientwise by
+sum x^k/(2k) = -ln(1-x)/2, and b_n <= e^(pi/2) W_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .intervals import Interval, DomainError
 from .constants import enclose_constant
@@ -46,8 +51,6 @@ __all__ = [
     "beta_enclosure",
     "lt_check",
 ]
-
-_Num = Union[int, Fraction]
 
 _GUARD = 32
 
@@ -100,8 +103,6 @@ def agm_K_m(m, precision: int) -> Interval:
 
 def agm_K(r, precision: int) -> Interval:
     """Enclosure of K at modulus r in [0, 1)."""
-    if isinstance(r, Interval):
-        return agm_K_m(r.square(), precision)
     rf = _as_fraction(r)
     if rf < 0:
         raise DomainError("modulus r must lie in [0, 1)")
@@ -195,14 +196,18 @@ def hyp_series(kind, x, precision: int,
 def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
     """Sum exp(K(sqrt(x))) = sum b_n x^n with a certified tail.
 
-    The tail uses 0 <= sum_{n>N} b_n x^n <= 4 (1/sqrt(1-x) - sum_{n<=N}
-    W_n x^n), valid for N >= 1 because b_n < 4 W_n from n = 1 on.
+    The tail uses 0 <= sum_{n>N} b_n x^n <= e^(pi/2) (1/sqrt(1-x) -
+    sum_{n<=N} W_n x^n), valid because b_n <= e^(pi/2) W_n for every n
+    (see the module docstring); the upper end of the e^(pi/2) enclosure
+    stands in for the constant.
     """
     xf = _as_fraction(x)
     if not 0 <= xf < 1:
         raise DomainError("series argument must lie in [0, 1)")
     work = precision + _GUARD
     table = shared_coefficients()
+    ehp = enclose_constant("exp_half_pi", work)
+    ehp_hi = ehp.hi_fraction()
     sup = (Interval.from_int(1, work)
            - Interval.from_fraction(xf, work)).sqrt().recip()
     cap = n_terms if n_terms is not None else max(128, 8 * precision)
@@ -224,18 +229,18 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
             # wide, so a test on its upper end would never pass; the
             # tail below still uses the upper end
             gap = sup.lo_fraction() - Fraction(wal_num, wal_den)
-            if 4 * gap <= tol or xf == 0:
+            if ehp_hi * gap <= tol or xf == 0:
                 break
         n += 1
     terms = n
-    tail_hi = 4 * (sup.hi_fraction() - Fraction(wal_num, wal_den))
+    tail_hi = ehp_hi * (sup.hi_fraction() - Fraction(wal_num, wal_den))
     tail = Interval.hull_of_fractions(Fraction(0), max(tail_hi, Fraction(0)),
                                       work)
     btilde = table.btilde_enclosures(terms, work)
     horner = btilde[terms]
     for k in range(terms - 1, -1, -1):
         horner = horner.mul_scalar(xf) + btilde[k]
-    partial = horner * enclose_constant("exp_half_pi", work)
+    partial = horner * ehp
     return SeriesEval(terms_used=terms + 1, partial=partial.round_to(precision),
                       tail_bound=tail.round_to(precision))
 

@@ -1,9 +1,11 @@
 """Certification machinery: sequence claims, grids, probes, quotients."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from ellipmono import certify, elliptic
 from ellipmono.certify import (
     FAMILIES,
     SEQUENCE_CLAIMS,
@@ -11,6 +13,7 @@ from ellipmono.certify import (
     BoundSpec,
     Certificate,
     CertStatus,
+    Family,
     Witness,
     certify_sequence,
     default_grid,
@@ -22,8 +25,9 @@ from ellipmono.certify import (
     resolve_spec,
     sharpness_probe,
 )
-from ellipmono.coefficients import (CoefficientTable, b_coeff,
-                                    shared_coefficients, threshold, wallis)
+from ellipmono.coefficients import (CoefficientTable, b_coeff, threshold,
+                                    wallis)
+from ellipmono.constants import enclose_constant
 from ellipmono.intervals import DomainError
 from ellipmono.pi_expr import PiExpression
 
@@ -71,6 +75,13 @@ def test_sequence_claims_certify(claim, lo, hi):
     assert cert.status is CertStatus.CERTIFIED, cert.to_json_dict()
 
 
+def test_sequence_claims_keep_their_order():
+    # the order of the CLI's --claim choices and of its --help
+    assert SEQUENCE_CLAIMS == ("u_signs", "v_positive", "ratio_increasing",
+                               "ratio_below_4", "gap_positive", "c_nonneg",
+                               "c_nonpos")
+
+
 def test_c_nonneg_with_boundary_zero():
     cert = certify_sequence("c_nonneg", 0, 50, p=threshold(1))
     assert cert.status is CertStatus.CERTIFIED
@@ -97,10 +108,11 @@ def test_c_nonneg_refuted_at_four():
 
 
 def test_sequence_domain_errors():
-    with pytest.raises(DomainError):
-        certify_sequence("no_such_claim", 0, 5)
-    with pytest.raises(DomainError):
-        certify_sequence("c_nonneg", 0, 5)  # parameter required
+    with pytest.raises(DomainError, match="unknown sequence claim"):
+        certify_sequence("nope", 0, 1)
+    for claim in ("c_nonneg", "c_nonpos"):
+        with pytest.raises(DomainError, match="needs the parameter p"):
+            certify_sequence(claim, 0, 5)
 
 
 # ----------------------------------------------------------------------
@@ -259,9 +271,10 @@ def test_j_quotient_reconstructs_b():
 
 def test_j_quotient_prefix_is_reused():
     table = CoefficientTable()
-    first = j_quotient_coefficients(12, table)
-    assert j_quotient_coefficients(30, table)[:12] == first
-    assert j_quotient_coefficients(5, table) == first[:5]
+    first = [table.quotient_coeff(k) for k in range(12)]
+    table.quotient_coeff(29)  # grows the table past the first prefix
+    assert [table.quotient_coeff(k) for k in range(12)] == first
+    assert j_quotient_coefficients(12) == first  # the shared table agrees
 
 
 def test_j_truncation_check():
@@ -290,8 +303,7 @@ def test_identity_witness_is_the_widest_residual():
     assert cert.status is CertStatus.CERTIFIED
     assert cert.precision_used == 96  # every point decided at 96 bits
     residual = FAMILIES["M1_identity"].margin
-    table = shared_coefficients()
-    widths = {x: residual(spec, x, 96, table).width() for x in grid}
+    widths = {x: residual(spec, x, 96).width() for x in grid}
     widest = max(grid, key=widths.__getitem__)
     assert widest == F(2047, 2048)
     assert cert.witnesses[0].location == f"x={widest}"
@@ -302,6 +314,20 @@ def test_sharpness_families_come_from_the_registry():
     assert SHARPNESS_FAMILIES == ("P1_lower", "P1_upper", "EKDIFF_upper",
                                   "EKDIFF_lower")
     assert all(FAMILIES[f].probe for f in SHARPNESS_FAMILIES)
+
+
+def test_readme_family_example_certifies(monkeypatch):
+    # the "Adding a bound family" example runs as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Adding a bound family", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.setattr(certify, "FAMILIES", dict(FAMILIES))
+    exec(example, {"Fraction": Fraction, "Family": Family,
+                   "FAMILIES": certify.FAMILIES, "elliptic": elliptic,
+                   "enclose_constant": enclose_constant})
+    cert = grid_verify(BoundSpec("K_above_half_pi"), SMALL_GRID)
+    assert cert.status is CertStatus.CERTIFIED, cert.to_json_dict()
+    assert cert.scope["points"] == len(SMALL_GRID)
 
 
 # ----------------------------------------------------------------------

@@ -204,6 +204,15 @@ def test_empty_scan_is_a_usage_error(capsys, argv):
     assert err.startswith("error:") and "nothing to certify" in err
 
 
+@pytest.mark.parametrize("claim", ["c_nonneg", "c_nonpos"])
+def test_certify_c_claim_without_p_is_a_usage_error(capsys, claim):
+    rc, out, err = run(capsys, "certify", "--claim", claim, "--n-end", "5",
+                       "--no-timestamp")
+    assert rc == 2 and not out
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "needs the parameter p" in err
+
+
 @pytest.mark.parametrize("n_end", ["2", "-1"])
 def test_negative_n_start_is_a_usage_error(capsys, n_end):
     rc, out, err = run(capsys, "certify", "--claim", "gap_positive",

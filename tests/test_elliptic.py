@@ -193,7 +193,7 @@ def test_exp_K_tail_shrinks_with_terms():
 
 def exp_K_summed_to(x, precision, terms):
     """exp_K's enclosure with the sum run to b_terms: the exp_K tail bound
-    4 (1/sqrt(1-x) - sum_{n<=terms} W_n x^n), no stopping test."""
+    e^(pi/2) (1/sqrt(1-x) - sum_{n<=terms} W_n x^n), no stopping test."""
     work = precision + 32
     sup = (Interval.from_int(1, work)
            - Interval.from_fraction(x, work)).sqrt().recip()
@@ -205,8 +205,9 @@ def exp_K_summed_to(x, precision, terms):
         binom = binom * 2 * (2 * n + 1) // (n + 1)
         pn *= p
     wal = F(num, q ** terms)
+    ehp_hi = enclose_constant("exp_half_pi", work).hi_fraction()
     tail = Interval.hull_of_fractions(
-        F(0), max(4 * (sup.hi_fraction() - wal), F(0)), work)
+        F(0), max(ehp_hi * (sup.hi_fraction() - wal), F(0)), work)
     horner = Interval.from_int(0, work)
     for b in reversed(shared_coefficients().btilde_enclosures(terms, work)):
         horner = horner.mul_scalar(x) + b
@@ -227,9 +228,28 @@ def test_exp_K_stops_early_with_the_capped_enclosure(r):
         full.lo, full.hi, full.prec)
 
 
+@pytest.mark.parametrize("terms", [8, 32])
+def test_exp_K_capped_tail_uses_the_independent_bound(terms):
+    # a capped sum keeps a wide tail, so the constant in front of the
+    # Wallis remainder shows: e^(pi/2), not the paper's 4
+    ev = exp_K(F(1, 2), 96, n_terms=terms)
+    full = exp_K_summed_to(F(1, 2), 96, terms)
+    assert (ev.enclosure.lo, ev.enclosure.hi) == (full.lo, full.hi)
+
+
 def test_exp_K_at_zero():
     assert exp_K(F(0), 128).enclosure.overlaps(
         enclose_constant("exp_half_pi", 128))
+
+
+def test_wallis_square_below_one_over_pi_k():
+    # W_k^2 < 1/(pi k), exactly, with W_k = C(2k,k)/4^k and pi rounded up:
+    # the inequality that bounds the exp_K tail by e^(pi/2) W_n
+    pi_hi = enclose_constant("pi", 64).hi_fraction()
+    binom = 1
+    for k in range(1, 4001):
+        binom = binom * 2 * (2 * k - 1) // k
+        assert pi_hi.numerator * k * binom ** 2 < pi_hi.denominator * 16 ** k
 
 
 # ----------------------------------------------------------------------
