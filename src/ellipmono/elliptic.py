@@ -10,8 +10,12 @@ whose iterates bracket the limit from both sides, so outward-rounded
 iteration gives a rigorous enclosure at any m in [0, 1).
 
 Gauss series F(a,b;c;x) for the four parameter triples that occur in the
-coefficient work are summed with exact rational term ratios and an
-explicit geometric tail bound (:class:`SeriesEval`).  The exponential
+coefficient work are summed term by term, each term the previous one
+times the exact rational term ratio, with an explicit geometric tail
+bound (:class:`SeriesEval`).  Both loops, the AGM and the series, run on
+the bare integer endpoints at the work scale with the directed rounding
+of :class:`Interval` arithmetic, so they give the enclosures the same
+loops over ``Interval`` objects would, bit for bit.  The exponential
 series exp(K(sqrt(x))) = sum b_n x^n is summed from the certified
 coefficient table with the tail dominated by e^(pi/2) sum_{n>N} W_n x^n.
 That bound needs no sign claim about the b_n: it follows from
@@ -26,9 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Optional
 
-from .intervals import Interval, DomainError
+from .intervals import Interval, DomainError, _isqrt_ceil
 from .constants import enclose_constant
 from .coefficients import shared_coefficients
 
@@ -79,24 +84,49 @@ def _as_fraction(x) -> Fraction:
 # ----------------------------------------------------------------------
 # AGM
 
+def _near_one_bits(m: Fraction, precision: int) -> int:
+    """Bits by which ceil(log2(1/(1-m))) exceeds ``precision`` (0 for m
+    outside (1 - 2^-precision, 1))."""
+    if m >= 1:
+        return 0
+    d = 1 - m
+    inv_ceil = -(-d.denominator // d.numerator)  # 2^k >= 1/d iff 2^k >= this
+    return max(0, (inv_ceil - 1).bit_length() - precision)
+
+
 def agm_K_m(m, precision: int) -> Interval:
-    """Enclosure of K as a function of the parameter m in [0, 1)."""
-    work = precision + _GUARD
+    """Enclosure of K as a function of the parameter m in [0, 1).
+
+    The iterates run on the integer endpoints at the work scale: the
+    arithmetic mean is a floor/ceil shift and the geometric mean takes
+    floor/ceil square roots of the shifted endpoint products, the same
+    directed rounding as ``Interval`` arithmetic.  A rational m closer to
+    1 than 2^-precision widens the work scale by the missing bits, so
+    that 1 - m keeps its leading bits there.
+    """
     if isinstance(m, Interval):
+        work = precision + _GUARD
         mi = m.round_to(work)
     else:
-        mi = Interval.from_fraction(_as_fraction(m), work)
-    if mi.lo_fraction() < 0 or mi.hi_fraction() >= 1:
+        mf = _as_fraction(m)
+        work = precision + _GUARD + _near_one_bits(mf, precision)
+        mi = Interval.from_fraction(mf, work)
+    one = 1 << work
+    if mi.lo < 0 or mi.hi >= one:
         raise DomainError("parameter m must lie in [0, 1)")
-    one = Interval.from_int(1, work)
-    a = one
-    b = (one - mi).sqrt()
-    target = 1 << (_GUARD - 8)  # gap below 2^-(precision+8) in work ulps
+    # sqrt(t * 2^-work) = sqrt(t * 2^work) * 2^-work; endpoints stay >= 0
+    a_lo = a_hi = one
+    b_lo = isqrt((one - mi.hi) << work)
+    b_hi = _isqrt_ceil((one - mi.lo) << work)
+    target = 1 << (_GUARD - 8)  # gap below 2^-(work-24), in work ulps
     for _ in range(64):
-        if a.hi - b.lo <= target:
+        if a_hi - b_lo <= target:
             break
-        a, b = (a + b).mul_scalar(Fraction(1, 2)), (a * b).sqrt()
-    agm = Interval(min(b.lo, a.lo), max(a.hi, b.hi), work)
+        p_lo = (a_lo * b_lo) >> work
+        p_hi = -((-(a_hi * b_hi)) >> work)
+        a_lo, a_hi = (a_lo + b_lo) >> 1, -((-(a_hi + b_hi)) >> 1)
+        b_lo, b_hi = isqrt(p_lo << work), _isqrt_ceil(p_hi << work)
+    agm = Interval(min(b_lo, a_lo), max(a_hi, b_hi), work)
     pi = enclose_constant("pi", work)
     return (pi * agm.recip()).mul_scalar(Fraction(1, 2)).round_to(precision)
 
@@ -141,7 +171,18 @@ def _hyp_params(kind) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def _sup_tail_ratio(a: Fraction, b: Fraction, c: Fraction, n: int) -> Fraction:
-    """sup_{k>=n} (a+k)(b+k)/((c+k)(1+k)) for the supported triples."""
+    """An upper bound max(r_n, 1) of sup_{k>=n} r_k for the supported
+    triples, r_k = (a+k)(b+k)/((c+k)(1+k)).
+
+    It holds because r_k - 1 = (alpha k + beta)/((c+k)(1+k)) with
+    alpha = a+b-c-1 and beta = ab-c, and for each triple in HYP_KINDS
+    alpha and beta share a sign.  So r_k stays on one side of 1, and
+    |r_k - 1| decreases in k: the derivative of (|alpha| k + |beta|)
+    / ((c+k)(1+k)) has the numerator |alpha|(c - k^2) - |beta|(c+1+2k),
+    negative for k^2 > c.  r_k therefore falls towards 1 from above or
+    rises towards it from below; the tests check both facts exactly for
+    k <= 4096.
+    """
     here = (a + n) * (b + n) / ((c + n) * (1 + n))
     return max(here, Fraction(1))
 
@@ -150,10 +191,15 @@ def hyp_series(kind, x, precision: int,
                max_terms: Optional[int] = None) -> SeriesEval:
     """Sum F(a,b;c;x) for a supported triple with a certified tail.
 
-    ``x`` must be an exact rational in [0, 1).  The tail after the last
-    summed term is bounded geometrically by the supremum of the term
-    ratio, so the returned enclosure is rigorous however early the sum
-    stops; ``max_terms`` merely caps the work.
+    ``x`` must be an exact rational in [0, 1).  The terms run on integer
+    endpoints at the work scale: with L the lcm of the denominators of
+    a, b and c, term n+1 is term n times (La+Ln)(Lb+Ln) x_num over
+    (Lc+Ln)(L+Ln) x_den, floored on the lower end and ceiled on the upper
+    end, the directed rounding of ``Interval.mul_scalar`` by the exact
+    term ratio.  The tail after the last summed term is bounded
+    geometrically by the supremum of the term ratio, so the returned
+    enclosure is rigorous however early the sum stops; ``max_terms``
+    merely caps the work.
     """
     a, b, c = _hyp_params(kind)
     xf = _as_fraction(x)
@@ -161,32 +207,40 @@ def hyp_series(kind, x, precision: int,
         raise DomainError("series argument must lie in [0, 1)")
     work = precision + _GUARD
     cap = max_terms if max_terms is not None else max(256, 16 * precision)
-    term = Interval.from_int(1, work)
-    total = term
+    L = lcm(a.denominator, b.denominator, c.denominator)
+    A, B, C = int(L * a), int(L * b), int(L * c)
+    xn, xd = xf.numerator, xf.denominator
+    lo = hi = 1 << work                # the current term
+    total_lo = total_hi = lo
     n = 0
-    tol = 4  # work-scale ulps
+    tol = Fraction(4, 1 << work)       # 4 work-scale ulps
     while True:
-        ratio = (a + n) * (b + n) / ((c + n) * (1 + n)) * xf
-        nxt = term.mul_scalar(ratio)
+        Ln = L * n
+        num = (A + Ln) * (B + Ln) * xn
+        den = (C + Ln) * (L + Ln) * xd
+        lo = lo * num // den
+        hi = -(-hi * num // den)
         n += 1
-        if xf == 0 or nxt.hi == 0:
+        if xn == 0:  # a, b > 0, so the terms vanish only at x = 0
             tail = Interval(0, 0, work)
             break
-        q = _sup_tail_ratio(a, b, c, n) * xf
-        if q < 1 and (n >= cap or (n % 16 == 0 or n < 16)):
-            # certified tail: t_n <= tail <= t_n / (1 - q)
-            tail_hi = nxt.hi_fraction() / (1 - q)
-            if n >= cap or tail_hi <= Fraction(tol, 1 << work):
-                tail = Interval.hull_of_fractions(
-                    max(nxt.lo_fraction(), Fraction(0)), tail_hi, work)
-                break
-        if q >= 1 and n >= cap:
-            raise DomainError(
-                "term-ratio bound not below 1 within the term cap; "
-                "increase max_terms or reduce x")
-        term = nxt
-        total = total + nxt
-    return SeriesEval(terms_used=n, partial=total.round_to(precision),
+        if n >= cap or n % 16 == 0 or n < 16:
+            q = _sup_tail_ratio(a, b, c, n) * xf
+            if q < 1:
+                # certified tail: t_n <= tail <= t_n / (1 - q)
+                tail_hi = Fraction(hi, 1 << work) / (1 - q)
+                if n >= cap or tail_hi <= tol:
+                    tail = Interval.hull_of_fractions(
+                        Fraction(lo, 1 << work), tail_hi, work)
+                    break
+            elif n >= cap:
+                raise DomainError(
+                    "term-ratio bound not below 1 within the term cap; "
+                    "increase max_terms or reduce x")
+        total_lo += lo
+        total_hi += hi
+    partial = Interval(total_lo, total_hi, work)
+    return SeriesEval(terms_used=n, partial=partial.round_to(precision),
                       tail_bound=tail.round_to(precision))
 
 
@@ -324,7 +378,9 @@ def asymptotic_defect(m, precision: int) -> Interval:
         raise DomainError("parameter m must lie in [0, 1)")
     K = agm_K_m(mf, work)
     ln2 = enclose_constant("ln2", work)
-    lnc = Interval.from_fraction(1 - mf, work).ln()
+    # 1 - m below 2^-work widens its scale as in agm_K_m, so ln stays tight
+    lnc = Interval.from_fraction(
+        1 - mf, work + _near_one_bits(mf, work)).ln().round_to(work)
     return (K - ln2.mul_scalar(2) + lnc.mul_scalar(Fraction(1, 2))
             ).round_to(precision)
 

@@ -71,6 +71,11 @@ def _div_ceil(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _isqrt_ceil(a: int) -> int:
+    s = isqrt(a)
+    return s if s * s == a else s + 1
+
+
 _Rat = Union[int, Fraction]
 
 
@@ -297,10 +302,7 @@ class Interval:
             raise DomainError("sqrt of an interval with negative lower bound")
         p = self.prec
         # sqrt(m * 2^-p) = sqrt(m * 2^p) * 2^-p
-        lo = isqrt(self.lo << p)
-        s = isqrt(self.hi << p)
-        hi = s if s * s == (self.hi << p) else s + 1
-        return Interval(lo, hi, p)
+        return Interval(isqrt(self.lo << p), _isqrt_ceil(self.hi << p), p)
 
     def exp(self) -> "Interval":
         p = self.prec

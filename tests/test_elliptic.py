@@ -7,11 +7,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings, strategies as st
 
 from ellipmono.coefficients import (shared_coefficients, u_coeff, v_coeff,
                                     wallis)
 from ellipmono.constants import enclose_constant
 from ellipmono.elliptic import (
+    _sup_tail_ratio,
     HYP_KINDS,
     G4_eval,
     G_eval,
@@ -103,6 +105,97 @@ def test_agm_domain_errors():
         agm_K_m(F(11, 10), 64)
 
 
+def loop_agm_K_m(m, precision):
+    """The AGM over ``Interval`` objects, one interval operation per step
+    and no near-1 widening: the reference for the integer-endpoint loop
+    wherever 1 - m >= 2^-precision."""
+    work = precision + 32
+    if isinstance(m, Interval):
+        mi = m.round_to(work)
+    else:
+        mi = Interval.from_fraction(m, work)
+    if mi.lo_fraction() < 0 or mi.hi_fraction() >= 1:
+        raise DomainError("parameter m must lie in [0, 1)")
+    one = Interval.from_int(1, work)
+    a = one
+    b = (one - mi).sqrt()
+    for _ in range(64):
+        if a.hi - b.lo <= 1 << 24:
+            break
+        a, b = (a + b).mul_scalar(F(1, 2)), (a * b).sqrt()
+    agm = Interval(min(b.lo, a.lo), max(a.hi, b.hi), work)
+    pi = enclose_constant("pi", work)
+    return (pi * agm.recip()).mul_scalar(F(1, 2)).round_to(precision)
+
+
+def outcome(fn, *args, **kwargs):
+    """The endpoints of fn's enclosure (and terms, for a series), or the
+    message of the DomainError it raised."""
+    try:
+        r = fn(*args, **kwargs)
+    except DomainError as exc:
+        return str(exc)
+    if isinstance(r, SeriesEval):
+        return (r.terms_used, (r.partial.lo, r.partial.hi, r.partial.prec),
+                (r.tail_bound.lo, r.tail_bound.hi, r.tail_bound.prec))
+    return (r.lo, r.hi, r.prec)
+
+
+@pytest.mark.parametrize("precision", [8, 64, 128, 272])
+def test_agm_matches_interval_loop(precision):
+    ms = [F(0), F(1, 1 << 60), F(1, 10 ** 6), F(1, 4), F(1, 2), F(81, 100),
+          F(99, 100), F(1023, 1024), 1 - F(1, 1 << precision),
+          1 - F(1, 3 << (precision - 2)), F(-1, 10), F(1)]
+    for m in ms:
+        assert outcome(agm_K_m, m, precision) == outcome(
+            loop_agm_K_m, m, precision), m
+        for prec in (precision // 2, precision + 40):
+            iv = Interval.from_fraction(m, prec).pad_ulp(3)
+            assert outcome(agm_K_m, iv, precision) == outcome(
+                loop_agm_K_m, iv, precision), (m, prec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.fractions(0, 1, max_denominator=1 << 24).filter(lambda m: m < 1),
+       precision=st.integers(24, 320))
+def test_agm_matches_interval_loop_at_random_rationals(m, precision):
+    assert outcome(agm_K_m, m, precision) == outcome(
+        loop_agm_K_m, m, precision)
+
+
+@settings(max_examples=150, deadline=None)
+@given(prec=st.integers(1, 320), data=st.data(),
+       precision=st.integers(1, 320))
+def test_agm_matches_interval_loop_on_intervals(prec, data, precision):
+    # endpoints a few ulps either side of [0, 1) exercise the domain test
+    lo = data.draw(st.integers(-3, (1 << prec) + 3))
+    hi = lo + data.draw(st.integers(0, 1 << prec))
+    m = Interval(lo, hi, prec)
+    assert outcome(agm_K_m, m, precision) == outcome(
+        loop_agm_K_m, m, precision)
+
+
+@pytest.mark.parametrize("e", [95, 97, 200])
+def test_agm_near_one_keeps_requested_bits(e):
+    # 1 - m = 2^-e below 2^-64: the work scale widens by e - 64 bits, so
+    # the enclosure contains K and keeps the requested 64 bits
+    m = 1 - F(1, 1 << e)
+    iv = agm_K_m(m, 64)
+    with mp.workprec(2 * e + 128):
+        assert mp_contains(iv, mp.ellipk(1 - mp.mpf(2) ** -e))
+    assert iv.width() <= F(1, 1 << 63)
+
+
+def test_asymptotic_defect_near_one_keeps_requested_bits():
+    m = 1 - F(1, 1 << 200)
+    iv = asymptotic_defect(m, 64)
+    with mp.workprec(600):
+        mm = 1 - mp.mpf(2) ** -200
+        ref = mp.ellipk(mm) - mp.log(4 / mp.sqrt(1 - mm))
+        assert mp_contains(iv, ref)
+    assert iv.width() <= F(1, 1 << 63)
+
+
 def test_lemniscate_closed_form():
     # K(m=1/2) = Gamma(1/4)^2 / (4 sqrt(pi))
     from ellipmono.constants import enclose_constant
@@ -161,6 +254,9 @@ def test_hyp_domain_errors():
         hyp_series("nope", F(1, 2), 64)
     with pytest.raises(DomainError):
         hyp_series((F(1), F(1), F(2)), F(1, 2), 64)
+    # 3h3h2's term ratio exceeds 1, so near x = 1 one term bounds no tail
+    with pytest.raises(DomainError, match="term-ratio bound"):
+        hyp_series("3h3h2", F(99, 100), 64, max_terms=1)
 
 
 def test_euler_relation_between_kinds():
@@ -169,6 +265,82 @@ def test_euler_relation_between_kinds():
     lhs = hyp_series("3h3h2", x, 128).enclosure
     rhs = hyp_series("hh2", x, 128).enclosure / (1 - x)
     assert lhs.overlaps(rhs)
+
+
+def loop_hyp_series(kind, x, precision, max_terms=None):
+    """hyp_series over ``Interval`` objects, each term times the reduced
+    Fraction term ratio and the tail ratio bound q computed after every
+    term: the reference for the integer-endpoint loop."""
+    a, b, c = HYP_KINDS[kind]
+    if not 0 <= x < 1:
+        raise DomainError("series argument must lie in [0, 1)")
+    work = precision + 32
+    cap = max_terms if max_terms is not None else max(256, 16 * precision)
+    term = Interval.from_int(1, work)
+    total = term
+    n = 0
+    while True:
+        ratio = (a + n) * (b + n) / ((c + n) * (1 + n)) * x
+        nxt = term.mul_scalar(ratio)
+        n += 1
+        if x == 0 or nxt.hi == 0:
+            tail = Interval(0, 0, work)
+            break
+        q = max((a + n) * (b + n) / ((c + n) * (1 + n)), F(1)) * x
+        if q < 1 and (n >= cap or (n % 16 == 0 or n < 16)):
+            tail_hi = nxt.hi_fraction() / (1 - q)
+            if n >= cap or tail_hi <= F(4, 1 << work):
+                tail = Interval.hull_of_fractions(
+                    max(nxt.lo_fraction(), F(0)), tail_hi, work)
+                break
+        if q >= 1 and n >= cap:
+            raise DomainError(
+                "term-ratio bound not below 1 within the term cap; "
+                "increase max_terms or reduce x")
+        term = nxt
+        total = total + nxt
+    return SeriesEval(terms_used=n, partial=total.round_to(precision),
+                      tail_bound=tail.round_to(precision))
+
+
+HYP_XS = [F(0), F(1, 3), F(1, 2), F(9, 10), F(99, 100), F(877, 1024),
+          F(1023, 1024)]
+
+
+@pytest.mark.parametrize("precision", [64, 128, 272])
+@pytest.mark.parametrize("kind", sorted(HYP_KINDS))
+def test_hyp_matches_interval_loop(kind, precision):
+    for x in HYP_XS:
+        for cap in (None, 0, 1, 20):
+            assert outcome(hyp_series, kind, x, precision, cap) == outcome(
+                loop_hyp_series, kind, x, precision, cap), (x, cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(HYP_KINDS)),
+       x=st.fractions(0, 1, max_denominator=1 << 12).filter(lambda x: x < 1),
+       precision=st.integers(1, 160),
+       cap=st.one_of(st.none(), st.integers(0, 40)))
+def test_hyp_matches_interval_loop_at_random_points(kind, x, precision, cap):
+    assert outcome(hyp_series, kind, x, precision, cap) == outcome(
+        loop_hyp_series, kind, x, precision, cap)
+
+
+@pytest.mark.parametrize("kind", sorted(HYP_KINDS))
+def test_tail_ratio_bound_holds(kind):
+    # max(r_n, 1) bounds every later ratio r_k because r_k stays on one
+    # side of 1 and moves towards it; checked exactly for k <= 4096
+    a, b, c = HYP_KINDS[kind]
+    r = [(a + k) * (b + k) / ((c + k) * (1 + k)) for k in range(4097)]
+    for k, rk in enumerate(r):
+        assert rk - 1 == ((a + b - c - 1) * k + a * b - c) / ((c + k) * (1 + k))
+    above = r[0] > 1
+    assert all(rk != 1 and (rk > 1) == above for rk in r)
+    assert all((s < t) == above and s != t for t, s in zip(r, r[1:]))
+    sup = F(0)
+    for n in range(4096, 0, -1):
+        sup = max(sup, r[n])
+        assert sup <= _sup_tail_ratio(a, b, c, n), n
 
 
 # ----------------------------------------------------------------------
