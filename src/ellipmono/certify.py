@@ -230,39 +230,25 @@ def _c_interval(n: int, spec: BoundSpec, precision: int) -> Interval:
     return base
 
 
-def _inv_rprime(x: Fraction, precision: int) -> Interval:
-    return (Interval.from_int(1, precision)
-            - Interval.from_fraction(x, precision)).sqrt().recip()
-
-
 def _log_arg_margin(spec: BoundSpec, x: Fraction, precision: int, *,
                     upper: bool, extrapolated: bool) -> Interval:
     """Margin of the truncated-logarithm bounds at a single x.
 
-    lower families return K - ln(arg); upper families ln(arg) - K.
-    ``extrapolated`` switches to the variant whose correction sum is
-    closed off with a matching x^(m+1) term (lower) or extended one
-    order (upper), fixing the parameter at 4.
+    arg = p/r' + sum_{n<=top} c_n x^n with r' = sqrt(1-x); lower families
+    return K - ln(arg), upper ones ln(arg) - K.  ``extrapolated`` (default
+    p = 4) extends the sum to top = m + 1 (upper) or subtracts
+    (sum_{n<=m} c_n) x^(m+1) from it (lower); otherwise top = m.
     """
     m = spec.order
-    inv = _inv_rprime(x, precision)
-    p_iv = _param_interval(spec, precision)
-    arg = p_iv * inv
+    arg = (_param_interval(spec, precision)
+           * elliptic._rprime(x, precision).recip())
+    top = m + 1 if (extrapolated and upper) else m
+    cs = [_c_interval(n, spec, precision) for n in range(top + 1)]
+    for n, cn in enumerate(cs):
+        arg = arg + cn.mul_scalar(x ** n)
     if extrapolated and not upper:
-        total = Interval.from_int(0, precision)
-        xp = Fraction(1)
-        for n in range(m + 1):
-            cn = _c_interval(n, spec, precision)
-            total = total + cn
-            arg = arg + cn.mul_scalar(xp)
-            xp *= x
+        total = sum(cs, Interval.from_int(0, precision))
         arg = arg - total.mul_scalar(x ** (m + 1))
-    else:
-        top = m + 1 if (extrapolated and upper) else m
-        xp = Fraction(1)
-        for n in range(top + 1):
-            arg = arg + _c_interval(n, spec, precision).mul_scalar(xp)
-            xp *= x
     K = elliptic.agm_K_m(x, precision)
     if arg.lo <= 0:
         raise DomainError("log argument not certified positive; "
@@ -273,30 +259,24 @@ def _log_arg_margin(spec: BoundSpec, x: Fraction, precision: int, *,
 
 def _sum_rule_margin(spec: BoundSpec, pt: tuple, precision: int, *,
                      upper: bool) -> Interval:
-    """Margin of the two-point comparison bounds (order 0 = bare case)."""
+    """Margin of the two-point comparison bounds (order 0 = bare case):
+    gap = K(x) + K(y) - w K(z) - sum_{1<=n<=m} c_n (x^n + y^n - w z^n) at
+    z = (x + y)/2, w = 2 (lower, margin gap) or z = x + y, w = 1 (upper,
+    margin pi/2 - gap)."""
     x, y = pt
-    m = spec.order
-    K = lambda t: elliptic.agm_K_m(t, precision)
+    if upper and not x + y < 1:
+        raise DomainError("upper comparison bound needs x + y < 1")
+    z, w = (x + y, 1) if upper else ((x + y) / 2, 2)
     corr = Interval.from_int(0, precision)
-    if m >= 1:
-        if upper:
-            s = x + y
-            for n in range(1, m + 1):
-                cn = _c_interval(n, spec, precision)
-                corr = corr + cn.mul_scalar(x ** n + y ** n - s ** n)
-        else:
-            mid = (x + y) / 2
-            for n in range(1, m + 1):
-                cn = _c_interval(n, spec, precision)
-                corr = corr + cn.mul_scalar(x ** n + y ** n - 2 * mid ** n)
+    for n in range(1, spec.order + 1):
+        corr = corr + _c_interval(n, spec, precision).mul_scalar(
+            x ** n + y ** n - w * z ** n)
+    K = lambda t: elliptic.agm_K_m(t, precision)
+    gap = K(x) + K(y) - K(z).mul_scalar(w) - corr
     if upper:
-        if not x + y < 1:
-            raise DomainError("upper comparison bound needs x + y < 1")
         pi = enclose_constant("pi", precision)
-        return (K(x + y) + pi.mul_scalar(Fraction(1, 2)) + corr
-                - K(x) - K(y))
-    mid = (x + y) / 2
-    return K(x) + K(y) - K(mid).mul_scalar(2) - corr
+        return pi.mul_scalar(Fraction(1, 2)) - gap
+    return gap
 
 
 def _ekd_margin(spec: BoundSpec, x: Fraction, precision: int, *,
@@ -331,9 +311,8 @@ def _vs_weighted_margin(spec: BoundSpec, x: Fraction,
     """Margin of the r'-weighted two-term bound over the linear refinement."""
     pi = enclose_constant("pi", precision)
     ehp = enclose_constant("exp_half_pi", precision)
-    inv = _inv_rprime(x, precision)
-    rprime = (Interval.from_int(1, precision)
-              - Interval.from_fraction(x, precision)).sqrt()
+    rprime = elliptic._rprime(x, precision)
+    inv = rprime.recip()
     a_yi = ((pi + 4) * ehp).mul_scalar(Fraction(1, 8)) * inv \
         + (Interval.from_fraction(Fraction(1, 2), precision)
            - pi.mul_scalar(Fraction(1, 8))) * ehp * rprime
@@ -350,15 +329,14 @@ def _first_order_identity_residual(spec: BoundSpec, x: Fraction,
     order-0 sharp truncated-logarithm arguments."""
     p1 = _table.threshold(1)
     p2 = _table.threshold(2)
-    inv = _inv_rprime(x, precision)
+    rp = elliptic._rprime(x, precision)
+    inv = rp.recip()
     lhs = (p2.evaluate(precision) - p1.evaluate(precision)) * inv \
         + _table.c_coeff(0, p2, precision) \
         + _table.c_coeff(1, p2, precision).mul_scalar(x) \
         - _table.c_coeff(0, p1, precision)
     pi = enclose_constant("pi", precision)
     ehp = enclose_constant("exp_half_pi", precision)
-    rp = (Interval.from_int(1, precision)
-          - Interval.from_fraction(x, precision)).sqrt()
     den = rp * (Interval.from_int(2, precision)
                 + rp.mul_scalar(x + 2))
     num = (pi * (pi - Interval.from_int(3, precision)) * ehp
@@ -426,10 +404,13 @@ FAMILIES: dict[str, Family] = {
 
 
 def resolve_spec(spec: BoundSpec) -> BoundSpec:
-    """Fill in the family's sharp default parameter when none is given."""
+    """Check the family and the order, and fill in the family's sharp
+    default parameter when none is given."""
     family = FAMILIES.get(spec.family)
     if family is None:
         raise DomainError(f"unknown family {spec.family!r}")
+    if spec.order < 0:
+        raise DomainError(f"order={spec.order} is negative")
     if spec.param is None and family.default_param is not None:
         return replace(spec, param=family.default_param(spec))
     return spec
@@ -489,20 +470,20 @@ def grid_verify(spec: BoundSpec,
     grid = list(grid)
     scope = spec.describe()
     scope["points"] = len(grid)
-    run = dict(t0=t0, precision=precision, max_precision=max_precision,
-               scope=scope)
-    items = _margin_items(family, spec, grid)
     if family.identity:
-        return _fold(f"{spec.family} residual encloses zero",
-                     f"{len(grid)} grid points", items,
-                     ("widest residual", "residual excludes zero",
-                      "residual enclosure too wide"),
-                     done=_residual_tight, failure=_residual_failure,
-                     key=lambda iv: -iv.width(), **run)
-    return _fold(f"{spec.family} margin positive",
-                 f"{len(grid)} grid points", items,
-                 ("smallest margin", "margin provably negative",
-                  "sign undecided at precision cap"), **run)
+        what = "residual encloses zero"
+        notes = ("widest residual", "residual excludes zero",
+                 "residual enclosure too wide")
+        rules = dict(done=_residual_tight, failure=_residual_failure,
+                     key=lambda iv: -iv.width())
+    else:
+        what, rules = "margin positive", {}
+        notes = ("smallest margin", "margin provably negative",
+                 "sign undecided at precision cap")
+    return _fold(f"{spec.family} {what}", f"{len(grid)} grid points",
+                 _margin_items(family, spec, grid), notes, t0=t0,
+                 precision=precision, max_precision=max_precision,
+                 scope=scope, **rules)
 
 
 # ======================================================================

@@ -81,17 +81,28 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _rprime(x: Fraction, precision: int) -> Interval:
+    """Enclosure of r' = sqrt(1 - x) at ``precision`` bits."""
+    return Interval.from_fraction(1 - x, precision).sqrt()
+
+
 # ----------------------------------------------------------------------
 # AGM
 
 def _near_one_bits(m: Fraction, precision: int) -> int:
-    """Bits by which ceil(log2(1/(1-m))) exceeds ``precision`` (0 for m
-    outside (1 - 2^-precision, 1))."""
+    """Bits that widen the AGM's work scale precision + _GUARD at m near 1,
+    L = ceil(log2(1/(1-m))): L - precision, so that 1 - m keeps its leading
+    bits, and, for a 1 - m not exact at that scale, at least L - 24, since
+    K magnifies its rounding about 2^L times (8 guard bits are left)."""
     if m >= 1:
         return 0
     d = 1 - m
     inv_ceil = -(-d.denominator // d.numerator)  # 2^k >= 1/d iff 2^k >= this
-    return max(0, (inv_ceil - 1).bit_length() - precision)
+    L = (inv_ceil - 1).bit_length()
+    bits = max(0, L - precision)
+    if (d * (1 << (precision + _GUARD))).denominator != 1:
+        bits = max(bits, L - (_GUARD - 8))
+    return bits
 
 
 def agm_K_m(m, precision: int) -> Interval:
@@ -100,9 +111,9 @@ def agm_K_m(m, precision: int) -> Interval:
     The iterates run on the integer endpoints at the work scale: the
     arithmetic mean is a floor/ceil shift and the geometric mean takes
     floor/ceil square roots of the shifted endpoint products, the same
-    directed rounding as ``Interval`` arithmetic.  A rational m closer to
-    1 than 2^-precision widens the work scale by the missing bits, so
-    that 1 - m keeps its leading bits there.
+    directed rounding as ``Interval`` arithmetic.  A rational m near 1
+    widens the work scale (:func:`_near_one_bits`) so that K keeps
+    ``precision`` bits whether or not 1 - m is exact there.
     """
     if isinstance(m, Interval):
         work = precision + _GUARD
@@ -163,11 +174,10 @@ def _hyp_params(kind) -> tuple[Fraction, Fraction, Fraction]:
             return HYP_KINDS[kind]
         except KeyError:
             raise DomainError(f"unsupported series kind {kind!r}") from None
-    a, b, c = (Fraction(t) for t in kind)
-    for name, (ka, kb, kc) in HYP_KINDS.items():
-        if (a, b, c) == (ka, kb, kc):
-            return ka, kb, kc
-    raise DomainError(f"unsupported parameter triple {kind!r}")
+    triple = tuple(Fraction(t) for t in kind)
+    if triple not in HYP_KINDS.values():
+        raise DomainError(f"unsupported parameter triple {kind!r}")
+    return triple
 
 
 def _sup_tail_ratio(a: Fraction, b: Fraction, c: Fraction, n: int) -> Fraction:
@@ -262,8 +272,7 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
     table = shared_coefficients()
     ehp = enclose_constant("exp_half_pi", work)
     ehp_hi = ehp.hi_fraction()
-    sup = (Interval.from_int(1, work)
-           - Interval.from_fraction(xf, work)).sqrt().recip()
+    sup = _rprime(xf, work).recip()
     cap = n_terms if n_terms is not None else max(128, 8 * precision)
     tol = Fraction(4, 1 << work)
     # exact partial sums of the Wallis series: S_n = sum_{k<=n} W_k x^k
@@ -341,8 +350,7 @@ def G4_eval(x, precision: int) -> Interval:
     """Enclosure of exp(K(sqrt(x))) - 4/sqrt(1-x)."""
     work = precision + 16
     xf = _as_fraction(x)
-    inv = (Interval.from_int(1, work)
-           - Interval.from_fraction(xf, work)).sqrt().recip()
+    inv = _rprime(xf, work).recip()
     return (exp_K_agm(xf, work) - inv.mul_scalar(4)).round_to(precision)
 
 
@@ -363,24 +371,23 @@ def ekd_eval(x, precision: int) -> Interval:
     if not 0 < xf < 1:
         raise DomainError("x = r^2 must lie in (0, 1)")
     rx = Interval.from_fraction(xf, work).sqrt()
-    ry = Interval.from_fraction(1 - xf, work).sqrt()
     return (exp_K_agm(xf, work) - exp_K_agm(1 - xf, work)
             + rx.recip().mul_scalar(4)
-            - ry.recip().mul_scalar(4)).round_to(precision)
+            - _rprime(xf, work).recip().mul_scalar(4)).round_to(precision)
 
 
 def asymptotic_defect(m, precision: int) -> Interval:
     """Enclosure of K - ln(4/sqrt(1-m)) at parameter m (tends to
-    pi/2 - ln 4 as m -> 0 and to 0 as m -> 1)."""
+    pi/2 - ln 4 as m -> 0 and to 0 as m -> 1); ln(1 - m) is taken at the
+    AGM's widened work scale, so the defect keeps ``precision`` bits."""
     work = precision + 16
     mf = _as_fraction(m)
     if not 0 <= mf < 1:
         raise DomainError("parameter m must lie in [0, 1)")
     K = agm_K_m(mf, work)
     ln2 = enclose_constant("ln2", work)
-    # 1 - m below 2^-work widens its scale as in agm_K_m, so ln stays tight
     lnc = Interval.from_fraction(
-        1 - mf, work + _near_one_bits(mf, work)).ln().round_to(work)
+        1 - mf, work + _GUARD + _near_one_bits(mf, work)).ln().round_to(work)
     return (K - ln2.mul_scalar(2) + lnc.mul_scalar(Fraction(1, 2))
             ).round_to(precision)
 
@@ -419,13 +426,8 @@ def lt_check(a, b, c, x, precision: int) -> Interval:
     xf = _as_fraction(x)
     lhs = hyp_series((af, bf, cf), xf, work).enclosure
     rhs = hyp_series((ta, tb, cf), xf, work).enclosure
-    expo = cf - af - bf
-    if expo == 0:
-        factor = Interval.from_int(1, work)
-    else:
-        base = Interval.from_fraction(1 - xf, work)
-        k = int(expo)
-        if k != expo:
-            raise DomainError("only integer transformation exponents occur")
-        factor = base.pow_int(k) if k >= 0 else base.pow_int(-k).recip()
+    k = cf - af - bf
+    if k.denominator != 1:
+        raise DomainError("only integer transformation exponents occur")
+    factor = Interval.from_fraction(1 - xf, work).pow_int(int(k))
     return (lhs - factor * rhs).round_to(precision)

@@ -326,7 +326,10 @@ class Interval:
     # rendering
 
     def to_decimal(self, digits: int = 20) -> str:
-        """Render as ``midpoint ± radius`` with the radius rounded up."""
+        """Render as ``midpoint ± radius`` with the radius rounded up;
+        ``digits`` is the count of fractional digits of the midpoint."""
+        if digits < 0:
+            raise ValueError(f"digits={digits} is negative")
         mid = self.mid()
         rad = self.rad()
         if rad == 0:

@@ -179,6 +179,17 @@ def test_unknown_family_rejected():
         grid_verify(BoundSpec("P9_upper", 0), SMALL_GRID)
 
 
+@pytest.mark.parametrize("family", ["P1_lower", "P2_upper", "CP3_lower"])
+def test_negative_order_rejected(family):
+    with pytest.raises(DomainError, match="order=-1 is negative"):
+        grid_verify(BoundSpec(family, -1), SMALL_GRID)
+
+
+def test_sharpness_probe_rejects_negative_order():
+    with pytest.raises(DomainError, match="order=-1 is negative"):
+        sharpness_probe("P1_lower", F(1, 100), order=-1)
+
+
 # ----------------------------------------------------------------------
 # grids
 

@@ -219,3 +219,20 @@ def test_negative_n_start_is_a_usage_error(capsys, n_end):
                        "--n-start", "-3", "--n-end", n_end, "--no-timestamp")
     assert rc == 2 and not out
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "P3_upper", "--order", "-1", "--density", "5"),
+    ("sharpness", "--family", "P1_lower", "--epsilon", "1/100",
+     "--order", "-1"),
+])
+def test_negative_order_is_a_usage_error(capsys, argv):
+    rc, out, err = run(capsys, *argv, "--no-timestamp")
+    assert rc == 2 and not out
+    assert err == "error: order=-1 is negative\n"
+
+
+def test_negative_digits_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "eval", "--what", "alpha", "--digits", "-1")
+    assert rc == 2 and not out
+    assert err == "error: digits=-1 is negative\n"

@@ -105,11 +105,12 @@ def test_agm_domain_errors():
         agm_K_m(F(11, 10), 64)
 
 
-def loop_agm_K_m(m, precision):
-    """The AGM over ``Interval`` objects, one interval operation per step
-    and no near-1 widening: the reference for the integer-endpoint loop
-    wherever 1 - m >= 2^-precision."""
-    work = precision + 32
+def loop_agm_K_m(m, precision, work=None):
+    """The AGM over ``Interval`` objects at the work scale ``work``
+    (default precision + 32), one interval operation per step and no
+    near-1 widening of its own: the reference for the integer-endpoint
+    loop, given the scale that loop widens to near m = 1."""
+    work = precision + 32 if work is None else work
     if isinstance(m, Interval):
         mi = m.round_to(work)
     else:
@@ -143,12 +144,17 @@ def outcome(fn, *args, **kwargs):
 
 @pytest.mark.parametrize("precision", [8, 64, 128, 272])
 def test_agm_matches_interval_loop(precision):
+    # 1 - m = 1/(3 * 2^(precision-2)) is not exact at the work scale and
+    # ceil(log2(1/(1-m))) = precision, so agm_K_m widens by precision - 24
+    inexact = 1 - F(1, 3 << (precision - 2))
     ms = [F(0), F(1, 1 << 60), F(1, 10 ** 6), F(1, 4), F(1, 2), F(81, 100),
-          F(99, 100), F(1023, 1024), 1 - F(1, 1 << precision),
-          1 - F(1, 3 << (precision - 2)), F(-1, 10), F(1)]
+          F(99, 100), F(1023, 1024), 1 - F(1, 1 << precision), inexact,
+          F(-1, 10), F(1)]
     for m in ms:
+        work = precision + 32 + (max(0, precision - 24) if m == inexact
+                                 else 0)
         assert outcome(agm_K_m, m, precision) == outcome(
-            loop_agm_K_m, m, precision), m
+            loop_agm_K_m, m, precision, work), m
         for prec in (precision // 2, precision + 40):
             iv = Interval.from_fraction(m, prec).pad_ulp(3)
             assert outcome(agm_K_m, iv, precision) == outcome(
@@ -193,6 +199,32 @@ def test_asymptotic_defect_near_one_keeps_requested_bits():
         mm = 1 - mp.mpf(2) ** -200
         ref = mp.ellipk(mm) - mp.log(4 / mp.sqrt(1 - mm))
         assert mp_contains(iv, ref)
+    assert iv.width() <= F(1, 1 << 63)
+
+
+# values d = 1 - m that are not exact at the 96-bit work scale, where K
+# and the defect used to lose bits (K kept 35 of 64 at d = 1/(3*2^60));
+# the last is dyadic, but longer than the work scale
+NEAR_ONE_INEXACT = [F(1, 3 << 30), F(1, 3 << 60), F(1, 3 << 95),
+                    F((1 << 100) - 1, 1 << 150)]
+NEAR_ONE_IDS = ["1/(3*2^30)", "1/(3*2^60)", "1/(3*2^95)", "(2^100-1)/2^150"]
+
+
+@pytest.mark.parametrize("d", NEAR_ONE_INEXACT, ids=NEAR_ONE_IDS)
+def test_agm_near_one_inexact_keeps_requested_bits(d):
+    iv = agm_K_m(1 - d, 64)
+    with mp.workprec(600):
+        ref = mp.ellipk(1 - mp.mpf(d.numerator) / d.denominator)
+        assert mp_contains(iv, ref)
+    assert iv.width() <= F(1, 1 << 63)
+
+
+@pytest.mark.parametrize("d", NEAR_ONE_INEXACT, ids=NEAR_ONE_IDS)
+def test_asymptotic_defect_near_one_inexact_keeps_requested_bits(d):
+    iv = asymptotic_defect(1 - d, 64)
+    with mp.workprec(600):
+        dd = mp.mpf(d.numerator) / d.denominator
+        assert mp_contains(iv, mp.ellipk(1 - dd) - mp.log(4 / mp.sqrt(dd)))
     assert iv.width() <= F(1, 1 << 63)
 
 

@@ -45,9 +45,13 @@ def _grid(family, order=0, param=None, offset=F(0), **kw):
 
 def _cases():
     cases = {f"grid/{fam}/0": _grid(fam) for fam in FAMILIES}
-    for fam in ("P1_lower", "P1_upper", "P3_lower", "P3_upper"):
+    for fam in ("P1_lower", "P1_upper", "P2_lower", "P2_upper",
+                "P3_lower", "P3_upper"):
         for order in (1, 2):
             cases[f"grid/{fam}/{order}"] = _grid(fam, order)
+    # CP3 takes no order: its margins match grid/CP3_lower/0, only the scope
+    # records the order
+    cases["grid/CP3_lower/1"] = _grid("CP3_lower", 1)
     cases.update({
         "grid/P1_lower/over_threshold": _grid("P1_lower", offset=F(1, 2)),
         "grid/P1_upper/p=4-1/100": _grid("P1_upper", param=4 - F(1, 100)),

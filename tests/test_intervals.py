@@ -193,6 +193,11 @@ def test_to_decimal_format():
     assert point.startswith("2.0000")
 
 
+def test_to_decimal_rejects_negative_digits():
+    with pytest.raises(ValueError):
+        Interval.from_int(2, 32).to_decimal(-1)
+
+
 def test_pad_ulp_grows_both_sides():
     iv = Interval.from_int(1, 32)
     padded = iv.pad_ulp(2)
