@@ -352,10 +352,11 @@ class Family:
     ``margin(spec, point, precision)`` encloses a quantity that is
     positive where the bound holds, or for an ``identity`` family a
     residual that must enclose zero.  Points are x, or pairs (x, y) for a
-    ``pair_domain`` family.  ``default_param(spec)`` gives the
-    sharp parameter used when the spec names none.  ``probe`` makes the
-    family a sharpness family: (offset sign, k -> k-th probe point), and
-    :func:`sharpness_probe` shifts the constant by sign * epsilon.
+    ``pair_domain`` family.  ``default_param(spec)`` gives the sharp
+    parameter used when the spec names none; a family without one takes
+    no parameter.  ``probe`` makes the family a sharpness family: (offset
+    sign, k -> k-th probe point), and :func:`sharpness_probe` shifts the
+    constant by sign * epsilon.
     """
 
     margin: Callable[[BoundSpec, _Point, int], Interval]
@@ -404,13 +405,15 @@ FAMILIES: dict[str, Family] = {
 
 
 def resolve_spec(spec: BoundSpec) -> BoundSpec:
-    """Check the family and the order, and fill in the family's sharp
-    default parameter when none is given."""
+    """Check the family, the order and the parameter, and fill in the
+    family's sharp default parameter when none is given."""
     family = FAMILIES.get(spec.family)
     if family is None:
         raise DomainError(f"unknown family {spec.family!r}")
     if spec.order < 0:
         raise DomainError(f"order={spec.order} is negative")
+    if family.default_param is None and spec.param is not None:
+        raise DomainError(f"family {spec.family!r} takes no parameter")
     if spec.param is None and family.default_param is not None:
         return replace(spec, param=family.default_param(spec))
     return spec
@@ -494,14 +497,11 @@ class _Claim:
     """One sign claim that :func:`certify_sequence` scans over n.
 
     ``margin(n, p, precision)`` is positive iff the claim holds at index
-    n.  ``warm`` is the value table built once before the scan: (index
-    past n_end, bits above the base precision), or None.  A ``needs_p``
-    claim takes the parameter p, so c_n(p) may vanish exactly; such
-    indices are boundary zeros, not failures.
+    n.  Only a ``needs_p`` claim takes the parameter p, so c_n(p) may
+    vanish exactly; such indices are boundary zeros, not failures.
     """
 
     margin: Callable[[int, Optional[PiExpression], int], Interval]
-    warm: Optional[tuple[int, int]] = None
     needs_p: bool = False
 
 
@@ -522,18 +522,14 @@ _CLAIMS: dict[str, _Claim] = {
     "u_signs": _Claim(_u_sign_margin),
     "v_positive": _Claim(
         lambda n, p, prec: _table.v_coeff(n).evaluate(prec)),
-    "ratio_increasing": _Claim(_ratio_step_margin, warm=(1, 0)),
+    "ratio_increasing": _Claim(_ratio_step_margin),
     "ratio_below_4": _Claim(
-        lambda n, p, prec: Interval.from_int(4, prec) - _table.ratio(n, prec),
-        warm=(0, 0)),
-    "gap_positive": _Claim(
-        lambda n, p, prec: _table.ratio_gap(n, prec), warm=(1, 0)),
-    "c_nonneg": _Claim(
-        lambda n, p, prec: _table.c_coeff(n, p, prec),
-        warm=(0, 8), needs_p=True),
-    "c_nonpos": _Claim(
-        lambda n, p, prec: -_table.c_coeff(n, p, prec),
-        warm=(0, 8), needs_p=True),
+        lambda n, p, prec: Interval.from_int(4, prec) - _table.ratio(n, prec)),
+    "gap_positive": _Claim(lambda n, p, prec: _table.ratio_gap(n, prec)),
+    "c_nonneg": _Claim(lambda n, p, prec: _table.c_coeff(n, p, prec),
+                       needs_p=True),
+    "c_nonpos": _Claim(lambda n, p, prec: -_table.c_coeff(n, p, prec),
+                       needs_p=True),
 }
 
 SEQUENCE_CLAIMS = tuple(_CLAIMS)
@@ -547,24 +543,26 @@ def certify_sequence(claim: str, n_start: int, n_end: int,
                      max_precision: int = 8192) -> Certificate:
     """Certify a sign claim for every index n in [n_start, n_end].
 
-    The two c-claims allow exact cancellation: indices where c_n(p)
-    vanishes symbolically are recorded as boundary zeros, not failures.
+    Only the two c-claims take the parameter p, and they allow exact
+    cancellation: indices where c_n(p) vanishes symbolically are recorded
+    as boundary zeros, not failures.
     """
     t0 = time.perf_counter()
     record = _CLAIMS.get(claim)
     if record is None:
         raise DomainError(f"unknown sequence claim {claim!r}")
-    if record.needs_p and p is None:
-        raise DomainError(f"claim {claim!r} needs the parameter p")
+    if record.needs_p != (p is not None):
+        raise DomainError(f"claim {claim!r} needs the parameter p"
+                          if record.needs_p else
+                          f"claim {claim!r} takes no parameter p")
     if n_start < 0:
         raise DomainError(f"n_start={n_start} is negative")
     scope = {"claim": claim}
     if p is not None:
         p = PiExpression.of(p)
         scope["p"] = p.render()
-    if record.warm is not None:  # the shared value table, once
-        past, bits = record.warm
-        _table.ensure_values(n_end + past, precision + bits)
+    if n_start <= n_end:  # size every table the claim reads, once
+        record.margin(n_end, p, precision)
 
     def evaluate(n: int, prec: int) -> Optional[Interval]:
         margin = record.margin(n, p, prec)

@@ -26,6 +26,7 @@ from typing import Optional
 from .intervals import DomainError, BudgetError
 from .constants import CONSTANT_NAMES, enclose_constant
 from .coefficients import shared_coefficients
+from .pi_expr import PiExpression
 from . import elliptic
 from .certify import (
     BoundSpec,
@@ -39,8 +40,10 @@ from .certify import (
     default_pair_grid,
     grid_verify,
     sharpness_probe,
-    j_quotient_coefficients,
 )
+
+_table = shared_coefficients()
+
 
 def parse_fraction(text: str) -> Fraction:
     try:
@@ -63,14 +66,14 @@ def parse_param(text: str):
     """Parse --p: a named exact constant, threshold(k), or a rational."""
     key = text.strip().lower().replace(" ", "")
     if key in _NAMED_PARAMS:
-        return shared_coefficients().threshold(_NAMED_PARAMS[key])
+        return _table.threshold(_NAMED_PARAMS[key])
     if key.startswith("threshold(") and key.endswith(")"):
         try:
             k = int(key[len("threshold("):-1])
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"bad threshold index in {text!r}") from None
-        return shared_coefficients().threshold(k)
+        return _table.threshold(k)
     try:
         return Fraction(key)
     except (ValueError, ZeroDivisionError):
@@ -80,62 +83,65 @@ def parse_param(text: str):
             f"threshold(k), or one of: {names}") from None
 
 
-def _emit_certificate(cert: Certificate, args) -> None:
+def _emit_certificate(cert: Certificate, args,
+                      want: CertStatus = CertStatus.CERTIFIED) -> int:
+    """Print the certificate; exit 0 if it has the status ``want``."""
     d = cert.to_json_dict()
     if args.no_timestamp:
         d["runtime_ms"] = 0.0
     else:
         d["generated_at"] = datetime.now(timezone.utc).isoformat()
     print(json.dumps(d, indent=2))
-
-
-def _cert_exit(cert: Certificate, want: CertStatus) -> int:
     return 0 if cert.status is want else 1
 
 
 # ----------------------------------------------------------------------
 # subcommands
 
+def _c_row(args, n: int):
+    if args.p is None:
+        raise DomainError("--kind c needs --p")
+    return _table.c_coeff(n, args.p, args.precision)
+
+
+# coeffs --kind -> (args, n) -> row n: an exact PiExpression, or an
+# enclosure for c_n(p), which is printed as one even without --enclosure
+_COEFF_ROWS = {
+    "b": lambda args, n: _table.b_coeff(n),
+    "u": lambda args, n: _table.u_coeff(n),
+    "v": lambda args, n: _table.v_coeff(n),
+    "c": _c_row,
+    "q": lambda args, n: _table.quotient_coeff(n),
+}
+
+
 def _cmd_coeffs(args) -> int:
-    table = shared_coefficients()
-    rows = []
-    exact = not args.enclosure
-    if args.kind == "q":
-        quotient = j_quotient_coefficients(args.n_max + 1)
-    for n in range(args.n_max + 1):
-        if args.kind == "b":
-            expr = table.b_coeff(n)
-        elif args.kind == "u":
-            expr = table.u_coeff(n)
-        elif args.kind == "v":
-            expr = table.v_coeff(n)
-        elif args.kind == "q":
-            expr = quotient[n]
-        else:  # c
-            if args.p is None:
-                raise DomainError("--kind c needs --p")
-            exact = False
-            rows.append((n, table.c_coeff(n, args.p, args.precision)
-                         .to_decimal(args.digits)))
-            continue
+    if args.n_max < 0:
+        raise DomainError(f"n_max={args.n_max} is negative")
+    read = _COEFF_ROWS[args.kind]
+    exact = not args.enclosure and isinstance(read(args, 0), PiExpression)
+
+    def text(value) -> str:  # one row at a time: the rows are big
         if exact:
-            rows.append((n, expr.render()))
-        else:
-            rows.append((n, expr.evaluate(args.precision)
-                         .to_decimal(args.digits)))
+            return value.render()
+        if isinstance(value, PiExpression):
+            value = value.evaluate(args.precision)
+        return value.to_decimal(args.digits)
+
+    rows = [text(read(args, n)) for n in range(args.n_max + 1)]
     col = "expression" if exact else "enclosure"
     if args.format == "json":
         payload = {
             "kind": args.kind,
             "column": col,
-            "rows": [{"n": n, col: s} for n, s in rows],
+            "rows": [{"n": n, col: s} for n, s in enumerate(rows)],
         }
         if args.kind == "c":
             payload["p"] = str(args.p)
         print(json.dumps(payload, indent=2))
     else:
         print(f"n,{col}")
-        for n, s in rows:
+        for n, s in enumerate(rows):
             print(f'{n},"{s}"')
     return 0
 
@@ -144,8 +150,7 @@ def _cmd_certify(args) -> int:
     cert = certify_sequence(args.claim, args.n_start, args.n_end,
                             p=args.p, precision=args.precision,
                             max_precision=args.max_precision)
-    _emit_certificate(cert, args)
-    return _cert_exit(cert, CertStatus.CERTIFIED)
+    return _emit_certificate(cert, args)
 
 
 def _cmd_verify(args) -> int:
@@ -156,8 +161,7 @@ def _cmd_verify(args) -> int:
         grid = default_grid(args.density)
     cert = grid_verify(spec, grid, precision=args.precision,
                        max_precision=args.max_precision)
-    _emit_certificate(cert, args)
-    return _cert_exit(cert, CertStatus.CERTIFIED)
+    return _emit_certificate(cert, args)
 
 
 def _cmd_sharpness(args) -> int:
@@ -165,62 +169,56 @@ def _cmd_sharpness(args) -> int:
                            max_steps=args.max_steps,
                            precision=args.precision,
                            max_precision=args.max_precision)
-    _emit_certificate(cert, args)
-    return _cert_exit(cert, CertStatus.REFUTED)
+    return _emit_certificate(cert, args, CertStatus.REFUTED)
 
 
-# eval targets that enclose one function of at most one point:
-# --what -> (function in elliptic, the flag giving the point or None).
-# Looked up by name at call time, so a wrapped function is the one run.
-_EVAL_AT_POINT = {
-    "expK": ("exp_K_agm", "x"),
-    "g": ("g_eval", "x"),
-    "g0": ("g0_eval", "x"),
-    "G": ("G_eval", "x"),
-    "G4": ("G4_eval", "x"),
-    "H": ("H_eval", "x"),
-    "ekd": ("ekd_eval", "x"),
-    "defect": ("asymptotic_defect", "m"),
-    "alpha": ("alpha_enclosure", None),
-    "beta": ("beta_enclosure", None),
+def _need(args, attr: str, flag: Optional[str] = None):
+    """The value of a flag that the eval target needs."""
+    value = getattr(args, attr)
+    if value is None:
+        raise DomainError(f"eval --what {args.what} needs "
+                          f"{flag or '--' + attr}")
+    return value
+
+
+def _eval_K(args, prec: int):
+    if args.m is not None:
+        return elliptic.agm_K_m(args.m, prec)
+    return elliptic.agm_K(_need(args, "r", "--r or --m"), prec)
+
+
+def _eval_lt(args, prec: int):
+    parts = [Fraction(t) for t in _need(args, "triple").split(",")]
+    if len(parts) != 3:
+        raise DomainError("--triple expects a,b,c")
+    return elliptic.lt_check(*parts, _need(args, "x"), prec)
+
+
+# eval --what -> (args, precision) -> enclosure.  Each function is looked
+# up on elliptic at call time, so a wrapped function is the one run.
+_EVAL = {
+    "K": _eval_K,
+    "expK": lambda args, prec: elliptic.exp_K_agm(_need(args, "x"), prec),
+    "expK_series": lambda args, prec: elliptic.exp_K(
+        _need(args, "x"), prec, args.terms).enclosure,
+    "hyp": lambda args, prec: elliptic.hyp_series(
+        _need(args, "kind"), _need(args, "x"), prec, args.terms).enclosure,
+    "g": lambda args, prec: elliptic.g_eval(_need(args, "x"), prec),
+    "g0": lambda args, prec: elliptic.g0_eval(_need(args, "x"), prec),
+    "G": lambda args, prec: elliptic.G_eval(_need(args, "x"), prec),
+    "G4": lambda args, prec: elliptic.G4_eval(_need(args, "x"), prec),
+    "H": lambda args, prec: elliptic.H_eval(_need(args, "x"), prec),
+    "ekd": lambda args, prec: elliptic.ekd_eval(_need(args, "x"), prec),
+    "defect": lambda args, prec: elliptic.asymptotic_defect(
+        _need(args, "m"), prec),
+    "alpha": lambda args, prec: elliptic.alpha_enclosure(prec),
+    "beta": lambda args, prec: elliptic.beta_enclosure(prec),
+    "lt": _eval_lt,
 }
 
 
 def _cmd_eval(args) -> int:
-    what = args.what
-    prec = args.precision
-
-    def need(attr, flag):
-        val = getattr(args, attr)
-        if val is None:
-            raise DomainError(f"eval --what {what} needs {flag}")
-        return val
-
-    if what in _EVAL_AT_POINT:
-        name, arg = _EVAL_AT_POINT[what]
-        point = (need(arg, f"--{arg}"),) if arg else ()
-        iv = getattr(elliptic, name)(*point, prec)
-    elif what == "K":
-        if args.m is not None:
-            iv = elliptic.agm_K_m(args.m, prec)
-        else:
-            iv = elliptic.agm_K(need("r", "--r or --m"), prec)
-    elif what == "expK_series":
-        ev = elliptic.exp_K(need("x", "--x"), prec, args.terms)
-        iv = ev.enclosure
-    elif what == "hyp":
-        ev = elliptic.hyp_series(need("kind", "--kind"), need("x", "--x"),
-                                 prec, args.terms)
-        iv = ev.enclosure
-    elif what == "lt":
-        triple = need("triple", "--triple")
-        parts = [Fraction(t) for t in triple.split(",")]
-        if len(parts) != 3:
-            raise DomainError("--triple expects a,b,c")
-        iv = elliptic.lt_check(*parts, need("x", "--x"), prec)
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown eval target {what!r}")
-    print(iv.to_decimal(args.digits))
+    print(_EVAL[args.what](args, args.precision).to_decimal(args.digits))
     return 0
 
 
@@ -276,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="print coefficient tables")
-    p.add_argument("--kind", choices=("b", "u", "v", "c", "q"), required=True)
+    p.add_argument("--kind", choices=tuple(_COEFF_ROWS), required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--p", type=parse_param, default=None,
                    help="series parameter for --kind c")
@@ -314,11 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sharpness)
 
     p = sub.add_parser("eval", help="enclose one function value")
-    p.add_argument("--what",
-                   choices=("K", "expK", "expK_series", "hyp", "g", "g0",
-                            "G", "G4", "H", "ekd", "defect", "alpha",
-                            "beta", "lt"),
-                   required=True)
+    p.add_argument("--what", choices=tuple(_EVAL), required=True)
     p.add_argument("--x", type=parse_fraction, default=None)
     p.add_argument("--m", type=parse_fraction, default=None)
     p.add_argument("--r", type=parse_fraction, default=None)

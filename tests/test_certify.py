@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ellipmono import certify, elliptic
+from ellipmono import certify, coefficients, elliptic
 from ellipmono.certify import (
     FAMILIES,
     SEQUENCE_CLAIMS,
@@ -375,3 +375,38 @@ def test_scan_of_only_boundary_zeros_certifies():
     cert = certify_sequence("c_nonneg", 1, 1, p=threshold(1))
     assert cert.status is CertStatus.CERTIFIED
     assert cert.boundary_zeros == ["n=1"] and cert.witnesses == []
+
+
+def test_certify_sequence_rejects_negative_n_end():
+    with pytest.raises(DomainError, match="nothing to certify"):
+        certify_sequence("gap_positive", 0, -3)
+
+
+@pytest.mark.parametrize("claim, p", [("gap_positive", None),
+                                      ("c_nonneg", threshold(1)),
+                                      ("c_nonpos", F(4))])
+def test_certify_sequence_builds_the_value_table_once(monkeypatch, claim, p):
+    # one extension of the lower and one of the upper bounds: a scan that
+    # grew the table index by index would extend it hundreds of times
+    calls = []
+    extend = coefficients._extend_online
+    monkeypatch.setattr(certify, "_table", CoefficientTable())
+    monkeypatch.setattr(coefficients, "_extend_online",
+                        lambda *args: calls.append(args[2]) or extend(*args))
+    certify_sequence(claim, 1, 300, p=p, precision=333)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("claim", ["u_signs", "v_positive",
+                                   "ratio_increasing", "ratio_below_4",
+                                   "gap_positive"])
+def test_claim_without_p_rejects_one(claim):
+    with pytest.raises(DomainError, match=f"'{claim}' takes no parameter p"):
+        certify_sequence(claim, 0, 3, p=F(4))
+
+
+@pytest.mark.parametrize("family", [name for name, family in FAMILIES.items()
+                                    if family.default_param is None])
+def test_family_without_default_param_rejects_one(family):
+    with pytest.raises(DomainError, match="takes no parameter"):
+        resolve_spec(BoundSpec(family, 0, F(7)))

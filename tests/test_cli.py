@@ -1,6 +1,7 @@
 """Command-line interface, driven in-process through main(argv)."""
 
 import json
+import re
 
 import pytest
 
@@ -110,7 +111,7 @@ def test_eval_domain_error_exit_code(capsys):
 def test_eval_missing_argument(capsys):
     rc, _, err = run(capsys, "eval", "--what", "g")
     assert rc == 2
-    assert "--x" in err
+    assert err == "error: eval --what g needs --x\n"
 
 
 def test_certify_json_and_exit(capsys):
@@ -191,7 +192,6 @@ def test_parse_param_forms():
     assert named == threshold(1)
 
 
-
 @pytest.mark.parametrize("argv", [
     ("verify", "--family", "P3_lower", "--density", "1"),
     ("certify", "--claim", "u_signs", "--n-start", "5", "--n-end", "3"),
@@ -236,3 +236,49 @@ def test_negative_digits_is_a_usage_error(capsys):
     rc, out, err = run(capsys, "eval", "--what", "alpha", "--digits", "-1")
     assert rc == 2 and not out
     assert err == "error: digits=-1 is negative\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--what", "lt", "--x", "1/2"), "--triple"),
+    (("--what", "K"), "--r or --m"),
+])
+def test_eval_names_the_missing_flag(capsys, argv, flag):
+    rc, out, err = run(capsys, "eval", *argv)
+    assert rc == 2 and not out
+    assert err == f"error: eval --what {argv[1]} needs {flag}\n"
+
+
+def _help_choices(capsys, command, flag):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    found = re.search(flag + r" \{([^}]*)\}", capsys.readouterr().out)
+    return tuple(found.group(1).split(","))
+
+
+def test_choices_keep_their_order(capsys):
+    assert _help_choices(capsys, "eval", "--what") == (
+        "K", "expK", "expK_series", "hyp", "g", "g0", "G", "G4", "H", "ekd",
+        "defect", "alpha", "beta", "lt")
+    assert _help_choices(capsys, "coeffs", "--kind") == (
+        "b", "u", "v", "c", "q")
+
+
+@pytest.mark.parametrize("kind", ["b", "q", "c"])
+def test_negative_n_max_is_a_usage_error(capsys, kind):
+    rc, out, err = run(capsys, "coeffs", "--kind", kind, "--n-max", "-3")
+    assert rc == 2 and not out
+    assert err == "error: n_max=-3 is negative\n"
+
+
+def test_certify_rejects_a_parameter_the_claim_ignores(capsys):
+    rc, out, err = run(capsys, "certify", "--claim", "u_signs",
+                       "--n-end", "3", "--p", "4", "--no-timestamp")
+    assert rc == 2 and not out
+    assert err == "error: claim 'u_signs' takes no parameter p\n"
+
+
+def test_verify_rejects_a_parameter_the_family_ignores(capsys):
+    rc, out, err = run(capsys, "verify", "--family", "RMK4_QI", "--p", "7",
+                       "--density", "5", "--no-timestamp")
+    assert rc == 2 and not out
+    assert err == "error: family 'RMK4_QI' takes no parameter\n"

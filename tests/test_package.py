@@ -1,8 +1,13 @@
-"""The package exports exactly the names its modules declare public."""
+"""The package exports exactly the names its modules declare public, and
+installs the command line as its console script."""
 
 import importlib
+import pathlib
+
+import pytest
 
 import ellipmono
+from ellipmono import cli
 
 MODULES = [importlib.import_module(f"ellipmono.{name}") for name in (
     "intervals", "constants", "pi_expr", "coefficients", "elliptic",
@@ -16,3 +21,12 @@ def test_every_exported_name_resolves_once():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(ellipmono, name) is getattr(module, name)
+
+
+def test_console_script_is_the_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, attr = scripts["ellipmono"].partition(":")
+    assert (module, attr) == ("ellipmono.cli", "main")
+    assert getattr(importlib.import_module(module), attr) is cli.main
