@@ -316,10 +316,8 @@ def _vs_weighted_margin(spec: BoundSpec, x: Fraction,
     a_yi = ((pi + 4) * ehp).mul_scalar(Fraction(1, 8)) * inv \
         + (Interval.from_fraction(Fraction(1, 2), precision)
            - pi.mul_scalar(Fraction(1, 8))) * ehp * rprime
-    slope = Interval.from_int(2, precision) - (pi * ehp).mul_scalar(
-        Fraction(1, 8))
     a_new = inv.mul_scalar(4) + ehp - Interval.from_int(4, precision) \
-        - slope.mul_scalar(x)
+        - _linear_refinement_margin(spec, x, precision)
     return a_yi - a_new
 
 
@@ -668,15 +666,8 @@ def h_monotonicity(xs: Sequence[Fraction],
 
 def j_quotient_coefficients(count: int) -> list[PiExpression]:
     """First ``count`` exact coefficients of the formal quotient
-    (sum_{n>=1} b_n x^n) / (sum_{n>=1} W_n x^n).
-
-    They are read from the table's integer quotient polynomials
-    Q_k = q_k e^(-pi/2) 16^(k+1) (k+1)!, built by
-
-        Q_k = 2 B_{k+1} - 2 sum_{j<k} C(2(k+1-j), k+1-j) 4^(k-j-1)
-                                      (k+1)!/(j+1)! Q_j
-
-    (long division by sum W_n x^n cleared of denominators; see
+    (sum_{n>=1} b_n x^n) / (sum_{n>=1} W_n x^n), read from the table's
+    integer quotient polynomials (see
     :meth:`CoefficientTable.ensure_quotient`).  A later call reuses the
     prefix built by an earlier one.
     """

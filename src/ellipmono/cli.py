@@ -104,21 +104,31 @@ def _c_row(args, n: int):
     return _table.c_coeff(n, args.p, args.precision)
 
 
-# coeffs --kind -> (args, n) -> row n: an exact PiExpression, or an
-# enclosure for c_n(p), which is printed as one even without --enclosure
+# coeffs --kind -> (flags it reads, (args, n) -> row n), an exact
+# PiExpression or an enclosure (c_n(p), printed as one without --enclosure)
 _COEFF_ROWS = {
-    "b": lambda args, n: _table.b_coeff(n),
-    "u": lambda args, n: _table.u_coeff(n),
-    "v": lambda args, n: _table.v_coeff(n),
-    "c": _c_row,
-    "q": lambda args, n: _table.quotient_coeff(n),
+    "b": ((), lambda args, n: _table.b_coeff(n)),
+    "u": ((), lambda args, n: _table.u_coeff(n)),
+    "v": ((), lambda args, n: _table.v_coeff(n)),
+    "c": (("p",), _c_row),
+    "q": ((), lambda args, n: _table.quotient_coeff(n)),
 }
+
+
+def _reader(args, table: dict, chosen: str, option: str):
+    """The function of ``table[chosen]``; a flag that only other entries
+    of the table read is a usage error."""
+    reads, read = table[chosen]
+    for flag in dict.fromkeys(f for r, _ in table.values() for f in r):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise DomainError(f"{option} {chosen} takes no --{flag}")
+    return read
 
 
 def _cmd_coeffs(args) -> int:
     if args.n_max < 0:
         raise DomainError(f"n_max={args.n_max} is negative")
-    read = _COEFF_ROWS[args.kind]
+    read = _reader(args, _COEFF_ROWS, args.kind, "coeffs --kind")
     exact = not args.enclosure and isinstance(read(args, 0), PiExpression)
 
     def text(value) -> str:  # one row at a time: the rows are big
@@ -136,7 +146,7 @@ def _cmd_coeffs(args) -> int:
             "column": col,
             "rows": [{"n": n, col: s} for n, s in enumerate(rows)],
         }
-        if args.kind == "c":
+        if args.p is not None:
             payload["p"] = str(args.p)
         print(json.dumps(payload, indent=2))
     else:
@@ -182,9 +192,11 @@ def _need(args, attr: str, flag: Optional[str] = None):
 
 
 def _eval_K(args, prec: int):
-    if args.m is not None:
-        return elliptic.agm_K_m(args.m, prec)
-    return elliptic.agm_K(_need(args, "r", "--r or --m"), prec)
+    if args.m is None:
+        return elliptic.agm_K(_need(args, "r", "--r or --m"), prec)
+    if args.r is not None:
+        raise DomainError("eval --what K takes --r or --m, not both")
+    return elliptic.agm_K_m(args.m, prec)
 
 
 def _eval_lt(args, prec: int):
@@ -194,31 +206,37 @@ def _eval_lt(args, prec: int):
     return elliptic.lt_check(*parts, _need(args, "x"), prec)
 
 
-# eval --what -> (args, precision) -> enclosure.  Each function is looked
-# up on elliptic at call time, so a wrapped function is the one run.
+def _at(name: str, flag: str = "x"):
+    """The _EVAL entry of a target whose one flag is its point."""
+    return (flag,), lambda args, prec: getattr(elliptic, name)(
+        _need(args, flag), prec)
+
+
+# eval --what -> (flags it reads, (args, precision) -> enclosure); the
+# functions are looked up on elliptic at call time, so wrappers run.
 _EVAL = {
-    "K": _eval_K,
-    "expK": lambda args, prec: elliptic.exp_K_agm(_need(args, "x"), prec),
-    "expK_series": lambda args, prec: elliptic.exp_K(
-        _need(args, "x"), prec, args.terms).enclosure,
-    "hyp": lambda args, prec: elliptic.hyp_series(
-        _need(args, "kind"), _need(args, "x"), prec, args.terms).enclosure,
-    "g": lambda args, prec: elliptic.g_eval(_need(args, "x"), prec),
-    "g0": lambda args, prec: elliptic.g0_eval(_need(args, "x"), prec),
-    "G": lambda args, prec: elliptic.G_eval(_need(args, "x"), prec),
-    "G4": lambda args, prec: elliptic.G4_eval(_need(args, "x"), prec),
-    "H": lambda args, prec: elliptic.H_eval(_need(args, "x"), prec),
-    "ekd": lambda args, prec: elliptic.ekd_eval(_need(args, "x"), prec),
-    "defect": lambda args, prec: elliptic.asymptotic_defect(
-        _need(args, "m"), prec),
-    "alpha": lambda args, prec: elliptic.alpha_enclosure(prec),
-    "beta": lambda args, prec: elliptic.beta_enclosure(prec),
-    "lt": _eval_lt,
+    "K": (("m", "r"), _eval_K),
+    "expK": _at("exp_K_agm"),
+    "expK_series": (("x", "terms"), lambda args, prec: elliptic.exp_K(
+        _need(args, "x"), prec, args.terms).enclosure),
+    "hyp": (("kind", "x", "terms"), lambda args, prec: elliptic.hyp_series(
+        _need(args, "kind"), _need(args, "x"), prec, args.terms).enclosure),
+    "g": _at("g_eval"),
+    "g0": _at("g0_eval"),
+    "G": _at("G_eval"),
+    "G4": _at("G4_eval"),
+    "H": _at("H_eval"),
+    "ekd": _at("ekd_eval"),
+    "defect": _at("asymptotic_defect", "m"),
+    "alpha": ((), lambda args, prec: elliptic.alpha_enclosure(prec)),
+    "beta": ((), lambda args, prec: elliptic.beta_enclosure(prec)),
+    "lt": (("triple", "x"), _eval_lt),
 }
 
 
 def _cmd_eval(args) -> int:
-    print(_EVAL[args.what](args, args.precision).to_decimal(args.digits))
+    read = _reader(args, _EVAL, args.what, "eval --what")
+    print(read(args, args.precision).to_decimal(args.digits))
     return 0
 
 

@@ -35,20 +35,20 @@ sequences
 
 are provided with integer numerators over 16^n (u_n = (pi P_n - R_n)/16^n).
 P_n = sum_k E_k E_{n-k} with E_k = C(2k,k)^2/(k+1) is not summed term by
-term: it obeys
-
-    2(m+1)(m+2)(m+3) P_{m+1} = 16(4m^3+12m^2+10m+3) P_m - 512 m^3 P_{m-1}
-
-with P_0 = 1, so each term costs O(1) big-integer operations.
-Derivation: F(y) = 2F1(1/2,1/2;2;y) = sum W_k^2/(k+1) y^k satisfies
-y(1-y)F'' + 2(1-y)F' - F/4 = 0.  Products of D-finite series are
-D-finite (Stanley, "Differentiably finite power series", 1980); the
-symmetric square G = F^2 satisfies
+term: it obeys the three-term recurrence P_REC, so each term costs O(1)
+big-integer operations.  Derivation: F(y) = 2F1(1/2,1/2;2;y) =
+sum W_k^2/(k+1) y^k satisfies y(1-y)F'' + 2(1-y)F' - F/4 = 0.  Products
+of D-finite series are D-finite (Stanley, "Differentiably finite power
+series", 1980); the symmetric square G = F^2 satisfies
 
     2y^2(1-y)^2 G''' + 12y(1-y)^2 G'' + 2(7y-6)(y-1) G' + (2y-3) G = 0,
 
 and P_n = 16^n [y^n] G, so the coefficients of that equation give the
 recurrence.
+
+Each exact integer sequence -- C(2k,k), E_k, P_n, R_n, D_n = 16^n n! --
+is a module-level record (C_REC, ...) stepped by :func:`_next`, the single
+statement of its recurrence; the tables, ``wallis`` and ``exp_K`` read it.
 
 The formal quotient (sum_{n>=1} b_n x^n) / (sum_{n>=1} W_n x^n) is kept
 as integer pi-polynomials too (see :meth:`CoefficientTable.ensure_quotient`).
@@ -160,21 +160,55 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
+# Exact integer recurrences as data.  A record (lead, c_1, c_2, ...) of
+# integer polynomials in m, each a coefficient tuple from the highest power
+# down, states  lead(m) a_{m+1} = sum_i c_i(m) a_{m+1-i}.
+C_REC = ((1, 1), (4, 2))                  # C_m = C(2m,m), C_0 = 1
+E_REC = ((1, 3, 2), (16, 16, 4))          # E_m = C_m^2/(m+1), E_0 = 1
+R_REC = ((1, 4, 3), (16, 32, 12))         # R_m = 6(2m+1)E_m/(m+2), R_0 = 3
+P_REC = ((2, 12, 22, 12), (64, 192, 160, 48),
+         (-512, 0, 0, 0))                 # P_m = sum_k E_k E_{m-k}, P_0 = 1
+D_REC = ((1,), (16, 16))                  # D_m = 16^m m!, D_0 = 1
+
+
+def _poly(c: tuple[int, ...], m: int) -> int:
+    """The polynomial with coefficient tuple c (highest power first) at m."""
+    v = 0
+    for x in c:
+        v = v * m + x
+    return v
+
+
+def _next(rec, m: int, prev) -> int:
+    """a_{m+1} by the record rec from prev = [..., a_{m-1}, a_m] (terms
+    before a_0 count as zero); the division by lead(m) must be exact."""
+    lead, *rest = rec
+    s = sum(_poly(c, m) * a for c, a in zip(rest, reversed(prev)))
+    return _exact_div(s, _poly(lead, m))
+
+
+def _grow(rec, a: list[int], n: int) -> None:
+    """Extend a = [a_0, a_1, ...] by the record rec until a_n is there."""
+    while len(a) <= n:
+        a.append(_next(rec, len(a) - 1, a))
+
+
 class CoefficientTable:
     """Growable store of exact and enclosed series coefficients."""
 
     def __init__(self):
         self._lock = threading.RLock()
-        # exact b: integer polynomials over 16^n * n!
+        # exact b: integer polynomials over D_n = 16^n * n!
         self._B: list[list[int]] = [[1]]
         self._D: list[int] = [1]
-        self._A: list[int] = []       # A_k = 2 C(2k,k)^2/(k+1)
-        self._binom: list[int] = []   # C(2k,k)
+        # the record sequences, each from its start term a_0
+        self._C: list[int] = [1]
+        self._E: list[int] = [1]
+        self._P: list[int] = [1]
+        self._R: list[int] = [3]
         # formal quotient: integer polynomials Q_k over D_{k+1}
         self._Q: list[list[int]] = []
-        # exact u/v: integer pairs over 16^n
-        self._P: list[int] = []
-        self._R: list[int] = []
+        # exact v: integer pairs over 16^n
         self._VP: list[int] = []
         self._VR: list[int] = []
         # Wallis ratios
@@ -188,25 +222,18 @@ class CoefficientTable:
     # Wallis ratios
 
     def wallis(self, n: int) -> Fraction:
-        """W_n = (2n-1)!!/(2n)!!."""
+        """W_n = (2n-1)!!/(2n)!! = C(2n,n)/4^n: its step is C_REC's over 4."""
         _check_index(n)
+        lead, ratio = C_REC
         with self._lock:
             while len(self._W) <= n:
                 m = len(self._W) - 1
-                self._W.append(self._W[-1] * Fraction(2 * m + 1, 2 * m + 2))
+                self._W.append(self._W[-1] * Fraction(_poly(ratio, m),
+                                                      4 * _poly(lead, m)))
             return self._W[n]
 
     # ------------------------------------------------------------------
     # exact b-polynomials
-
-    def _ensure_binom(self, n: int) -> None:
-        while len(self._binom) <= n:
-            k = len(self._binom)
-            if k == 0:
-                self._binom.append(1)
-            else:
-                self._binom.append(self._binom[-1] * 2 * (2 * k - 1) // k)
-            self._A.append(2 * self._binom[k] * self._binom[k] // (k + 1))
 
     def ensure_exact(self, n: int) -> None:
         """Grow the exact polynomial table so b_0..b_n are available.
@@ -217,24 +244,19 @@ class CoefficientTable:
         with self._lock:
             if len(self._B) > n:
                 return
-            self._ensure_binom(n)
+            _grow(E_REC, self._E, n)
             while len(self._B) <= n:
                 m = len(self._B) - 1  # recurrence step m -> m+1
-                Bm = self._B[m]
-                new = [0] * (m + 2)
-                if m:
-                    c = 16 * m
-                    for j in range(m + 1):
-                        new[j] = c * Bm[j]
+                new = [16 * m * c for c in self._B[m]] + [0]
                 fall = 1
                 for k in range(m + 1):
-                    mult = self._A[k] * fall
+                    mult = 2 * self._E[k] * fall
                     Bk = self._B[m - k]
                     for j in range(m - k + 1):
                         new[j + 1] += mult * Bk[j]
                     fall *= (m - k)
                 self._B.append(new)
-                self._D.append(self._D[-1] * 16 * (m + 1))
+            _grow(D_REC, self._D, n)
 
     def b_coeff(self, n: int) -> PiExpression:
         """Exact b_n as a pi-polynomial times e^(pi/2)."""
@@ -267,7 +289,7 @@ class CoefficientTable:
             if len(self._Q) >= count:
                 return
             self.ensure_exact(count)
-            self._ensure_binom(count)
+            _grow(C_REC, self._C, count)
             Q = self._Q
             while len(Q) < count:
                 k = len(Q)
@@ -276,7 +298,7 @@ class CoefficientTable:
                 for j in range(k - 1, -1, -1):
                     fact *= j + 2
                     d = k - j
-                    mult = (self._binom[d + 1] * fact) << (2 * (d - 1))
+                    mult = (self._C[d + 1] * fact) << (2 * (d - 1))
                     for i, c in enumerate(Q[j]):
                         acc[i] += mult * c
                 Q.append([2 * (b - a) for b, a in zip(self._B[k + 1], acc)])
@@ -296,41 +318,20 @@ class CoefficientTable:
     def ensure_uv(self, n: int) -> None:
         """Grow the u/v tables so u_0..u_n and v_0..v_n are available.
 
-        P_m comes from the three-term recurrence
-
-            2(m+1)(m+2)(m+3) P_{m+1}
-                = 16(4m^3+12m^2+10m+3) P_m - 512 m^3 P_{m-1},   P_0 = 1,
-
-        read off the third-order equation of G = F^2, F = 2F1(1/2,1/2;2;y),
-        with P_m = 16^m [y^m] G (derivation in the module docstring), in
-        place of the convolution sum_k E_k E_{m-k}.  Every division is
-        checked to be exact.
+        P_m and R_m come from the records P_REC and R_REC, the single
+        statement of each recurrence (P_REC replaces the convolution
+        sum_k E_k E_{m-k}; its derivation is in the module docstring).
         """
         _check_index(n)
         with self._lock:
-            if len(self._P) > n:
+            VP, VR = self._VP, self._VR
+            if len(VP) > n:
                 return
-            self._ensure_binom(n)
-            P = self._P
-            while len(P) <= n:
-                m = len(P)
-                if m == 0:
-                    P.append(1)
-                else:
-                    k = m - 1  # recurrence step k -> k+1
-                    s = 16 * (4 * k ** 3 + 12 * k * k + 10 * k + 3) * P[k]
-                    if k:
-                        s -= 512 * k ** 3 * P[k - 1]
-                    P.append(_exact_div(s, 2 * (k + 1) * (k + 2) * (k + 3)))
-                binom_m = self._binom[m]
-                self._R.append(_exact_div(6 * (2 * m + 1) * binom_m * binom_m,
-                                          (m + 1) * (m + 2)))
-                if m == 0:
-                    self._VP.append(P[0])
-                    self._VR.append(self._R[0])
-                else:
-                    self._VP.append(16 * self._VP[-1] + P[m])
-                    self._VR.append(16 * self._VR[-1] + self._R[m])
+            _grow(P_REC, self._P, n)
+            _grow(R_REC, self._R, n)
+            for m in range(len(VP), n + 1):
+                VP.append((16 * VP[-1] if m else 0) + self._P[m])
+                VR.append((16 * VR[-1] if m else 0) + self._R[m])
 
     def u_coeff(self, n: int) -> PiExpression:
         """Exact u_n = (pi * P_n - R_n)/16^n (degree one in pi)."""
@@ -349,14 +350,10 @@ class CoefficientTable:
         st = self._values.get(precision)
         if st is None:
             pi = enclose_constant("pi", precision).round_to(precision)
-            st = {
-                "pi": (pi.lo, pi.hi),
-                "blo": [1 << precision],
-                "bhi": [1 << precision],
-                "wlo": [],
-                "whi": [],
-                "E": 1,   # C(2k,k)^2/(k+1) for the next weight index k
-            }
+            st = {"pi": (pi.lo, pi.hi),
+                  "blo": [1 << precision], "bhi": [1 << precision],
+                  "wlo": [], "whi": [],
+                  "E": 1}   # E_k of E_REC for the next weight index k
             self._values[precision] = st
         return st
 
@@ -368,8 +365,8 @@ class CoefficientTable:
         exact convolution sum, so the divide-and-conquer order of
         :func:`_extend_online` gives the bits of a term-by-term loop.
         The weights W_k^2/(k+1) = E_k/16^k floor to (E_k << P) >> 4k,
-        with the integer E_k = C(2k,k)^2/(k+1) carried by
-        E_{k+1} = E_k 4(2k+1)^2/((k+1)(k+2)), an exact division.
+        with the integer E_k = C(2k,k)^2/(k+1) carried from step to step
+        by E_REC: one running integer per precision, not a list.
         """
         _check_index(n)
         with self._lock:
@@ -385,7 +382,7 @@ class CoefficientTable:
                 q = (E << W) >> (4 * k)
                 wlo.append(q)
                 whi.append(q + 1)
-                st["E"] = E * 4 * (2 * k + 1) ** 2 // ((k + 1) * (k + 2))
+                st["E"] = _next(E_REC, k, (E,))
             pi_lo, pi_hi = st["pi"]
 
             # b~_{m+1} = (m b~_m + (pi/8) S_m) / (m+1): the lower bound

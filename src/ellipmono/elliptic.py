@@ -35,7 +35,7 @@ from typing import Optional
 
 from .intervals import Interval, DomainError, _isqrt_ceil
 from .constants import enclose_constant
-from .coefficients import shared_coefficients
+from .coefficients import C_REC, _next, shared_coefficients
 
 __all__ = [
     "SeriesEval",
@@ -281,7 +281,7 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
     binom, xpow = 1, 1
     n = 1
     while True:
-        binom = binom * 2 * (2 * n - 1) // n
+        binom = _next(C_REC, n - 1, (binom,))
         xpow *= num
         wal_num = wal_num * 4 * den + binom * xpow
         wal_den *= 4 * den

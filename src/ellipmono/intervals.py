@@ -54,17 +54,8 @@ class Sign(Enum):
     UNDECIDED = "Undecided"
 
 
-def _shr_floor(a: int, s: int) -> int:
-    return a >> s
-
-
 def _shr_ceil(a: int, s: int) -> int:
     return -((-a) >> s)
-
-
-def _div_floor(a: int, b: int) -> int:
-    # Python's // floors for either sign of b.
-    return a // b
 
 
 def _div_ceil(a: int, b: int) -> int:
@@ -178,7 +169,7 @@ class Interval:
             s = prec - self.prec
             return Interval(self.lo << s, self.hi << s, prec)
         s = self.prec - prec
-        return Interval(_shr_floor(self.lo, s), _shr_ceil(self.hi, s), prec)
+        return Interval(self.lo >> s, _shr_ceil(self.hi, s), prec)
 
     def pad_ulp(self, n: int = 1) -> "Interval":
         return Interval(self.lo - n, self.hi + n, self.prec)
@@ -229,7 +220,7 @@ class Interval:
             return self.mul_scalar(other)
         a, b, p = self._common(self, other)
         prods = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-        return Interval(_shr_floor(min(prods), p), _shr_ceil(max(prods), p), p)
+        return Interval(min(prods) >> p, _shr_ceil(max(prods), p), p)
 
     __rmul__ = __mul__
 
@@ -241,7 +232,7 @@ class Interval:
             lo, hi = self.lo * n, self.hi * n
         else:
             lo, hi = self.hi * n, self.lo * n
-        return Interval(_div_floor(lo, d), _div_ceil(hi, d), self.prec)
+        return Interval(lo // d, _div_ceil(hi, d), self.prec)
 
     def __truediv__(self, other) -> "Interval":
         if isinstance(other, (int, Fraction)):
@@ -256,7 +247,7 @@ class Interval:
         quots_hi = []
         for num in (a.lo, a.hi):
             for den in (b.lo, b.hi):
-                quots_lo.append(_div_floor(num << p, den))
+                quots_lo.append((num << p) // den)
                 quots_hi.append(_div_ceil(num << p, den))
         return Interval(min(quots_lo), max(quots_hi), p)
 
@@ -274,17 +265,17 @@ class Interval:
             lo, hi = self.hi * self.hi, self.lo * self.lo
         else:
             lo, hi = 0, max(self.lo * self.lo, self.hi * self.hi)
-        return Interval(_shr_floor(lo, p), _shr_ceil(hi, p), p)
+        return Interval(lo >> p, _shr_ceil(hi, p), p)
 
     def pow_int(self, k: int) -> "Interval":
         if k < 0:
             return (self.pow_int(-k)).recip()
         if k == 0:
             return Interval.from_int(1, self.prec)
-        if (self.hi.bit_length() * k) > BIT_BUDGET:
+        m = max(-self.lo, self.hi)  # the larger of |lo| and |hi|
+        if m.bit_length() * k > BIT_BUDGET:
             raise BudgetError(f"pow_int({k}) exceeds bit budget")
         if k % 2 == 0 and self.lo < 0 <= self.hi:
-            m = max(-self.lo, self.hi)
             top = Interval(m, m, self.prec).pow_int(k)
             return Interval(0, top.hi, self.prec)
         result = self
@@ -345,7 +336,7 @@ class Interval:
 def _exp_dyadic(m: int, p: int, prec: int) -> tuple[int, int]:
     """Enclosure of exp(m * 2^-p) as scaled ints at ``prec`` bits."""
     W = prec + _GUARD
-    X = m << (W - p) if W >= p else _shr_floor(m, p - W)
+    X = m << (W - p) if W >= p else m >> (p - W)
     # halve until |x| <= 1/4; floor-shift error <= 1 ulp total (geometric)
     s = 0
     bound = 1 << (W - 2)
@@ -368,7 +359,7 @@ def _exp_dyadic(m: int, p: int, prec: int) -> tuple[int, int]:
     for _ in range(s):
         lo = (lo * lo) >> W if lo >= 0 else 0
         hi = _shr_ceil(hi * hi, W)
-    return _shr_floor(lo, W - prec), _shr_ceil(hi, W - prec)
+    return lo >> (W - prec), _shr_ceil(hi, W - prec)
 
 
 def _atanh_series_fp(U: int, W: int) -> tuple[int, int]:
@@ -416,7 +407,7 @@ def _ln_dyadic(m: int, p: int, prec: int) -> tuple[int, int]:
     W = prec + _GUARD
     e = m.bit_length() - p
     # z = m*2^-p = t*2^e with t in [1/2, 1); lift t into [2/3, 4/3]
-    T = m << (W - p) if W >= p else _shr_floor(m, p - W)
+    T = m << (W - p) if W >= p else m >> (p - W)
     zt = T >> e if e >= 0 else T << -e
     if 3 * zt < (1 << (W + 1)):  # t < 2/3: use t*2 and e-1
         e -= 1
@@ -434,7 +425,7 @@ def _ln_dyadic(m: int, p: int, prec: int) -> tuple[int, int]:
     else:
         lo = S - err + e * hi_ln2
         hi = S + err + e * lo_ln2
-    return _shr_floor(lo, W - prec), _shr_ceil(hi, W - prec)
+    return lo >> (W - prec), _shr_ceil(hi, W - prec)
 
 
 # ----------------------------------------------------------------------

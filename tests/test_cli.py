@@ -282,3 +282,18 @@ def test_verify_rejects_a_parameter_the_family_ignores(capsys):
                        "--density", "5", "--no-timestamp")
     assert rc == 2 and not out
     assert err == "error: family 'RMK4_QI' takes no parameter\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("coeffs", "--kind", "b", "--n-max", "1", "--p", "4"),
+     "coeffs --kind b takes no --p"),
+    (("eval", "--what", "alpha", "--x", "1/3"),
+     "eval --what alpha takes no --x"),
+    (("eval", "--what", "K", "--r", "1/2", "--m", "1/4"),
+     "eval --what K takes --r or --m, not both"),
+])
+def test_a_flag_the_choice_never_reads_is_a_usage_error(capsys, argv,
+                                                        message):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and not out
+    assert err == f"error: {message}\n"

@@ -392,3 +392,80 @@ def test_module_readers_read_the_shared_table():
     for read in (wallis, b_coeff, u_coeff, v_coeff, c_coeff, c_exact,
                  ratio, ratio_gap, threshold):
         assert read.__self__ is shared_coefficients()
+
+
+# ----------------------------------------------------------------------
+# the integer recurrence records
+
+def record_terms(rec, start, n):
+    a = [start]
+    coefficients._grow(rec, a, n)
+    return a
+
+
+def closed_form_R(n_max):
+    """R_n = 6(2n+1) C(2n,n)^2/((n+1)(n+2)), the rational part of u_n."""
+    return [6 * (2 * n + 1) * math.comb(2 * n, n) ** 2 // ((n + 1) * (n + 2))
+            for n in range(n_max + 1)]
+
+
+def test_records_match_their_closed_forms():
+    n = 300
+    C = [math.comb(2 * m, m) for m in range(n + 1)]
+    assert record_terms(coefficients.C_REC, 1, n) == C
+    assert record_terms(coefficients.E_REC, 1, n) == [
+        c * c // (m + 1) for m, c in enumerate(C)]
+    assert record_terms(coefficients.R_REC, 3, n) == closed_form_R(n)
+    assert record_terms(coefficients.P_REC, 1, n) == convolution_P(n)
+    assert record_terms(coefficients.D_REC, 1, n) == [
+        16 ** m * math.factorial(m) for m in range(n + 1)]
+
+
+FRESH_READERS = ("wallis", "b_coeff", "u_coeff", "v_coeff", "quotient_coeff")
+
+
+@pytest.mark.parametrize("name", FRESH_READERS)
+def test_fresh_table_reads_match_the_shared_table(name):
+    shared = getattr(shared_coefficients(), name)
+    for n in (0, 1, 2):  # the first read of a new table, at each n
+        assert getattr(CoefficientTable(), name)(n) == shared(n), n
+    read = getattr(CoefficientTable(), name)
+    for n in (0, 5, 3):  # grow, then read back inside the grown range
+        assert read(n) == shared(n), n
+
+
+MUTATION_STEPS = 60
+
+
+def mutated_records(rec):
+    """rec with one coefficient changed by +1 or -1, every such way."""
+    for i, poly in enumerate(rec):
+        for j in range(len(poly)):
+            for delta in (1, -1):
+                changed = list(poly)
+                changed[j] += delta
+                yield rec[:i] + (tuple(changed),) + rec[i + 1:]
+
+
+def uv_readings(table):
+    """(P_n, R_n) for n <= MUTATION_STEPS, read through u_n."""
+    out = []
+    for n in range(MUTATION_STEPS + 1):
+        R, P = (c * 16 ** n for c in table.u_coeff(n).coeffs)
+        out.append((P, -R))
+    return out
+
+
+@pytest.mark.parametrize("name", ["P_REC", "R_REC"])
+def test_a_one_coefficient_change_of_a_record_is_caught(monkeypatch, name):
+    expected = list(zip(convolution_P(MUTATION_STEPS),
+                        closed_form_R(MUTATION_STEPS)))
+    assert uv_readings(CoefficientTable()) == expected
+    record, caught = getattr(coefficients, name), 0
+    for rec in mutated_records(record):
+        monkeypatch.setattr(coefficients, name, rec)
+        try:
+            caught += uv_readings(CoefficientTable()) != expected
+        except ArithmeticError:
+            caught += 1
+    assert caught == 2 * sum(map(len, record))

@@ -103,6 +103,15 @@ def test_pow_budget_guard():
         big.pow_int(10**7)
 
 
+def test_pow_budget_guard_reads_the_larger_endpoint():
+    # |lo| has 60001 bits, so the 21st power needs about 1.26M > 2^20 bits;
+    # hi alone (one bit) would pass the guard
+    wide = Interval(-(1 << 60000), 1, 1)
+    for iv in (wide, -wide):
+        with pytest.raises(BudgetError):
+            iv.pow_int(21)
+
+
 @pytest.mark.parametrize("x", [Fraction(-3), Fraction(-1, 4), Fraction(0),
                                Fraction(1, 3), Fraction(2), Fraction(7, 2)])
 def test_exp_contains_mpmath(x):
