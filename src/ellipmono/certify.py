@@ -211,23 +211,11 @@ class BoundSpec:
         return d
 
 
-def _param_interval(spec: BoundSpec, precision: int) -> Interval:
-    p = spec.param
-    if p is None:
-        raise DomainError(f"family {spec.family!r} needs a parameter")
-    base = PiExpression.of(p).evaluate(precision)
-    if spec.param_offset:
-        base = base + Interval.from_fraction(spec.param_offset, precision)
-    return base
-
-
 def _c_interval(n: int, spec: BoundSpec, precision: int) -> Interval:
     """Enclosure of c_n at the (possibly offset) parameter."""
-    base = _table.c_coeff(n, spec.param, precision)
-    if spec.param_offset:
-        off = spec.param_offset * _table.wallis(n)
-        return base - Interval.from_fraction(off, precision)
-    return base
+    off = spec.param_offset * _table.wallis(n)
+    return (_table.c_coeff(n, spec.param, precision)
+            - Interval.from_fraction(off, precision))
 
 
 def _log_arg_margin(spec: BoundSpec, x: Fraction, precision: int, *,
@@ -240,7 +228,8 @@ def _log_arg_margin(spec: BoundSpec, x: Fraction, precision: int, *,
     (sum_{n<=m} c_n) x^(m+1) from it (lower); otherwise top = m.
     """
     m = spec.order
-    arg = (_param_interval(spec, precision)
+    arg = ((PiExpression.of(spec.param).evaluate(precision)
+            + Interval.from_fraction(spec.param_offset, precision))
            * elliptic._rprime(x, precision).recip())
     top = m + 1 if (extrapolated and upper) else m
     cs = [_c_interval(n, spec, precision) for n in range(top + 1)]
@@ -289,9 +278,8 @@ def _ekd_margin(spec: BoundSpec, x: Fraction, precision: int, *,
     e = elliptic.ekd_eval(x, precision)
     const = (elliptic.alpha_enclosure(precision) if upper
              else elliptic.beta_enclosure(precision))
-    if spec.param_offset:
-        const = const + Interval.from_fraction(spec.param_offset, precision)
-    bound = const.mul_scalar(s)
+    bound = (const + Interval.from_fraction(spec.param_offset, precision)
+             ).mul_scalar(s)
     gap = (bound - e) if upper else (e - bound)
     return gap if s > 0 else -gap
 
@@ -343,22 +331,40 @@ def _first_order_identity_residual(spec: BoundSpec, x: Fraction,
     return lhs - rhs
 
 
+def default_grid(density: int = 200) -> list[Fraction]:
+    """Uniform grid joined with dyadic points crowding both endpoints."""
+    pts = {Fraction(k, density + 1) for k in range(1, density + 1)}
+    pts |= {Fraction(1, 1 << j) for j in range(2, 13)}
+    pts |= {1 - Fraction(1, 1 << j) for j in range(2, 13)}
+    return sorted(pts)
+
+
+def default_pair_grid(density: int = 32) -> list[tuple[Fraction, Fraction]]:
+    """Off-diagonal pairs x < y with x + y bounded away from 1."""
+    base = [Fraction(k, density + 1) for k in range(1, density + 1)]
+    cap = 1 - Fraction(1, 1 << 10)
+    return [(x, y) for i, x in enumerate(base)
+            for y in base[i + 1:] if x + y <= cap]
+
+
 @dataclass(frozen=True)
 class Family:
     """One inequality family that :func:`grid_verify` certifies.
 
     ``margin(spec, point, precision)`` encloses a quantity that is
     positive where the bound holds, or for an ``identity`` family a
-    residual that must enclose zero.  Points are x, or pairs (x, y) for a
-    ``pair_domain`` family.  ``default_param(spec)`` gives the sharp
-    parameter used when the spec names none; a family without one takes
-    no parameter.  ``probe`` makes the family a sharpness family: (offset
+    residual that must enclose zero.  ``grid(density)`` builds its points,
+    x (:func:`default_grid`) or pairs (x, y) (:func:`default_pair_grid`).
+    ``default_param(spec)`` gives the sharp parameter used when the spec
+    names none.  ``probe`` makes the family a sharpness family: (offset
     sign, k -> k-th probe point), and :func:`sharpness_probe` shifts the
-    constant by sign * epsilon.
+    constant by sign * epsilon.  A family without ``default_param`` takes
+    no parameter and no nonzero ``order``; one that also has no ``probe``
+    takes no nonzero ``param_offset``.
     """
 
     margin: Callable[[BoundSpec, _Point, int], Interval]
-    pair_domain: bool = False
+    grid: Callable[..., list] = default_grid
     identity: bool = False
     default_param: Optional[Callable[[BoundSpec], object]] = None
     probe: Optional[tuple[int, Callable[[int], Fraction]]] = None
@@ -380,16 +386,16 @@ FAMILIES: dict[str, Family] = {
         partial(_log_arg_margin, upper=True, extrapolated=True),
         default_param=lambda s: Fraction(4)),
     "P3_lower": Family(
-        partial(_sum_rule_margin, upper=False), pair_domain=True,
+        partial(_sum_rule_margin, upper=False), grid=default_pair_grid,
         default_param=lambda s: _table.threshold(2)),
     "P3_upper": Family(
-        partial(_sum_rule_margin, upper=True), pair_domain=True,
+        partial(_sum_rule_margin, upper=True), grid=default_pair_grid,
         default_param=lambda s: Fraction(4)),
-    # the bare comparison bounds: order 0 whatever the spec asks
-    "CP3_lower": Family(lambda s, pt, prec: _sum_rule_margin(
-        BoundSpec("P3_lower"), pt, prec, upper=False), pair_domain=True),
-    "CP3_upper": Family(lambda s, pt, prec: _sum_rule_margin(
-        BoundSpec("P3_upper"), pt, prec, upper=True), pair_domain=True),
+    # the bare comparison bounds: no parameter, so no correction sum
+    "CP3_lower": Family(partial(_sum_rule_margin, upper=False),
+                        grid=default_pair_grid),
+    "CP3_upper": Family(partial(_sum_rule_margin, upper=True),
+                        grid=default_pair_grid),
     "EKDIFF_upper": Family(
         partial(_ekd_margin, upper=True),
         probe=(-1, lambda k: Fraction(1, 1 << (2 * k)))),
@@ -403,33 +409,23 @@ FAMILIES: dict[str, Family] = {
 
 
 def resolve_spec(spec: BoundSpec) -> BoundSpec:
-    """Check the family, the order and the parameter, and fill in the
-    family's sharp default parameter when none is given."""
+    """Check the spec's fields against those its family reads, and fill in
+    the family's sharp default parameter when none is given."""
     family = FAMILIES.get(spec.family)
     if family is None:
         raise DomainError(f"unknown family {spec.family!r}")
     if spec.order < 0:
         raise DomainError(f"order={spec.order} is negative")
-    if family.default_param is None and spec.param is not None:
-        raise DomainError(f"family {spec.family!r} takes no parameter")
+    if family.default_param is None:
+        if spec.param is not None:
+            raise DomainError(f"family {spec.family!r} takes no parameter")
+        if spec.order:
+            raise DomainError(f"family {spec.family!r} takes no order")
+        if spec.param_offset and family.probe is None:
+            raise DomainError(f"family {spec.family!r} takes no param_offset")
     if spec.param is None and family.default_param is not None:
         return replace(spec, param=family.default_param(spec))
     return spec
-
-
-def default_grid(density: int = 200) -> list[Fraction]:
-    """Uniform grid joined with dyadic points crowding both endpoints."""
-    pts = {Fraction(k, density + 1) for k in range(1, density + 1)}
-    pts |= {Fraction(1, 1 << j) for j in range(2, 13)}
-    pts |= {1 - Fraction(1, 1 << j) for j in range(2, 13)}
-    return sorted(pts)
-
-def default_pair_grid(density: int = 32) -> list[tuple[Fraction, Fraction]]:
-    """Off-diagonal pairs x < y with x + y bounded away from 1."""
-    base = [Fraction(k, density + 1) for k in range(1, density + 1)]
-    cap = 1 - Fraction(1, 1 << 10)
-    return [(x, y) for i, x in enumerate(base)
-            for y in base[i + 1:] if x + y <= cap]
 
 
 def _pt_str(pt: _Point) -> str:
@@ -466,9 +462,7 @@ def grid_verify(spec: BoundSpec,
     t0 = time.perf_counter()
     spec = resolve_spec(spec)
     family = FAMILIES[spec.family]
-    if grid is None:
-        grid = default_pair_grid() if family.pair_domain else default_grid()
-    grid = list(grid)
+    grid = list(family.grid() if grid is None else grid)
     scope = spec.describe()
     scope["points"] = len(grid)
     if family.identity:
@@ -640,6 +634,8 @@ def h_monotonicity(xs: Sequence[Fraction],
     pts = sorted(Fraction(x) for x in xs)
     if any(x <= 0 or x >= 1 or x == half for x in pts):
         raise DomainError("points must lie in (0,1) away from 1/2")
+    if len(set(pts)) < len(pts):
+        raise DomainError("points must be distinct")
     left = [x for x in pts if x < half]
     right = [x for x in pts if x > half]
     pairs = [(a, b, True) for a, b in zip(left, left[1:])]

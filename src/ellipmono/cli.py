@@ -36,8 +36,6 @@ from .certify import (
     SEQUENCE_CLAIMS,
     SHARPNESS_FAMILIES,
     certify_sequence,
-    default_grid,
-    default_pair_grid,
     grid_verify,
     sharpness_probe,
 )
@@ -129,7 +127,15 @@ def _cmd_coeffs(args) -> int:
     if args.n_max < 0:
         raise DomainError(f"n_max={args.n_max} is negative")
     read = _reader(args, _COEFF_ROWS, args.kind, "coeffs --kind")
+    # None unless given here, so that exact forms reject them
+    given = [f for f in ("digits", "precision")
+             if getattr(args, f) is not None]
+    args.digits = 30 if args.digits is None else args.digits
+    args.precision = 128 if args.precision is None else args.precision
     exact = not args.enclosure and isinstance(read(args, 0), PiExpression)
+    if exact and given:
+        raise DomainError(f"coeffs --kind {args.kind} takes --{given[0]} "
+                          "only with --enclosure")
 
     def text(value) -> str:  # one row at a time: the rows are big
         if exact:
@@ -165,11 +171,8 @@ def _cmd_certify(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = BoundSpec(args.family, args.order, args.p)
-    if FAMILIES[args.family].pair_domain:
-        grid = default_pair_grid(args.density)
-    else:
-        grid = default_grid(args.density)
-    cert = grid_verify(spec, grid, precision=args.precision,
+    cert = grid_verify(spec, FAMILIES[args.family].grid(args.density),
+                       precision=args.precision,
                        max_precision=args.max_precision)
     return _emit_certificate(cert, args)
 
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enclosure", action="store_true",
                    help="print decimal enclosures instead of exact forms")
     _add_common(p, digits=True, fmt=True)
-    p.set_defaults(func=_cmd_coeffs)
+    p.set_defaults(func=_cmd_coeffs, digits=None, precision=None)
 
     p = sub.add_parser("certify", help="certify a coefficient-sequence claim")
     p.add_argument("--claim", choices=SEQUENCE_CLAIMS, required=True)

@@ -301,16 +301,16 @@ class Interval:
         top = max(abs(self.lo), abs(self.hi)) >> p
         if int(top * 1.5) + p > BIT_BUDGET:
             raise BudgetError("exp argument too large for bit budget")
-        lo, _ = _exp_dyadic(self.lo, p, p)
-        _, hi = _exp_dyadic(self.hi, p, p)
+        lo, _ = _exp_dyadic(self.lo, p)
+        _, hi = _exp_dyadic(self.hi, p)
         return Interval(lo, hi, p)
 
     def ln(self) -> "Interval":
         if self.lo <= 0:
             raise DomainError("ln of an interval touching zero or below")
         p = self.prec
-        lo, _ = _ln_dyadic(self.lo, p, p)
-        _, hi = _ln_dyadic(self.hi, p, p)
+        lo, _ = _ln_dyadic(self.lo, p)
+        _, hi = _ln_dyadic(self.hi, p)
         return Interval(lo, hi, p)
 
     # ------------------------------------------------------------------
@@ -333,10 +333,10 @@ class Interval:
 # dyadic exp / ln kernels (integer only, validated against mpmath)
 
 
-def _exp_dyadic(m: int, p: int, prec: int) -> tuple[int, int]:
-    """Enclosure of exp(m * 2^-p) as scaled ints at ``prec`` bits."""
-    W = prec + _GUARD
-    X = m << (W - p) if W >= p else m >> (p - W)
+def _exp_dyadic(m: int, p: int) -> tuple[int, int]:
+    """Enclosure of exp(m * 2^-p) as scaled ints at ``p`` bits."""
+    W = p + _GUARD
+    X = m << _GUARD
     # halve until |x| <= 1/4; floor-shift error <= 1 ulp total (geometric)
     s = 0
     bound = 1 << (W - 2)
@@ -359,7 +359,7 @@ def _exp_dyadic(m: int, p: int, prec: int) -> tuple[int, int]:
     for _ in range(s):
         lo = (lo * lo) >> W if lo >= 0 else 0
         hi = _shr_ceil(hi * hi, W)
-    return lo >> (W - prec), _shr_ceil(hi, W - prec)
+    return lo >> _GUARD, _shr_ceil(hi, _GUARD)
 
 
 def _atanh_series_fp(U: int, W: int) -> tuple[int, int]:
@@ -400,14 +400,14 @@ def _ln2_fp(W: int) -> tuple[int, int]:
     return s - err, s + err
 
 
-def _ln_dyadic(m: int, p: int, prec: int) -> tuple[int, int]:
-    """Enclosure of ln(m * 2^-p), m > 0, as scaled ints at ``prec`` bits."""
+def _ln_dyadic(m: int, p: int) -> tuple[int, int]:
+    """Enclosure of ln(m * 2^-p), m > 0, as scaled ints at ``p`` bits."""
     if m <= 0:
         raise DomainError("ln of nonpositive value")
-    W = prec + _GUARD
+    W = p + _GUARD
     e = m.bit_length() - p
     # z = m*2^-p = t*2^e with t in [1/2, 1); lift t into [2/3, 4/3]
-    T = m << (W - p) if W >= p else m >> (p - W)
+    T = m << _GUARD
     zt = T >> e if e >= 0 else T << -e
     if 3 * zt < (1 << (W + 1)):  # t < 2/3: use t*2 and e-1
         e -= 1
@@ -425,7 +425,7 @@ def _ln_dyadic(m: int, p: int, prec: int) -> tuple[int, int]:
     else:
         lo = S - err + e * hi_ln2
         hi = S + err + e * lo_ln2
-    return lo >> (W - prec), _shr_ceil(hi, W - prec)
+    return lo >> _GUARD, _shr_ceil(hi, _GUARD)
 
 
 # ----------------------------------------------------------------------

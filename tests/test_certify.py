@@ -1,5 +1,6 @@
 """Certification machinery: sequence claims, grids, probes, quotients."""
 
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -244,6 +245,13 @@ def test_h_monotone_rejects_midpoint():
         h_monotonicity([F(1, 4), F(1, 2), F(3, 4)])
 
 
+def test_h_monotone_rejects_repeated_points():
+    # a repeated point makes a step x=a..a whose difference encloses zero
+    # at every precision: it would escalate to the cap and read Undecided
+    with pytest.raises(DomainError, match="distinct"):
+        h_monotonicity([F(1, 4), F(1, 4), F(1, 3)])
+
+
 # ----------------------------------------------------------------------
 # formal quotient coefficients
 
@@ -410,3 +418,55 @@ def test_claim_without_p_rejects_one(claim):
 def test_family_without_default_param_rejects_one(family):
     with pytest.raises(DomainError, match="takes no parameter"):
         resolve_spec(BoundSpec(family, 0, F(7)))
+
+
+# ----------------------------------------------------------------------
+# the spec fields each family's margin reads besides the point
+
+READS = {
+    **dict.fromkeys(("P1_lower", "P1_upper", "P2_lower", "P2_upper",
+                     "P3_lower", "P3_upper"),
+                    ("order", "param", "param_offset")),
+    **dict.fromkeys(("EKDIFF_upper", "EKDIFF_lower"), ("param_offset",)),
+    **dict.fromkeys(("CP3_lower", "CP3_upper", "RMK4_QI", "RMK4_YI",
+                     "M1_identity"), ()),
+}
+NONZERO = {"order": 1, "param": F(7), "param_offset": F(1, 1000)}
+
+
+def test_every_family_states_the_fields_it_reads():
+    assert sorted(READS) == sorted(FAMILIES)
+
+
+@pytest.mark.parametrize("family, field", [
+    (family, field) for family, reads in READS.items()
+    for field in NONZERO if field not in reads])
+def test_a_field_the_margin_never_reads_is_rejected(family, field):
+    spec = replace(BoundSpec(family), **{field: NONZERO[field]})
+    with pytest.raises(DomainError, match="takes no"):
+        resolve_spec(spec)
+    with pytest.raises(DomainError, match="takes no"):
+        grid_verify(spec, SMALL_GRID)
+
+
+def _margin_at_one_point(spec):
+    spec = resolve_spec(spec)
+    family = FAMILIES[spec.family]
+    pt = (F(1, 5), F(1, 3)) if family.grid is default_pair_grid else F(1, 3)
+    iv = family.margin(spec, pt, 96)
+    return iv.lo, iv.hi
+
+
+@pytest.mark.parametrize("family, field", [
+    (family, field) for family, reads in READS.items() for field in reads])
+def test_a_field_the_family_accepts_changes_its_margin(family, field):
+    # the comparison is made at order 2 where the family takes an order:
+    # the order-1 term of the P3 sums has weight x + y - w z = 0, and at
+    # order 0 they have no correction sum, so they read no p
+    order = 2 if "order" in READS[family] else 0
+    base = resolve_spec(BoundSpec(family, order))
+    changed = ({"order": 0} if field == "order" else
+               {"param": F(5)} if field == "param" else
+               {"param_offset": F(1, 1000)})
+    assert (_margin_at_one_point(base)
+            != _margin_at_one_point(replace(base, **changed)))

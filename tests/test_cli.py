@@ -297,3 +297,31 @@ def test_a_flag_the_choice_never_reads_is_a_usage_error(capsys, argv,
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and not out
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["b", "u", "v", "q"])
+@pytest.mark.parametrize("flag, value", [("--digits", "5"),
+                                         ("--precision", "64")])
+def test_coeffs_exact_forms_take_no_digits_or_precision(capsys, kind, flag,
+                                                        value):
+    rc, out, err = run(capsys, "coeffs", "--kind", kind, "--n-max", "1",
+                       flag, value)
+    assert rc == 2 and not out
+    assert err == (f"error: coeffs --kind {kind} takes {flag} "
+                   "only with --enclosure\n")
+    rc, out, _ = run(capsys, "coeffs", "--kind", kind, "--n-max", "1",
+                     flag, value, "--enclosure")
+    assert rc == 0 and out.startswith("n,enclosure\n")
+
+
+@pytest.mark.parametrize("argv, family", [
+    (("verify", "--family", "RMK4_QI", "--order", "1", "--density", "5"),
+     "RMK4_QI"),
+    (("sharpness", "--family", "EKDIFF_upper", "--epsilon", "1/1000",
+      "--order", "1"), "EKDIFF_upper"),
+])
+def test_an_order_the_family_never_reads_is_a_usage_error(capsys, argv,
+                                                          family):
+    rc, out, err = run(capsys, *argv, "--no-timestamp")
+    assert rc == 2 and not out
+    assert err == f"error: family '{family}' takes no order\n"

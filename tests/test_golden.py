@@ -34,12 +34,15 @@ GOLDEN = pathlib.Path(__file__).with_name("golden") / "certificates.json"
 H_POINTS = [F(k, 10) for k in (1, 2, 3, 4, 6, 7, 8, 9)]
 
 
+# the golden density of each grid builder a family may name
+DENSITY = {default_grid: 60, default_pair_grid: 12}
+
+
 def _grid(family, order=0, param=None, offset=F(0), **kw):
     def run():
         spec = BoundSpec(family, order, param, offset)
-        pair = FAMILIES[family].pair_domain
-        grid = default_pair_grid(12) if pair else default_grid(60)
-        return grid_verify(spec, grid, **kw)
+        build = FAMILIES[family].grid
+        return grid_verify(spec, build(DENSITY[build]), **kw)
     return run
 
 
@@ -49,9 +52,6 @@ def _cases():
                 "P3_lower", "P3_upper"):
         for order in (1, 2):
             cases[f"grid/{fam}/{order}"] = _grid(fam, order)
-    # CP3 takes no order: its margins match grid/CP3_lower/0, only the scope
-    # records the order
-    cases["grid/CP3_lower/1"] = _grid("CP3_lower", 1)
     cases.update({
         "grid/P1_lower/over_threshold": _grid("P1_lower", offset=F(1, 2)),
         "grid/P1_upper/p=4-1/100": _grid("P1_upper", param=4 - F(1, 100)),
