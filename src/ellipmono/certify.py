@@ -248,16 +248,17 @@ def _log_arg_margin(spec: BoundSpec, x: Fraction, precision: int, *,
 
 def _sum_rule_margin(spec: BoundSpec, pt: tuple, precision: int, *,
                      upper: bool) -> Interval:
-    """Margin of the two-point comparison bounds (order 0 = bare case):
-    gap = K(x) + K(y) - w K(z) - sum_{1<=n<=m} c_n (x^n + y^n - w z^n) at
+    """Margin of the two-point comparison bounds (order < 2 = bare case):
+    gap = K(x) + K(y) - w K(z) - sum_{2<=n<=m} c_n (x^n + y^n - w z^n) at
     z = (x + y)/2, w = 2 (lower, margin gap) or z = x + y, w = 1 (upper,
-    margin pi/2 - gap)."""
+    margin pi/2 - gap).  The sum starts at n = 2 because the n = 1 weight
+    x + y - w z is identically 0."""
     x, y = pt
     if upper and not x + y < 1:
         raise DomainError("upper comparison bound needs x + y < 1")
     z, w = (x + y, 1) if upper else ((x + y) / 2, 2)
     corr = Interval.from_int(0, precision)
-    for n in range(1, spec.order + 1):
+    for n in range(2, spec.order + 1):
         corr = corr + _c_interval(n, spec, precision).mul_scalar(
             x ** n + y ** n - w * z ** n)
     K = lambda t: elliptic.agm_K_m(t, precision)
@@ -356,11 +357,12 @@ class Family:
     residual that must enclose zero.  ``grid(density)`` builds its points,
     x (:func:`default_grid`) or pairs (x, y) (:func:`default_pair_grid`).
     ``default_param(spec)`` gives the sharp parameter used when the spec
-    names none.  ``probe`` makes the family a sharpness family: (offset
-    sign, k -> k-th probe point), and :func:`sharpness_probe` shifts the
-    constant by sign * epsilon.  A family without ``default_param`` takes
-    no parameter and no nonzero ``order``; one that also has no ``probe``
-    takes no nonzero ``param_offset``.
+    names none, or None at an order whose margin reads no parameter.
+    ``probe`` makes the family a sharpness family: (offset sign, k -> k-th
+    probe point), and :func:`sharpness_probe` shifts the constant by
+    sign * epsilon.  A family without ``default_param`` takes no nonzero
+    ``order``.  Where it has none or it gives None, the spec takes no
+    parameter, and without a ``probe`` no nonzero ``param_offset``.
     """
 
     margin: Callable[[BoundSpec, _Point, int], Interval]
@@ -385,12 +387,14 @@ FAMILIES: dict[str, Family] = {
     "P2_upper": Family(
         partial(_log_arg_margin, upper=True, extrapolated=True),
         default_param=lambda s: Fraction(4)),
+    # the correction sums start at n = 2, so orders 0 and 1 read no p
     "P3_lower": Family(
         partial(_sum_rule_margin, upper=False), grid=default_pair_grid,
-        default_param=lambda s: _table.threshold(2)),
+        default_param=lambda s: _table.threshold(2) if s.order >= 2
+        else None),
     "P3_upper": Family(
         partial(_sum_rule_margin, upper=True), grid=default_pair_grid,
-        default_param=lambda s: Fraction(4)),
+        default_param=lambda s: Fraction(4) if s.order >= 2 else None),
     # the bare comparison bounds: no parameter, so no correction sum
     "CP3_lower": Family(partial(_sum_rule_margin, upper=False),
                         grid=default_pair_grid),
@@ -416,15 +420,17 @@ def resolve_spec(spec: BoundSpec) -> BoundSpec:
         raise DomainError(f"unknown family {spec.family!r}")
     if spec.order < 0:
         raise DomainError(f"order={spec.order} is negative")
-    if family.default_param is None:
-        if spec.param is not None:
-            raise DomainError(f"family {spec.family!r} takes no parameter")
-        if spec.order:
-            raise DomainError(f"family {spec.family!r} takes no order")
-        if spec.param_offset and family.probe is None:
-            raise DomainError(f"family {spec.family!r} takes no param_offset")
-    if spec.param is None and family.default_param is not None:
-        return replace(spec, param=family.default_param(spec))
+    if family.default_param is None and spec.order:
+        raise DomainError(f"family {spec.family!r} takes no order")
+    default = family.default_param and family.default_param(spec)
+    if default is not None:
+        return spec if spec.param is not None else replace(spec, param=default)
+    who = f"family {spec.family!r}" + (
+        f" at order {spec.order}" if family.default_param else "")
+    if spec.param is not None:
+        raise DomainError(f"{who} takes no parameter")
+    if spec.param_offset and family.probe is None:
+        raise DomainError(f"{who} takes no param_offset")
     return spec
 
 

@@ -171,8 +171,9 @@ def _cmd_certify(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = BoundSpec(args.family, args.order, args.p)
-    cert = grid_verify(spec, FAMILIES[args.family].grid(args.density),
-                       precision=args.precision,
+    grid = (None if args.density is None
+            else FAMILIES[args.family].grid(args.density))
+    cert = grid_verify(spec, grid, precision=args.precision,
                        max_precision=args.max_precision)
     return _emit_certificate(cert, args)
 
@@ -318,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="truncation order m of the correction sum")
     p.add_argument("--p", type=parse_param, default=None,
                    help="series parameter (defaults to the sharp constant)")
-    p.add_argument("--density", type=int, default=200,
-                   help="grid density (default 200)")
+    p.add_argument("--density", type=int, default=None,
+                   help="grid density (default: the family's own grid)")
     _add_common(p, max_prec=True, timestamp=True)
     p.set_defaults(func=_cmd_verify)
 

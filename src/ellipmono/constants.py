@@ -7,13 +7,19 @@ Enclosures come from a shared, thread-safe table with two guarantees:
 
 * width(enclose_constant(name, P)) <= 2**(-P + 2), and
 * nesting: the enclosure at precision P + k is contained in the one at
-  precision P (for the same table).
+  precision P.
 
-Nesting does not come free — two independent computations of the same
-constant both contain it but need not nest — so the table keeps one
-"master" enclosure per constant, refines it by *intersection* whenever
-more precision is requested, and answers queries by outward-rounding the
-master with one extra ulp of padding on each side.
+Each answer is one fixed computation of (name, P) alone: the generator
+at P + 16 bits gives [L, H], which is outward-rounded to the grid of
+u = 2^-(P+3) and padded by one ulp, giving [a - u, b + u].  So an answer,
+and every certificate built on it, does not depend on what was asked
+before.  Nesting holds by construction.  The premise is that every
+generator's width at P + 16 is below 2^-(P+3) (it is a few ulps at
+P + 16).  For P' > P let u' = 2^-(P'+3) and c the constant: a <= c, and
+the finer L' > c - u' >= a - u', a point of the finer grid, so its
+rounding a' >= a - u' and the padded a' - u' >= a - 2u' >= a - u.  The
+upper end is symmetric.  The width is at most 4u plus the generator's
+width, which is below 2^(-P+2).
 
 pi uses the Machin formula 16*atan(1/5) - 4*atan(1/239) with alternating
 series tails; gamma_quarter comes from the quadratically convergent AGM
@@ -29,7 +35,7 @@ from .intervals import Interval, _ln2_fp
 
 __all__ = ["ConstantTable", "enclose_constant", "CONSTANT_NAMES", "shared_table"]
 
-_PAD = 16  # extra bits used when computing masters
+_PAD = 16  # guard bits above the requested precision
 
 
 def _machin_pi(prec: int) -> Interval:
@@ -37,16 +43,19 @@ def _machin_pi(prec: int) -> Interval:
 
     def atan_inv(q: int) -> tuple[int, int]:
         # atan(1/q) = sum (-1)^k / ((2k+1) q^(2k+1)); floor each term.
+        # p = floor(2^W / q^(2k+1)) steps by floor division by q^2, and
+        # floor(floor(a)/n) = floor(a/n) for an integer n, so each term
+        # p // (2k+1) is the floor of the exact term.
         s = 0
         k = 0
-        qq = q
+        p = (1 << W) // q
         q2 = q * q
         while True:
-            t = (1 << W) // ((2 * k + 1) * qq)
+            t = p // (2 * k + 1)
             if t == 0:
                 break
             s += -t if (k & 1) else t
-            qq *= q2
+            p //= q2
             k += 1
         # |rounding| <= k ulps, |tail| <= first omitted term + 1 <= 1 ulp
         return s, k + 1
@@ -110,10 +119,10 @@ CONSTANT_NAMES = tuple(sorted(_GENERATORS))
 
 
 class ConstantTable:
-    """Thread-safe cache of constant enclosures with guaranteed nesting."""
+    """Thread-safe cache of constant enclosures, one computation per
+    (name, precision); see the module docstring for why they nest."""
 
     def __init__(self):
-        self._masters: dict[str, Interval] = {}
         self._answers: dict[tuple[str, int], Interval] = {}
         self._lock = threading.Lock()
 
@@ -125,36 +134,14 @@ class ConstantTable:
         key = (name, precision)
         with self._lock:
             cached = self._answers.get(key)
-            if cached is not None:
-                return cached
-            master = self._masters.get(name)
-        need = precision + _PAD
-        if master is None or master.prec < need:
-            fresh = _GENERATORS[name](need)  # computed outside the lock:
-            # generators may recurse into this table (gamma via AGM via pi)
-            with self._lock:
-                master = self._masters.get(name)
-                master = fresh if master is None else master.intersect(fresh)
-                self._masters[name] = master
+        if cached is not None:
+            return cached
+        # computed outside the lock: generators may recurse into this
+        # table (gamma via AGM via pi)
+        out = _GENERATORS[name](precision + _PAD).round_to(
+            precision + 3).pad_ulp(1)
         with self._lock:
-            cached = self._answers.get(key)
-            if cached is not None:
-                return cached
-            # One ulp of outward padding on a grid 3 bits finer than
-            # requested keeps the width within 2^(-P+2); hulling every
-            # cached finer answer and intersecting every cached coarser
-            # one makes the nesting invariant hold by construction,
-            # whatever order precisions are asked in.
-            out = master.round_to(precision + 3).pad_ulp(1)
-            for (other_name, other_prec), ans in self._answers.items():
-                if other_name != name:
-                    continue
-                if other_prec > precision:
-                    out = out.hull(ans)
-                elif other_prec < precision:
-                    out = out.intersect(ans)
-            self._answers[key] = out
-        return out
+            return self._answers.setdefault(key, out)
 
 
 _shared = ConstantTable()

@@ -460,13 +460,27 @@ def _margin_at_one_point(spec):
 @pytest.mark.parametrize("family, field", [
     (family, field) for family, reads in READS.items() for field in reads])
 def test_a_field_the_family_accepts_changes_its_margin(family, field):
-    # the comparison is made at order 2 where the family takes an order:
-    # the order-1 term of the P3 sums has weight x + y - w z = 0, and at
-    # order 0 they have no correction sum, so they read no p
+    # the comparison is made at orders 2 and 3 where the family takes an
+    # order: the P3 correction sums start at n = 2, so below order 2 they
+    # read no p
     order = 2 if "order" in READS[family] else 0
     base = resolve_spec(BoundSpec(family, order))
-    changed = ({"order": 0} if field == "order" else
+    changed = ({"order": 3} if field == "order" else
                {"param": F(5)} if field == "param" else
                {"param_offset": F(1, 1000)})
     assert (_margin_at_one_point(base)
             != _margin_at_one_point(replace(base, **changed)))
+
+
+@pytest.mark.parametrize("family", ["P3_lower", "P3_upper"])
+@pytest.mark.parametrize("order", [0, 1])
+def test_p3_below_order_two_takes_no_parameter(family, order):
+    # the n = 1 weight x + y - w z of the correction sum is identically 0
+    assert resolve_spec(BoundSpec(family, order)).param is None
+    for field in ("param", "param_offset"):
+        spec = replace(BoundSpec(family, order), **{field: NONZERO[field]})
+        with pytest.raises(DomainError,
+                           match=f"at order {order} takes no {field}"):
+            resolve_spec(spec)
+    with pytest.raises(DomainError, match="takes no parameter"):
+        grid_verify(BoundSpec(family, order, 4), SMALL_PAIRS)

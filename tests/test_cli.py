@@ -284,6 +284,20 @@ def test_verify_rejects_a_parameter_the_family_ignores(capsys):
     assert err == "error: family 'RMK4_QI' takes no parameter\n"
 
 
+def test_verify_without_density_uses_the_family_grid(capsys):
+    rc, out, _ = run(capsys, "verify", "--family", "CP3_lower",
+                     "--no-timestamp")
+    assert rc == 0
+    assert json.loads(out)["range"] == "240 grid points"
+
+
+def test_verify_rejects_a_parameter_below_the_order_that_reads_it(capsys):
+    rc, out, err = run(capsys, "verify", "--family", "P3_lower", "--p", "4",
+                       "--no-timestamp")
+    assert rc == 2 and not out
+    assert err == "error: family 'P3_lower' at order 0 takes no parameter\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (("coeffs", "--kind", "b", "--n-max", "1", "--p", "4"),
      "coeffs --kind b takes no --p"),

@@ -9,9 +9,11 @@ import concurrent.futures
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from ellipmono.constants import CONSTANT_NAMES, ConstantTable, enclose_constant
+from ellipmono.constants import (_GENERATORS, _PAD, CONSTANT_NAMES,
+                                 ConstantTable, enclose_constant)
 from ellipmono.intervals import Interval
 
 # 30-digit pins (mpmath, dps=45, truncated)
@@ -118,6 +120,42 @@ def test_threaded_queries_stay_nested():
         results = list(ex.map(lambda p: (p, table.enclose("pi", p)),
                               precisions))
     for p1, iv1 in results:
+        alone = ConstantTable().enclose("pi", p1)
+        assert (iv1.lo, iv1.hi, iv1.prec) == (alone.lo, alone.hi, alone.prec)
         for p2, iv2 in results:
             if p1 < p2:
                 assert iv1.encloses(iv2)
+
+
+# ----------------------------------------------------------------------
+# one computation per (name, precision): answers do not depend on history
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(CONSTANT_NAMES),
+                          st.integers(2, 400)), min_size=1, max_size=10))
+def test_answers_do_not_depend_on_the_order_of_requests(requests):
+    table = ConstantTable()
+    got = [(name, precision, table.enclose(name, precision))
+           for name, precision in requests]
+    for name, precision, iv in got:
+        alone = ConstantTable().enclose(name, precision)
+        assert (iv.lo, iv.hi, iv.prec) == (alone.lo, alone.hi, precision + 3)
+        assert iv.width() <= Fraction(4, 1 << precision)
+    for name, p1, coarse in got:
+        for other, p2, fine in got:
+            if name == other and p1 <= p2:
+                assert coarse.encloses(fine)
+
+
+@pytest.mark.parametrize("name", CONSTANT_NAMES)
+def test_generator_width_premise_and_adjacent_nesting(name):
+    # nesting by construction rests on each generator's width at P + 16
+    # being below 2^-(P+3); adjacent nesting for every P then chains
+    table = ConstantTable()
+    previous = table.enclose(name, 1)
+    for precision in range(2, 601):
+        iv = _GENERATORS[name](precision + _PAD)
+        assert iv.width() < Fraction(1, 1 << (precision + 3))
+        answer = table.enclose(name, precision)
+        assert previous.encloses(answer)
+        previous = answer

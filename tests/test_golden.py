@@ -16,6 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ellipmono import constants
 from ellipmono.certify import (
     FAMILIES,
     BoundSpec,
@@ -108,6 +109,21 @@ def test_golden_covers_every_case():
 def test_golden_certificate(name):
     want = json.loads(GOLDEN.read_text())[name]
     assert json.dumps(_fresh(name), indent=2) == json.dumps(want, indent=2)
+
+
+def test_certificate_bytes_do_not_depend_on_earlier_constants(monkeypatch):
+    # a shared table that already answered finer precisions gives the same
+    # certificate bytes as a fresh one, and both give the golden file's
+    name = "grid/RMK4_QI/0"
+    want = json.dumps(json.loads(GOLDEN.read_text())[name], indent=2)
+    monkeypatch.setattr(constants, "_shared", constants.ConstantTable())
+    assert json.dumps(_fresh(name), indent=2) == want
+    warmed = constants.ConstantTable()
+    for bits in range(200, 4001, 200):
+        for const in ("pi", "exp_half_pi"):
+            warmed.enclose(const, bits)
+    monkeypatch.setattr(constants, "_shared", warmed)
+    assert json.dumps(_fresh(name), indent=2) == want
 
 
 if __name__ == "__main__":
