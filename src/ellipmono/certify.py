@@ -334,6 +334,8 @@ def _first_order_identity_residual(spec: BoundSpec, x: Fraction,
 
 def default_grid(density: int = 200) -> list[Fraction]:
     """Uniform grid joined with dyadic points crowding both endpoints."""
+    if density < 0:
+        raise DomainError(f"grid density {density} is negative")
     pts = {Fraction(k, density + 1) for k in range(1, density + 1)}
     pts |= {Fraction(1, 1 << j) for j in range(2, 13)}
     pts |= {1 - Fraction(1, 1 << j) for j in range(2, 13)}
@@ -342,6 +344,8 @@ def default_grid(density: int = 200) -> list[Fraction]:
 
 def default_pair_grid(density: int = 32) -> list[tuple[Fraction, Fraction]]:
     """Off-diagonal pairs x < y with x + y bounded away from 1."""
+    if density < 0:
+        raise DomainError(f"grid density {density} is negative")
     base = [Fraction(k, density + 1) for k in range(1, density + 1)]
     cap = 1 - Fraction(1, 1 << 10)
     return [(x, y) for i, x in enumerate(base)
@@ -508,19 +512,12 @@ def _u_sign_margin(n: int, p, precision: int) -> Interval:
     return val if n < 2 else -val
 
 
-def _ratio_step_margin(n: int, p, precision: int) -> Interval:
-    a = _table.btilde_enclosure(n + 1, precision).mul_scalar(
-        1 / _table.wallis(n + 1))
-    b = _table.btilde_enclosure(n, precision).mul_scalar(
-        1 / _table.wallis(n))
-    return a - b  # positive e^(pi/2) factor dropped; sign unchanged
-
-
 _CLAIMS: dict[str, _Claim] = {
     "u_signs": _Claim(_u_sign_margin),
     "v_positive": _Claim(
         lambda n, p, prec: _table.v_coeff(n).evaluate(prec)),
-    "ratio_increasing": _Claim(_ratio_step_margin),
+    "ratio_increasing": _Claim(
+        lambda n, p, prec: _table.ratio(n + 1, prec) - _table.ratio(n, prec)),
     "ratio_below_4": _Claim(
         lambda n, p, prec: Interval.from_int(4, prec) - _table.ratio(n, prec)),
     "gap_positive": _Claim(lambda n, p, prec: _table.ratio_gap(n, prec)),

@@ -16,11 +16,13 @@ integer-coefficient polynomial B_n with the recurrence
 (fall is the falling factorial).  The integer form keeps the exact table
 free of per-coefficient gcd work.
 
-The table also maintains, per working precision, an interval-valued run
-of the same recurrence on  b~_n = b_n / e^(pi/2)  with pi enclosed and
-every step outward-rounded.  Those enclosures contain the exact values,
-so sign certificates derived from them are sound.  The convolution sums
-of that run are exact integers, so they are evaluated in an online
+The table also maintains, per precision P, an interval-valued run of
+the same recurrence on  b~_n = b_n / e^(pi/2)  with pi enclosed and every
+step outward-rounded, at P + _VALUE_GUARD = P + 32 bits; every interval
+reader rounds to P once, which keeps P bits for n <= 4000.  Those
+enclosures contain the exact values, so sign certificates derived from
+them are sound.  The convolution sums of that run are exact integers,
+so they are evaluated in an online
 divide-and-conquer order whose block products are single big-integer
 multiplies (Kronecker substitution): N terms cost O(M(N P) log N) for
 P-bit bounds instead of N^2/2 products.  The exact polynomial table is
@@ -57,7 +59,6 @@ as integer pi-polynomials too (see :meth:`CoefficientTable.ensure_quotient`).
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 
@@ -82,6 +83,10 @@ __all__ = [
 # Runs of at most this many recurrence steps sum their convolutions
 # directly; longer runs split in two (see _extend_online).
 _DIRECT_STEPS = 32
+
+# The value table for P bits runs P + _VALUE_GUARD bits: b~_n widens about
+# 6.4 n ulps there, so its readers keep P bits for n <= 4000.
+_VALUE_GUARD = 32
 
 
 def _product_slice(a: list[int], c: list[int], start: int,
@@ -346,36 +351,32 @@ class CoefficientTable:
     # ------------------------------------------------------------------
     # interval value table (b~_n = b_n / e^(pi/2))
 
-    def _value_state(self, precision: int) -> dict:
-        st = self._values.get(precision)
-        if st is None:
-            pi = enclose_constant("pi", precision).round_to(precision)
-            st = {"pi": (pi.lo, pi.hi),
-                  "blo": [1 << precision], "bhi": [1 << precision],
-                  "wlo": [], "whi": [],
-                  "E": 1}   # E_k of E_REC for the next weight index k
-            self._values[precision] = st
-        return st
-
     def ensure_values(self, n: int, precision: int) -> None:
         """Run the interval recurrence so enclosures of b~_0..b~_n exist.
 
-        The bounds are fixed-point integers at ``precision`` bits.  Each
+        The table for ``precision`` = P holds fixed-point integers at
+        W = P + _VALUE_GUARD bits; its readers round to P once.  Each
         step floors (lower bound) or ceils (upper bound) only after its
         exact convolution sum, so the divide-and-conquer order of
         :func:`_extend_online` gives the bits of a term-by-term loop.
-        The weights W_k^2/(k+1) = E_k/16^k floor to (E_k << P) >> 4k,
+        The weights W_k^2/(k+1) = E_k/16^k floor to (E_k << W) >> 4k,
         with the integer E_k = C(2k,k)^2/(k+1) carried from step to step
         by E_REC: one running integer per precision, not a list.
         """
         _check_index(n)
+        W = precision + _VALUE_GUARD
         with self._lock:
-            st = self._value_state(precision)
+            st = self._values.get(precision)
+            if st is None:
+                pi = enclose_constant("pi", W).round_to(W)
+                st = self._values[precision] = {
+                    "pi": (pi.lo, pi.hi), "blo": [1 << W], "bhi": [1 << W],
+                    "wlo": [], "whi": [],
+                    "E": 1}   # E_k of E_REC for the next weight index k
             blo, bhi = st["blo"], st["bhi"]
             if len(blo) > n:
                 return
             wlo, whi = st["wlo"], st["whi"]
-            W = precision
             while len(wlo) <= n:
                 k = len(wlo)
                 E = st["E"]
@@ -399,34 +400,39 @@ class CoefficientTable:
             _extend_online(blo, wlo, n, step_lo)
             _extend_online(bhi, whi, n, step_hi)
 
+    def _btilde(self, n: int, precision: int) -> Interval:
+        """b~_n at the table's scale; each reader works there, rounds once."""
+        self.ensure_values(n, precision)
+        st = self._values[precision]
+        return Interval(st["blo"][n], st["bhi"][n], precision + _VALUE_GUARD)
+
     def btilde_enclosures(self, n: int, precision: int) -> list[Interval]:
         """Enclosures of b_k / e^(pi/2) for k = 0..n."""
         self.ensure_values(n, precision)
-        with self._lock:
-            st = self._values[precision]
-            return [Interval(lo, hi, precision)
-                    for lo, hi in zip(st["blo"][:n + 1], st["bhi"][:n + 1])]
+        return [self.btilde_enclosure(k, precision) for k in range(n + 1)]
 
     def btilde_enclosure(self, n: int, precision: int) -> Interval:
         """Enclosure of b_n / e^(pi/2)."""
-        self.ensure_values(n, precision)
-        st = self._values[precision]
-        return Interval(st["blo"][n], st["bhi"][n], precision)
+        return self._btilde(n, precision).round_to(precision)
 
     def b_enclosure(self, n: int, precision: int) -> Interval:
         """Enclosure of b_n."""
-        return (self.btilde_enclosure(n, precision)
-                * enclose_constant("exp_half_pi", precision))
+        bt = self._btilde(n, precision)
+        return (bt * enclose_constant("exp_half_pi", bt.prec)
+                ).round_to(precision)
 
     def ratio(self, n: int, precision: int) -> Interval:
         """Enclosure of b_n / W_n."""
-        return self.b_enclosure(n, precision).mul_scalar(1 / self.wallis(n))
+        bt = self._btilde(n, precision).mul_scalar(1 / self.wallis(n))
+        return (bt * enclose_constant("exp_half_pi", bt.prec)
+                ).round_to(precision)
 
     def ratio_gap(self, n: int, precision: int) -> Interval:
         """Enclosure of (n+1) b_{n+1} - (n+1/2) b_n."""
-        hi = self.btilde_enclosure(n + 1, precision).mul_scalar(n + 1)
-        lo = self.btilde_enclosure(n, precision).mul_scalar(Fraction(2 * n + 1, 2))
-        return (hi - lo) * enclose_constant("exp_half_pi", precision)
+        hi = self._btilde(n + 1, precision).mul_scalar(n + 1)
+        lo = self._btilde(n, precision).mul_scalar(Fraction(2 * n + 1, 2))
+        return ((hi - lo) * enclose_constant("exp_half_pi", hi.prec)
+                ).round_to(precision)
 
     # ------------------------------------------------------------------
     # difference sequence c_n(p) = b_n - p W_n
@@ -438,30 +444,24 @@ class CoefficientTable:
 
     def c_coeff(self, n: int, p, precision: int) -> Interval:
         """Enclosure of c_n(p) = b_n - p W_n for a rational or
-        :class:`PiExpression` p.
+        :class:`PiExpression` p, formed at the value table's scale.
 
         Exact-cancellation cases are decided by :meth:`c_exact` /
         :meth:`c_is_exactly_zero`; this method encloses.
         """
-        p = PiExpression.of(p)
-        work = precision + 8
-        p_w = self._p_enclosure(p, work).mul_scalar(self.wallis(n))
-        if p.exp_scale:
-            # b_n - p W_n = e^(pi/2) (b~_n - q_p(pi) W_n) for scaled p
-            diff = self.btilde_enclosure(n, work) - p_w
-            return (diff * enclose_constant("exp_half_pi", work)
-                    ).round_to(precision)
-        return (self.b_enclosure(n, work) - p_w).round_to(precision)
+        bt = self._btilde(n, precision)
+        b = bt * enclose_constant("exp_half_pi", bt.prec)
+        p_w = self._p_enclosure(PiExpression.of(p), bt.prec)
+        return (b - p_w.mul_scalar(self.wallis(n))).round_to(precision)
 
     def _p_enclosure(self, p: PiExpression, work: int) -> Interval:
-        """Enclosure of p, or of p / e^(pi/2) when p carries that scale,
-        at ``work`` bits; computed once per value of p and ``work``."""
+        """Enclosure of p (with its e^(pi/2) factor, if it has one) at
+        ``work`` bits; computed once per value of p and ``work``."""
         key = (p, work)
         with self._lock:
             hit = self._p_enclosures.get(key)
             if hit is None:
-                hit = self._p_enclosures[key] = replace(
-                    p, exp_scale=False).evaluate(work)
+                hit = self._p_enclosures[key] = p.evaluate(work)
             return hit
 
     def c_is_exactly_zero(self, n: int, p) -> bool:

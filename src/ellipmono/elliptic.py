@@ -215,6 +215,8 @@ def hyp_series(kind, x, precision: int,
     xf = _as_fraction(x)
     if not 0 <= xf < 1:
         raise DomainError("series argument must lie in [0, 1)")
+    if max_terms is not None and max_terms < 0:
+        raise DomainError(f"max_terms={max_terms} is negative")
     work = precision + _GUARD
     cap = max_terms if max_terms is not None else max(256, 16 * precision)
     L = lcm(a.denominator, b.denominator, c.denominator)
@@ -268,6 +270,8 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
     xf = _as_fraction(x)
     if not 0 <= xf < 1:
         raise DomainError("series argument must lie in [0, 1)")
+    if n_terms is not None and n_terms < 0:
+        raise DomainError(f"n_terms={n_terms} is negative")
     work = precision + _GUARD
     table = shared_coefficients()
     ehp = enclose_constant("exp_half_pi", work)
@@ -355,13 +359,12 @@ def G4_eval(x, precision: int) -> Interval:
 
 
 def H_eval(x, precision: int) -> Interval:
-    """Enclosure of H(x) = (G4(x) - G4(1-x)) / (1 - 2x), x != 1/2."""
+    """Enclosure of H(x) = (G4(x) - G4(1-x)) / (1 - 2x) = ekd / (1 - 2x)."""
     xf = _as_fraction(x)
     if xf == Fraction(1, 2):
         raise DomainError("H is evaluated away from the symmetry point 1/2")
     work = precision + 16
-    diff = G4_eval(xf, work) - G4_eval(1 - xf, work)
-    return diff.mul_scalar(1 / (1 - 2 * xf)).round_to(precision)
+    return ekd_eval(xf, work).mul_scalar(1 / (1 - 2 * xf)).round_to(precision)
 
 
 def ekd_eval(x, precision: int) -> Interval:

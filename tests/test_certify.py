@@ -209,6 +209,14 @@ def test_default_pair_grid_shape():
     assert all(0 < x < y < 1 and x + y <= cap for x, y in pairs)
 
 
+@pytest.mark.parametrize("build", [default_grid, default_pair_grid])
+def test_negative_grid_density_rejected(build):
+    with pytest.raises(DomainError, match="grid density -1 is negative"):
+        build(-1)
+    # zero is a density: no uniform points, only default_grid's dyadic ones
+    assert len(build(0)) == (22 if build is default_grid else 0)
+
+
 # ----------------------------------------------------------------------
 # sharpness probes
 
@@ -403,6 +411,20 @@ def test_certify_sequence_builds_the_value_table_once(monkeypatch, claim, p):
                         lambda *args: calls.append(args[2]) or extend(*args))
     certify_sequence(claim, 1, 300, p=p, precision=333)
     assert len(calls) == 2
+
+
+def test_value_table_claims_read_one_table_per_precision(monkeypatch):
+    # every claim on the value table reads the one table kept for the
+    # precision it asks for, whatever guard bits that read needs
+    table = CoefficientTable()
+    monkeypatch.setattr(certify, "_table", table)
+    for claim, p in [("gap_positive", None), ("ratio_below_4", None),
+                     ("ratio_increasing", None), ("c_nonneg", threshold(1)),
+                     ("c_nonpos", F(4))]:
+        cert = certify_sequence(claim, 1, 300, p=p, precision=128)
+        assert cert.status is CertStatus.CERTIFIED, claim
+        assert cert.precision_used == 128, claim
+    assert list(table._values) == [128]
 
 
 @pytest.mark.parametrize("claim", ["u_signs", "v_positive",

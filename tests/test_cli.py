@@ -263,6 +263,23 @@ def test_choices_keep_their_order(capsys):
         "b", "u", "v", "c", "q")
 
 
+@pytest.mark.parametrize("family", ["P1_lower", "P3_lower"])
+def test_negative_density_is_a_usage_error(capsys, family):
+    rc, out, err = run(capsys, "verify", "--family", family, "--density", "-5",
+                       "--no-timestamp")
+    assert rc == 2 and not out
+    assert err == "error: grid density -5 is negative\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("hyp", "--kind", "hh1"), "max_terms"), (("expK_series",), "n_terms")])
+def test_negative_term_cap_is_a_usage_error(capsys, argv, name):
+    rc, out, err = run(capsys, "eval", "--what", *argv, "--x", "1/2",
+                       "--terms", "-3")
+    assert rc == 2 and not out
+    assert err == f"error: {name}=-3 is negative\n"
+
+
 @pytest.mark.parametrize("kind", ["b", "q", "c"])
 def test_negative_n_max_is_a_usage_error(capsys, kind):
     rc, out, err = run(capsys, "coeffs", "--kind", kind, "--n-max", "-3")

@@ -253,7 +253,7 @@ def test_c_coeff_encloses_p_once_per_precision(monkeypatch):
     assert calls == []
     table.c_coeff(3, p, 256)
     table.c_coeff(4, p, 256)
-    assert calls == [264]
+    assert calls == [256 + coefficients._VALUE_GUARD]
 
 
 def test_value_table_consistent_with_exact():
@@ -271,6 +271,36 @@ def test_value_table_growth_is_idempotent():
     table.ensure_values(200, 96)
     b = table.btilde_enclosure(50, 96)
     assert a == b
+
+
+READERS = {
+    "btilde": lambda t, n, prec: t.btilde_enclosure(n, prec),
+    "b": lambda t, n, prec: t.b_enclosure(n, prec),
+    "ratio": lambda t, n, prec: t.ratio(n, prec),
+    "ratio_gap": lambda t, n, prec: t.ratio_gap(n, prec),
+    "c(threshold(1))": lambda t, n, prec: t.c_coeff(n, threshold(1), prec),
+    "c(4)": lambda t, n, prec: t.c_coeff(n, F(4), prec),
+}
+
+
+def test_value_table_readers_keep_the_requested_bits():
+    # the table runs _VALUE_GUARD bits finer than asked, and each reader
+    # rounds once, so its width stays within 2 ulps up to n = 4000
+    table = CoefficientTable()
+    table.ensure_values(4001, 128)
+    for name, read in READERS.items():
+        for n in list(range(0, 4000, 97)) + [4000]:
+            iv = read(table, n, 128)
+            assert iv.prec == 128 and iv.hi - iv.lo <= 2, (name, n)
+    assert list(table._values) == [128]
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_ratio_gap_encloses_the_exact_gap(precision):
+    table = CoefficientTable()
+    for n in range(61):
+        exact = table.gap_exact(n).evaluate(precision + 64)
+        assert table.ratio_gap(n, precision).encloses(exact), n
 
 
 def loop_values(n, precision):
@@ -306,13 +336,17 @@ _loop_cache = {}
 
 
 def loop_reference(precision):
+    """The loop's bounds at the scale the table for ``precision`` runs at."""
     if precision not in _loop_cache:
-        _loop_cache[precision] = loop_values(VALUE_N, precision)
+        _loop_cache[precision] = loop_values(
+            VALUE_N, precision + coefficients._VALUE_GUARD)
     return _loop_cache[precision]
 
 
 def value_bounds(table, n, precision):
-    return [(iv.lo, iv.hi) for iv in table.btilde_enclosures(n, precision)]
+    """The raw bounds of the table kept for ``precision``, unrounded."""
+    st = table._values[precision]
+    return list(zip(st["blo"], st["bhi"]))[:n + 1]
 
 
 BASE = coefficients._DIRECT_STEPS

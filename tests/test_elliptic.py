@@ -291,6 +291,16 @@ def test_hyp_domain_errors():
         hyp_series("3h3h2", F(99, 100), 64, max_terms=1)
 
 
+def test_negative_term_cap_rejected():
+    with pytest.raises(DomainError, match="max_terms=-3 is negative"):
+        hyp_series("hh1", F(1, 2), 64, max_terms=-3)
+    with pytest.raises(DomainError, match="n_terms=-3 is negative"):
+        exp_K(F(1, 2), 64, n_terms=-3)
+    # a zero cap stays valid: the certified tail covers every term
+    assert hyp_series("hh1", F(1, 2), 64, max_terms=0).enclosure.contains(
+        hyp_series("hh1", F(1, 2), 64).enclosure.mid())
+
+
 def test_euler_relation_between_kinds():
     # F(3/2,3/2;2;x) = (1-x)^(-1) F(1/2,1/2;2;x)
     x = F(1, 2)
@@ -517,6 +527,27 @@ def test_G4_and_H_relations():
     assert abs(H_eval(F(1, 2) - F(1, 1 << 20), 160).mid() - BETA) < F(1, 10 ** 6)
     with pytest.raises(DomainError):
         H_eval(F(1, 2), 96)
+
+
+def H_by_G4(x, precision):
+    """H by its defining formula, two G4 enclosures rounded to the work
+    scale and then subtracted (the oracle for :func:`H_eval`)."""
+    work = precision + 16
+    diff = G4_eval(x, work) - G4_eval(1 - x, work)
+    return diff.mul_scalar(1 / (1 - 2 * x)).round_to(precision)
+
+
+H_POINTS = ([F(k, 200) for k in range(1, 200, 7) if k != 100]
+            + [F(1, 1 << 20), 1 - F(1, 1 << 20), F(1, 2) - F(1, 1 << 30),
+               F(1, 2) + F(1, 1 << 30), F(1, 2) - F(1, 1 << 60)])
+
+
+@pytest.mark.parametrize("precision", [6, 53, 128, 384])
+def test_H_eval_lies_inside_its_G4_form(precision):
+    # H_eval skips the rounding of the two G4 enclosures, so it can only
+    # be tighter than the defining formula
+    for x in H_POINTS:
+        assert H_by_G4(x, precision).encloses(H_eval(x, precision)), x
 
 
 def test_alpha_beta_pins():
