@@ -50,7 +50,9 @@ recurrence.
 
 Each exact integer sequence -- C(2k,k), E_k, P_n, R_n, D_n = 16^n n! --
 is a module-level record (C_REC, ...) stepped by :func:`_next`, the single
-statement of its recurrence; the tables, ``wallis`` and ``exp_K`` read it.
+statement of its recurrence; the tables and ``exp_K`` read it.  A table
+holds one integer list per sequence: ``wallis``, ``ratio`` and
+``c_coeff`` read C(2n,n) from the list that ``ensure_quotient`` grows.
 
 The formal quotient (sum_{n>=1} b_n x^n) / (sum_{n>=1} W_n x^n) is kept
 as integer pi-polynomials too (see :meth:`CoefficientTable.ensure_quotient`).
@@ -216,8 +218,6 @@ class CoefficientTable:
         # exact v: integer pairs over 16^n
         self._VP: list[int] = []
         self._VR: list[int] = []
-        # Wallis ratios
-        self._W: list[Fraction] = [Fraction(1)]
         # interval value tables, keyed by precision
         self._values: dict[int, dict] = {}
         # enclosures of the parameter p of c_n(p), keyed by (p, precision)
@@ -226,16 +226,16 @@ class CoefficientTable:
     # ------------------------------------------------------------------
     # Wallis ratios
 
-    def wallis(self, n: int) -> Fraction:
-        """W_n = (2n-1)!!/(2n)!! = C(2n,n)/4^n: its step is C_REC's over 4."""
+    def _central(self, n: int) -> int:
+        """C(2n,n), read from the one table of them that C_REC grows."""
         _check_index(n)
-        lead, ratio = C_REC
         with self._lock:
-            while len(self._W) <= n:
-                m = len(self._W) - 1
-                self._W.append(self._W[-1] * Fraction(_poly(ratio, m),
-                                                      4 * _poly(lead, m)))
-            return self._W[n]
+            _grow(C_REC, self._C, n)
+            return self._C[n]
+
+    def wallis(self, n: int) -> Fraction:
+        """W_n = (2n-1)!!/(2n)!! = C(2n,n)/4^n, a view of the C(2n,n) table."""
+        return Fraction(self._central(n), 1 << (2 * n))
 
     # ------------------------------------------------------------------
     # exact b-polynomials
@@ -406,11 +406,6 @@ class CoefficientTable:
         st = self._values[precision]
         return Interval(st["blo"][n], st["bhi"][n], precision + _VALUE_GUARD)
 
-    def btilde_enclosures(self, n: int, precision: int) -> list[Interval]:
-        """Enclosures of b_k / e^(pi/2) for k = 0..n."""
-        self.ensure_values(n, precision)
-        return [self.btilde_enclosure(k, precision) for k in range(n + 1)]
-
     def btilde_enclosure(self, n: int, precision: int) -> Interval:
         """Enclosure of b_n / e^(pi/2)."""
         return self._btilde(n, precision).round_to(precision)
@@ -422,8 +417,11 @@ class CoefficientTable:
                 ).round_to(precision)
 
     def ratio(self, n: int, precision: int) -> Interval:
-        """Enclosure of b_n / W_n."""
-        bt = self._btilde(n, precision).mul_scalar(1 / self.wallis(n))
+        """Enclosure of b_n / W_n.  b~_n 4^n / C(2n,n) is floored and
+        ceiled once: the bits of ``mul_scalar(1 / W_n)``."""
+        c, bt = self._central(n), self._btilde(n, precision)
+        bt = Interval((bt.lo << 2 * n) // c, -((-bt.hi << 2 * n) // c),
+                      bt.prec)
         return (bt * enclose_constant("exp_half_pi", bt.prec)
                 ).round_to(precision)
 
@@ -449,10 +447,13 @@ class CoefficientTable:
         Exact-cancellation cases are decided by :meth:`c_exact` /
         :meth:`c_is_exactly_zero`; this method encloses.
         """
-        bt = self._btilde(n, precision)
+        c, bt = self._central(n), self._btilde(n, precision)
         b = bt * enclose_constant("exp_half_pi", bt.prec)
-        p_w = self._p_enclosure(PiExpression.of(p), bt.prec)
-        return (b - p_w.mul_scalar(self.wallis(n))).round_to(precision)
+        pe = self._p_enclosure(PiExpression.of(p), bt.prec)
+        # p C(2n,n) / 4^n, floored and ceiled once: the bits of
+        # pe.mul_scalar(W_n) without reducing the Fraction W_n
+        p_w = Interval((pe.lo * c) >> 2 * n, -((-pe.hi * c) >> 2 * n), pe.prec)
+        return (b - p_w).round_to(precision)
 
     def _p_enclosure(self, p: PiExpression, work: int) -> Interval:
         """Enclosure of p (with its e^(pi/2) factor, if it has one) at

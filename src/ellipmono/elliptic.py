@@ -265,7 +265,9 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
     The tail uses 0 <= sum_{n>N} b_n x^n <= e^(pi/2) (1/sqrt(1-x) -
     sum_{n<=N} W_n x^n), valid because b_n <= e^(pi/2) W_n for every n
     (see the module docstring); the upper end of the e^(pi/2) enclosure
-    stands in for the constant.
+    stands in for the constant.  The partial sum reads b~_n from the
+    value table kept for ``precision`` and runs at that table's scale,
+    precision + 32 bits.
     """
     xf = _as_fraction(x)
     if not 0 <= xf < 1:
@@ -303,10 +305,9 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
     tail_hi = ehp_hi * (sup.hi_fraction() - Fraction(wal_num, wal_den))
     tail = Interval.hull_of_fractions(Fraction(0), max(tail_hi, Fraction(0)),
                                       work)
-    btilde = table.btilde_enclosures(terms, work)
-    horner = btilde[terms]
+    horner = table._btilde(terms, precision)
     for k in range(terms - 1, -1, -1):
-        horner = horner.mul_scalar(xf) + btilde[k]
+        horner = horner.mul_scalar(xf) + table._btilde(k, precision)
     partial = horner * ehp
     return SeriesEval(terms_used=terms + 1, partial=partial.round_to(precision),
                       tail_bound=tail.round_to(precision))
@@ -432,5 +433,5 @@ def lt_check(a, b, c, x, precision: int) -> Interval:
     k = cf - af - bf
     if k.denominator != 1:
         raise DomainError("only integer transformation exponents occur")
-    factor = Interval.from_fraction(1 - xf, work).pow_int(int(k))
+    factor = Interval.from_fraction((1 - xf) ** int(k), work)
     return (lhs - factor * rhs).round_to(precision)

@@ -174,15 +174,6 @@ class Interval:
     def pad_ulp(self, n: int = 1) -> "Interval":
         return Interval(self.lo - n, self.hi + n, self.prec)
 
-    def intersect(self, other: "Interval") -> "Interval":
-        """Intersection (both operands must bracket the same value)."""
-        p = max(self.prec, other.prec)
-        a, b = self.round_to(p), other.round_to(p)
-        lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-        if lo > hi:
-            raise DomainError("empty intersection: inputs do not overlap")
-        return Interval(lo, hi, p)
-
     def hull(self, other: "Interval") -> "Interval":
         p = max(self.prec, other.prec)
         a, b = self.round_to(p), other.round_to(p)
@@ -266,24 +257,6 @@ class Interval:
         else:
             lo, hi = 0, max(self.lo * self.lo, self.hi * self.hi)
         return Interval(lo >> p, _shr_ceil(hi, p), p)
-
-    def pow_int(self, k: int) -> "Interval":
-        if k < 0:
-            return (self.pow_int(-k)).recip()
-        if k == 0:
-            return Interval.from_int(1, self.prec)
-        m = max(-self.lo, self.hi)  # the larger of |lo| and |hi|
-        if m.bit_length() * k > BIT_BUDGET:
-            raise BudgetError(f"pow_int({k}) exceeds bit budget")
-        if k % 2 == 0 and self.lo < 0 <= self.hi:
-            top = Interval(m, m, self.prec).pow_int(k)
-            return Interval(0, top.hi, self.prec)
-        result = self
-        for bit in bin(k)[3:]:
-            result = result.square()
-            if bit == "1":
-                result = result * self
-        return result
 
     # ------------------------------------------------------------------
     # algebraic / transcendental

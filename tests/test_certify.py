@@ -427,6 +427,20 @@ def test_value_table_claims_read_one_table_per_precision(monkeypatch):
     assert list(table._values) == [128]
 
 
+def test_sequence_run_builds_value_tables_at_the_requested_keys(monkeypatch):
+    # exp_K at 280 bits reads the table kept for 280 bits, as the claims
+    # read the one for 128; it adds no guard bits of its own on top
+    table = CoefficientTable()
+    monkeypatch.setattr(certify, "_table", table)
+    monkeypatch.setattr(elliptic, "shared_coefficients", lambda: table)
+    for claim, p in [("gap_positive", None), ("ratio_increasing", None),
+                     ("c_nonneg", threshold(1))]:
+        cert = certify_sequence(claim, 1, 300, p=p, precision=128)
+        assert cert.status is CertStatus.CERTIFIED, claim
+    elliptic.exp_K(F(81, 100), 280)
+    assert sorted(table._values) == [128, 280]
+
+
 @pytest.mark.parametrize("claim", ["u_signs", "v_positive",
                                    "ratio_increasing", "ratio_below_4",
                                    "gap_positive"])

@@ -295,6 +295,27 @@ def test_value_table_readers_keep_the_requested_bits():
     assert list(table._values) == [128]
 
 
+def bits(iv):
+    return iv.lo, iv.hi, iv.prec
+
+
+def test_wallis_readers_match_the_fraction_formula():
+    # ratio and c_coeff scale by the integer C(2n,n) and a 2n-bit shift;
+    # their bits are those of mul_scalar by the Fraction W_n
+    table = CoefficientTable()
+    for n in list(range(0, 4001, 97)) + [4001]:
+        w = F(math.comb(2 * n, n), 4 ** n)
+        for precision in (64, 128):
+            bt = table._btilde(n, precision)
+            e = enclose_constant("exp_half_pi", bt.prec)
+            assert bits(table.ratio(n, precision)) == bits(
+                (bt.mul_scalar(1 / w) * e).round_to(precision)), n
+            for p in (F(4), F(399, 100), threshold(1)):
+                p_w = PiExpression.of(p).evaluate(bt.prec).mul_scalar(w)
+                assert bits(table.c_coeff(n, p, precision)) == bits(
+                    (bt * e - p_w).round_to(precision)), (n, p)
+
+
 @pytest.mark.parametrize("precision", [64, 128])
 def test_ratio_gap_encloses_the_exact_gap(precision):
     table = CoefficientTable()
@@ -415,8 +436,7 @@ def test_packed_product_rejects_negative_entries():
 def test_negative_index_rejected():
     table = CoefficientTable()
     readers = (wallis, b_coeff, u_coeff, v_coeff, table.quotient_coeff,
-               lambda n: table.btilde_enclosure(n, 128),
-               lambda n: table.btilde_enclosures(n, 128))
+               lambda n: table.btilde_enclosure(n, 128))
     for read in readers:
         with pytest.raises(DomainError):
             read(-1)

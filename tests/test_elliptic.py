@@ -407,7 +407,9 @@ def test_exp_K_tail_shrinks_with_terms():
 
 def exp_K_summed_to(x, precision, terms):
     """exp_K's enclosure with the sum run to b_terms: the exp_K tail bound
-    e^(pi/2) (1/sqrt(1-x) - sum_{n<=terms} W_n x^n), no stopping test."""
+    e^(pi/2) (1/sqrt(1-x) - sum_{n<=terms} W_n x^n), no stopping test.
+    The b~_n are rounded reads of the value table kept for precision + 32
+    bits, a finer table than exp_K itself reads."""
     work = precision + 32
     sup = (Interval.from_int(1, work)
            - Interval.from_fraction(x, work)).sqrt().recip()
@@ -423,8 +425,9 @@ def exp_K_summed_to(x, precision, terms):
     tail = Interval.hull_of_fractions(
         F(0), max(ehp_hi * (sup.hi_fraction() - wal), F(0)), work)
     horner = Interval.from_int(0, work)
-    for b in reversed(shared_coefficients().btilde_enclosures(terms, work)):
-        horner = horner.mul_scalar(x) + b
+    table = shared_coefficients()
+    for k in range(terms, -1, -1):
+        horner = horner.mul_scalar(x) + table.btilde_enclosure(k, work)
     partial = horner * enclose_constant("exp_half_pi", work)
     return partial.round_to(precision) + tail.round_to(precision)
 
