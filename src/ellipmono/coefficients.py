@@ -22,11 +22,17 @@ step outward-rounded, at P + _VALUE_GUARD = P + 32 bits; every interval
 reader rounds to P once, which keeps P bits for n <= 4000.  Those
 enclosures contain the exact values, so sign certificates derived from
 them are sound.  The convolution sums of that run are exact integers,
-so they are evaluated in an online
-divide-and-conquer order whose block products are single big-integer
-multiplies (Kronecker substitution): N terms cost O(M(N P) log N) for
-P-bit bounds instead of N^2/2 products.  The exact polynomial table is
-O(N^3) big-integer work and is only grown on demand.
+so they are evaluated in an online divide-and-conquer order whose block
+products are single big-number multiplies (Kronecker substitution):
+N terms cost O(M(N P) log N) for P-bit bounds instead of N^2/2 products,
+M(s) being the cost of one s-digit multiply.  A small product packs its
+entries into byte slots of an ``int`` (Karatsuba, M(s) = O(s^1.59)); one
+whose shorter operand reaches _NTT_DIGITS decimal digits packs them into
+decimal slots of a ``Decimal``, whose C implementation (libmpdec)
+multiplies by a number-theoretic transform, M(s) = O(s log s).  Both
+give the same exact sums, so the table's bits do not depend on the
+path.  The exact polynomial table is O(N^3) big-integer work and is
+only grown on demand.
 
 The difference sequence  c_n(p) = b_n - p W_n  and the auxiliary exact
 sequences
@@ -60,7 +66,10 @@ as integer pi-polynomials too (see :meth:`CoefficientTable.ensure_quotient`).
 
 from __future__ import annotations
 
+import decimal
+import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 from operator import mul
 
@@ -91,26 +100,66 @@ _DIRECT_STEPS = 32
 _VALUE_GUARD = 32
 
 
+# A packed product multiplies as Decimal once its shorter operand has at
+# least this many decimal digits: the crossover measured against int on the
+# value table's shapes (CHANGES.md).  The pure-Python decimal module
+# multiplies no faster than int, so without _decimal every product is int.
+try:
+    import _decimal  # noqa: F401
+except ImportError:
+    _NTT_DIGITS = float("inf")
+else:
+    _NTT_DIGITS = 20_000
+
+# Exact integer products: a lost digit raises instead of rounding.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow,
+           decimal.InvalidOperation])
+
+
 def _product_slice(a: list[int], c: list[int], start: int,
                    stop: int) -> list[int]:
     """Coefficients start..stop-1 of the product of the polynomials whose
     coefficient lists are a and c, all entries nonnegative integers.
 
-    Kronecker substitution: each list is packed into one integer, one
-    slot per entry, with slots wide enough that no coefficient of the
-    product reaches into the next slot; one big-integer multiply then
-    forms every coefficient.  A negative entry makes ``to_bytes`` raise.
+    Kronecker substitution: each list is packed into one number, one
+    slot per entry, with slots wide enough (``bits``) that no coefficient
+    of the product reaches into the next slot; one big-number multiply
+    then forms every coefficient.  Small products pack into byte slots
+    of an ``int``.  Once the shorter list packs into _NTT_DIGITS decimal
+    digits, the lists pack into slots of d decimal digits (10^d > 2^bits)
+    of a ``Decimal``, entry 0 in the most significant slot, so that
+    coefficient m is the m-th slot of the product's digits; the exact
+    context _EXACT raises on any lost digit.  A slot wider than the
+    int/str digit limit (``sys.get_int_max_str_digits``) stays on the
+    ``int`` path, whose byte slots have no limit; at those widths the
+    decimal conversions cost more than the transform saves.  A negative
+    entry raises OverflowError on either path.
     """
     bits = (max(a).bit_length() + max(c).bit_length()
             + min(len(a), len(c)).bit_length() + 1)
-    size = (bits + 7) // 8
-    pa = int.from_bytes(b"".join(x.to_bytes(size, "little") for x in a),
-                        "little")
-    pc = int.from_bytes(b"".join(x.to_bytes(size, "little") for x in c),
-                        "little")
-    raw = (pa * pc).to_bytes(size * (len(a) + len(c) - 1), "little")
-    return [int.from_bytes(raw[i:i + size], "little")
-            for i in range(start * size, stop * size, size)]
+    digits = bits * 30103 // 100000 + 1  # 10^digits > 2^bits
+    slots = len(a) + len(c) - 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+    if min(len(a), len(c)) * digits < _NTT_DIGITS or 0 < limit < digits:
+        size = (bits + 7) // 8
+        pa = int.from_bytes(b"".join(x.to_bytes(size, "little") for x in a),
+                            "little")
+        pc = int.from_bytes(b"".join(x.to_bytes(size, "little") for x in c),
+                            "little")
+        raw = (pa * pc).to_bytes(size * slots, "little")
+        return [int.from_bytes(raw[i:i + size], "little")
+                for i in range(start * size, stop * size, size)]
+    if min(a) < 0 or min(c) < 0:
+        # format would write its '-' into a slot
+        raise OverflowError("negative entry in a packed product")
+    slot = f"0{digits}d"
+    pa = Decimal("".join([format(x, slot) for x in a]))
+    pc = Decimal("".join([format(x, slot) for x in c]))
+    raw = str(_EXACT.multiply(pa, pc)).zfill(digits * slots)
+    return [int(raw[i:i + digits])
+            for i in range(start * digits, stop * digits, digits)]
 
 
 def _extend_online(b: list[int], w: list[int], n: int, step) -> None:
@@ -364,6 +413,8 @@ class CoefficientTable:
         by E_REC: one running integer per precision, not a list.
         """
         _check_index(n)
+        if precision < 1:
+            raise DomainError(f"precision {precision} is below one bit")
         W = precision + _VALUE_GUARD
         with self._lock:
             st = self._values.get(precision)

@@ -7,8 +7,10 @@ integer convolution that defines P_n) and compare exactly, then pin a few decima
 dps=45).
 """
 
+import decimal
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -396,14 +398,24 @@ GROWTH_PATTERNS = {
 }
 
 
+# _product_slice packs small products into an int and large ones into a
+# Decimal; these settings of its crossover force one path or keep the real one
+PRODUCT_PATHS = {"int": math.inf, "decimal": 0,
+                 "crossover": coefficients._NTT_DIGITS}
+
+
 @pytest.mark.parametrize("precision", [64, 96, 128, 136, 312])
 @pytest.mark.parametrize("pattern", sorted(GROWTH_PATTERNS))
-def test_value_table_matches_term_by_term_loop(pattern, precision):
+def test_value_table_matches_term_by_term_loop(pattern, precision,
+                                               monkeypatch):
     ref = loop_reference(precision)
-    table = CoefficientTable()
-    for n in GROWTH_PATTERNS[pattern]:
-        table.ensure_values(n, precision)
-        assert value_bounds(table, n, precision) == ref[:n + 1], (pattern, n)
+    for path, ntt_digits in PRODUCT_PATHS.items():
+        monkeypatch.setattr(coefficients, "_NTT_DIGITS", ntt_digits)
+        table = CoefficientTable()
+        for n in GROWTH_PATTERNS[pattern]:
+            table.ensure_values(n, precision)
+            assert value_bounds(table, n, precision) == ref[:n + 1], (
+                path, pattern, n)
 
 
 def test_seeded_growth_pattern_has_long_and_short_steps():
@@ -413,24 +425,102 @@ def test_seeded_growth_pattern_has_long_and_short_steps():
     assert any(1 < g <= BASE for g in gaps)
 
 
-def test_packed_product_matches_schoolbook():
-    rng = random.Random(7)
-    a = [rng.getrandbits(rng.randrange(1, 200)) for _ in range(37)]
-    c = [rng.getrandbits(rng.randrange(1, 200)) for _ in range(51)] + [0]
-    full = [sum(a[i] * c[m - i] for i in range(len(a)) if 0 <= m - i < len(c))
+def schoolbook(a, c):
+    return [sum(a[i] * c[m - i] for i in range(len(a)) if 0 <= m - i < len(c))
             for m in range(len(a) + len(c) - 1)]
-    assert coefficients._product_slice(a, c, 0, len(full)) == full
-    assert coefficients._product_slice(a, c, 36, 52) == full[36:52]
-    # entries with every bit set: each product coefficient is as large as its
-    # length allows, so a slot without room for the carries overflows
+
+
+def random_entries(rng, count, max_bits):
+    return [rng.getrandbits(rng.randrange(1, max_bits)) for _ in range(count)]
+
+
+# entries of < 200 bits take slots of about 120 decimal digits, so the
+# shorter list packs into about 4 500 digits in the short case and 32 000 in
+# the long one: one on each side of _NTT_DIGITS
+SHORT_CASE = (random_entries(random.Random(7), 37, 200),
+              random_entries(random.Random(8), 51, 200) + [0])
+LONG_CASE = (random_entries(random.Random(9), 260, 200),
+             random_entries(random.Random(10), 300, 200))
+
+
+class CountingContext(decimal.Context):
+    """The exact context of _product_slice, counting its multiplies."""
+
+    def multiply(self, a, b):
+        self.calls += 1
+        return super().multiply(a, b)
+
+
+def test_packed_product_matches_schoolbook(monkeypatch):
     ones = [(1 << 16) - 1] * 40
-    assert coefficients._product_slice(ones, ones, 0, 79) == [
-        min(m + 1, 79 - m) * ones[0] ** 2 for m in range(79)]
+    for path, ntt_digits in PRODUCT_PATHS.items():
+        monkeypatch.setattr(coefficients, "_NTT_DIGITS", ntt_digits)
+        for a, c in (SHORT_CASE, LONG_CASE):
+            full = schoolbook(a, c)
+            assert coefficients._product_slice(a, c, 0, len(full)) == full
+            assert coefficients._product_slice(a, c, 36, 52) == full[36:52]
+        # entries with every bit set: each product coefficient is as large
+        # as its length allows, so a slot without room for the carries
+        # overflows
+        assert coefficients._product_slice(ones, ones, 0, 79) == [
+            min(m + 1, 79 - m) * ones[0] ** 2 for m in range(79)], path
 
 
-def test_packed_product_rejects_negative_entries():
-    with pytest.raises(OverflowError):
-        coefficients._product_slice([3, -1], [1, 2], 0, 3)
+def counting_context(monkeypatch):
+    exact = coefficients._EXACT
+    counting = CountingContext(prec=exact.prec, Emax=exact.Emax,
+                               Emin=exact.Emin, traps=[
+                                   s for s, on in exact.traps.items() if on])
+    counting.calls = 0
+    monkeypatch.setattr(coefficients, "_EXACT", counting)
+    return counting
+
+
+def test_packed_product_takes_decimal_above_the_crossover(monkeypatch):
+    counting = counting_context(monkeypatch)
+    coefficients._product_slice(*SHORT_CASE, 0, 5)
+    assert counting.calls == 0
+    coefficients._product_slice(*LONG_CASE, 0, 5)
+    assert counting.calls == 1
+
+
+def test_packed_product_rejects_negative_entries(monkeypatch):
+    for path in ("int", "decimal"):
+        monkeypatch.setattr(coefficients, "_NTT_DIGITS", PRODUCT_PATHS[path])
+        # a leading '-' would still parse as a Decimal: both must raise
+        for a in ([3, -1], [-3, 1]):
+            with pytest.raises(OverflowError):
+                coefficients._product_slice(a, [1, 2], 0, 3)
+            with pytest.raises(OverflowError):
+                coefficients._product_slice([1, 2], a, 0, 3)
+
+
+def test_packed_product_takes_entries_past_the_int_str_limit(monkeypatch):
+    # 16 000-bit entries need slots of over 9 600 decimal digits, past the
+    # default 4 300-digit limit on int/str conversion: such a slot stays on
+    # the int path even with the crossover at 0, and the limit is untouched
+    def refuse(_):
+        raise AssertionError("the int/str digit limit was changed")
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+    counting = counting_context(monkeypatch)
+    monkeypatch.setattr(coefficients, "_NTT_DIGITS", 0)
+    rng = random.Random(16)
+    a = [rng.getrandbits(16_000) for _ in range(3)]
+    c = [rng.getrandbits(16_000) for _ in range(4)]
+    assert coefficients._product_slice(a, c, 0, 6) == schoolbook(a, c)
+    assert counting.calls == (0 if 0 < limit < 9_600 else 1)
+
+
+@pytest.mark.parametrize("precision", [0, -20])
+def test_value_table_rejects_precision_below_one_bit(precision):
+    table = CoefficientTable()
+    with pytest.raises(DomainError):
+        table.ensure_values(10, precision)
+    with pytest.raises(DomainError):
+        table.btilde_enclosure(5, precision)
+    assert table._values == {}
 
 
 def test_negative_index_rejected():
