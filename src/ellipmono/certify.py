@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .intervals import Interval, DomainError
+from .intervals import Interval, DomainError, check_precision
 from .constants import enclose_constant
 from .coefficients import shared_coefficients
 from .pi_expr import PiExpression
@@ -470,6 +470,7 @@ def grid_verify(spec: BoundSpec,
     the identity family must enclose zero tightly at every point.
     """
     t0 = time.perf_counter()
+    check_precision(precision)
     spec = resolve_spec(spec)
     family = FAMILIES[spec.family]
     grid = list(family.grid() if grid is None else grid)
@@ -498,38 +499,49 @@ def grid_verify(spec: BoundSpec,
 class _Claim:
     """One sign claim that :func:`certify_sequence` scans over n.
 
-    ``margin(n, p, precision)`` is positive iff the claim holds at index
-    n.  Only a ``needs_p`` claim takes the parameter p, so c_n(p) may
-    vanish exactly; such indices are boundary zeros, not failures.
+    ``kernel(n0, n1, p, precision)`` gives integer endpoint lists (lo, hi)
+    at ``precision`` bits of a margin, positive iff the claim holds at n,
+    over n0..n1.  Only a ``needs_p`` claim takes the parameter p, so
+    c_n(p) may vanish exactly; such indices are boundary zeros.
     """
 
-    margin: Callable[[int, Optional[PiExpression], int], Interval]
+    kernel: Callable[[int, int, Optional[PiExpression], int],
+                     tuple[list[int], list[int]]]
     needs_p: bool = False
 
 
-def _u_sign_margin(n: int, p, precision: int) -> Interval:
-    val = _table.u_coeff(n).evaluate(precision)
-    return val if n < 2 else -val
+def _minus(ends: tuple[list[int], list[int]], start: int = 0, c: int = 0):
+    lo, hi = ends  # c - x for the entries x from index ``start`` on
+    return (lo[:start] + [c - b for b in hi[start:]],
+            hi[:start] + [c - a for a in lo[start:]])
+
+
+def _ratio_increasing(n0: int, n1: int, p, prec: int):
+    lo, hi = _table.ratios(n0, n1 + 1, prec)  # ratio(n+1) - ratio(n)
+    return ([a - b for a, b in zip(lo[1:], hi)],
+            [b - a for a, b in zip(lo, hi[1:])])
 
 
 _CLAIMS: dict[str, _Claim] = {
-    "u_signs": _Claim(_u_sign_margin),
+    "u_signs": _Claim(lambda n0, n1, p, prec: _minus(  # u_n < 0 from n = 2
+        _table.u_values(n0, n1, prec), max(0, 2 - n0))),
     "v_positive": _Claim(
-        lambda n, p, prec: _table.v_coeff(n).evaluate(prec)),
-    "ratio_increasing": _Claim(
-        lambda n, p, prec: _table.ratio(n + 1, prec) - _table.ratio(n, prec)),
-    "ratio_below_4": _Claim(
-        lambda n, p, prec: Interval.from_int(4, prec) - _table.ratio(n, prec)),
-    "gap_positive": _Claim(lambda n, p, prec: _table.ratio_gap(n, prec)),
-    "c_nonneg": _Claim(lambda n, p, prec: _table.c_coeff(n, p, prec),
-                       needs_p=True),
-    "c_nonpos": _Claim(lambda n, p, prec: -_table.c_coeff(n, p, prec),
-                       needs_p=True),
+        lambda n0, n1, p, prec: _table.v_values(n0, n1, prec)),
+    "ratio_increasing": _Claim(_ratio_increasing),
+    "ratio_below_4": _Claim(lambda n0, n1, p, prec: _minus(
+        _table.ratios(n0, n1, prec), 0, 4 << prec)),
+    "gap_positive": _Claim(
+        lambda n0, n1, p, prec: _table.ratio_gaps(n0, n1, prec)),
+    "c_nonneg": _Claim(lambda n0, n1, p, prec:
+                       _table.c_coeffs(n0, n1, p, prec), needs_p=True),
+    "c_nonpos": _Claim(lambda n0, n1, p, prec: _minus(
+        _table.c_coeffs(n0, n1, p, prec)), needs_p=True),
 }
 
 SEQUENCE_CLAIMS = tuple(_CLAIMS)
 
 _EXACT_ZERO_CAP = 64
+_BLOCK = 256  # indices per kernel call of a sequence scan
 
 
 def certify_sequence(claim: str, n_start: int, n_end: int,
@@ -538,11 +550,13 @@ def certify_sequence(claim: str, n_start: int, n_end: int,
                      max_precision: int = 8192) -> Certificate:
     """Certify a sign claim for every index n in [n_start, n_end].
 
-    Only the two c-claims take the parameter p, and they allow exact
-    cancellation: indices where c_n(p) vanishes symbolically are recorded
-    as boundary zeros, not failures.
+    The claim's kernel reads blocks of _BLOCK indices; an undecided index
+    escalates alone, by the kernel over [n, n].  Only the two c-claims
+    take the parameter p, and they allow exact cancellation: indices
+    where c_n(p) vanishes symbolically are boundary zeros, not failures.
     """
     t0 = time.perf_counter()
+    check_precision(precision)
     record = _CLAIMS.get(claim)
     if record is None:
         raise DomainError(f"unknown sequence claim {claim!r}")
@@ -557,23 +571,32 @@ def certify_sequence(claim: str, n_start: int, n_end: int,
         p = PiExpression.of(p)
         scope["p"] = p.render()
     if n_start <= n_end:  # size every table the claim reads, once
-        record.margin(n_end, p, precision)
+        record.kernel(n_end, n_end, p, precision)
 
-    def evaluate(n: int, prec: int) -> Optional[Interval]:
-        margin = record.margin(n, p, prec)
-        if (record.needs_p and margin.lo <= 0 <= margin.hi
-                and n <= _EXACT_ZERO_CAP
+    def evaluate(n: int, block, prec: int) -> Optional[Interval]:
+        (lo,), (hi,) = (block if prec == precision
+                        else record.kernel(n, n, p, prec))
+        if (record.needs_p and lo <= 0 <= hi and n <= _EXACT_ZERO_CAP
                 and _table.c_is_exactly_zero(n, p)):
             return None
-        return margin
+        return Interval(lo, hi, prec)
 
-    return _fold(claim, f"n={n_start}..{n_end}",
-                 ((f"n={n}", partial(evaluate, n))
-                  for n in range(n_start, n_end + 1)),
+    def items():
+        for n0 in range(n_start, n_end + 1, _BLOCK):
+            lo, hi = record.kernel(n0, min(n0 + _BLOCK - 1, n_end), p,
+                                   precision)
+            if min(lo) > 0:  # the first smallest margin stands for all
+                i = lo.index(min(lo))
+                n0, lo, hi = n0 + i, [lo[i]], [hi[i]]
+            for n, a, b in zip(range(n0, n_end + 1), lo, hi):
+                yield f"n={n}", partial(evaluate, n, ([a], [b]))
+
+    top = max(precision, max_precision)  # keys: integers at one scale
+    return _fold(claim, f"n={n_start}..{n_end}", items(),
                  ("smallest margin", "sign provably violated",
                   "sign undecided at precision cap"),
                  t0=t0, precision=precision, max_precision=max_precision,
-                 scope=scope)
+                 scope=scope, key=lambda iv: iv.lo << (top - iv.prec))
 
 
 # ======================================================================
@@ -600,6 +623,7 @@ def sharpness_probe(family: str, epsilon: Fraction,
     within the scan range — i.e. the probe failed.
     """
     t0 = time.perf_counter()
+    check_precision(precision)
     eps = Fraction(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
@@ -633,6 +657,7 @@ def h_monotonicity(xs: Sequence[Fraction],
     """Certify the symmetrized difference quotient H decreases left of
     1/2 and increases right of it, over consecutive points of ``xs``."""
     t0 = time.perf_counter()
+    check_precision(precision)
     half = Fraction(1, 2)
     pts = sorted(Fraction(x) for x in xs)
     if any(x <= 0 or x >= 1 or x == half for x in pts):
@@ -679,6 +704,7 @@ def j_truncation_check(count: int = 50,
                        ) -> tuple[Certificate, list[PiExpression]]:
     """Certify the first ``count`` quotient coefficients are nonnegative."""
     t0 = time.perf_counter()
+    check_precision(precision)
     qs = j_quotient_coefficients(count)
     cert = _fold("quotient-series coefficients nonnegative",
                  f"n=0..{count - 1}",

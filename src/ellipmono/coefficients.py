@@ -33,6 +33,10 @@ multiplies by a number-theoretic transform, M(s) = O(s log s).  Both
 give the same exact sums, so the table's bits do not depend on the
 path.  The exact polynomial table is O(N^3) big-integer work and is
 only grown on demand.
+The readers are block kernels over integer endpoint lists (``ratios``,
+``ratio_gaps``, ``c_coeffs``; ``u_values``, ``v_values`` for u and v):
+the sequence claims scan them in blocks, and ``ratio``, ``ratio_gap`` and
+``c_coeff`` are their one-index reads.
 
 The difference sequence  c_n(p) = b_n - p W_n  and the auxiliary exact
 sequences
@@ -57,8 +61,8 @@ recurrence.
 Each exact integer sequence -- C(2k,k), E_k, P_n, R_n, D_n = 16^n n! --
 is a module-level record (C_REC, ...) stepped by :func:`_next`, the single
 statement of its recurrence; the tables and ``exp_K`` read it.  A table
-holds one integer list per sequence: ``wallis``, ``ratio`` and
-``c_coeff`` read C(2n,n) from the list that ``ensure_quotient`` grows.
+holds one integer list per sequence: ``wallis`` and the kernels read
+C(2n,n) from the list that ``ensure_quotient`` grows.
 
 The formal quotient (sum_{n>=1} b_n x^n) / (sum_{n>=1} W_n x^n) is kept
 as integer pi-polynomials too (see :meth:`CoefficientTable.ensure_quotient`).
@@ -71,9 +75,10 @@ import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 
-from .intervals import DomainError, Interval
+from .intervals import DomainError, Interval, check_precision
 from .constants import enclose_constant
 from .pi_expr import PiExpression
 
@@ -249,6 +254,20 @@ def _grow(rec, a: list[int], n: int) -> None:
         a.append(_next(rec, len(a) - 1, a))
 
 
+def _times_ehp(lo, hi, precision: int, sub=None):
+    """(Interval(lo, hi, W) * e - sub).round_to(P) as lists, for endpoint
+    iterables at the table's scale W and e = e^(pi/2) at W: e > 0 picks
+    each product's end, and all is exact at e.prec until one shift."""
+    W = precision + _VALUE_GUARD
+    e = enclose_constant("exp_half_pi", W)
+    elo, ehi, s = e.lo, e.hi, e.prec + W - precision
+    slo, shi = sub or (repeat(0), repeat(0))
+    return ([(a * (elo if a >= 0 else ehi) - (b << e.prec)) >> s
+             for a, b in zip(lo, shi)],
+            [-((-a * (ehi if a >= 0 else elo) + (b << e.prec)) >> s)
+             for a, b in zip(hi, slo)])
+
+
 class CoefficientTable:
     """Growable store of exact and enclosed series coefficients."""
 
@@ -397,6 +416,27 @@ class CoefficientTable:
         self.ensure_uv(n)
         return PiExpression((-self._VR[n], self._VP[n]), den=1 << (4 * n))
 
+    def _pi_line(self, a, r, n0: int, n1: int, precision: int):
+        """(pi a_n - r_n) / 16^n, a_n > 0, for n0..n1: the bits of
+        ``evaluate``, exact at pi's scale (P + 18 + 3) but for one division
+        by the gcd-reduced 16^n, which floors as 16^n would: one shift."""
+        _check_index(n0)
+        self.ensure_uv(n1)
+        pi = enclose_constant("pi", precision + 18)
+        S, ns = pi.prec, range(n0, n1 + 1)
+        return ([(a[n] * pi.lo - (r[n] << S)) >> (4 * n + S - precision)
+                 for n in ns],
+                [-((-a[n] * pi.hi + (r[n] << S)) >> (4 * n + S - precision))
+                 for n in ns])
+
+    def u_values(self, n0: int, n1: int, precision: int):
+        """Endpoint lists of u_n for n0..n1, as u_coeff(n).evaluate."""
+        return self._pi_line(self._P, self._R, n0, n1, precision)
+
+    def v_values(self, n0: int, n1: int, precision: int):
+        """Endpoint lists of v_n for n0..n1, as v_coeff(n).evaluate."""
+        return self._pi_line(self._VP, self._VR, n0, n1, precision)
+
     # ------------------------------------------------------------------
     # interval value table (b~_n = b_n / e^(pi/2))
 
@@ -413,8 +453,7 @@ class CoefficientTable:
         by E_REC: one running integer per precision, not a list.
         """
         _check_index(n)
-        if precision < 1:
-            raise DomainError(f"precision {precision} is below one bit")
+        check_precision(precision)
         W = precision + _VALUE_GUARD
         with self._lock:
             st = self._values.get(precision)
@@ -467,21 +506,42 @@ class CoefficientTable:
         return (bt * enclose_constant("exp_half_pi", bt.prec)
                 ).round_to(precision)
 
+    # Block kernels: the endpoint lists (lo, hi) of a reader over n0..n1
+    # at P bits; the one-index readers are calls over [n, n].
+
+    def _rows(self, n0: int, n1: int, precision: int):
+        _check_index(n0)
+        self.ensure_values(n1, precision)
+        st = self._values[precision]
+        return range(n0, n1 + 1), st["blo"], st["bhi"]
+
+    def ratios(self, n0: int, n1: int, precision: int):
+        """b_n / W_n: b~_n 4^n / C(2n,n) floored and ceiled once."""
+        ns, blo, bhi = self._rows(n0, n1, precision)
+        self._central(n1)  # after the table, whose peak need not hold C too
+        C = self._C
+        return _times_ehp(((blo[n] << 2 * n) // C[n] for n in ns),
+                          (-((-bhi[n] << 2 * n) // C[n]) for n in ns),
+                          precision)
+
+    def ratio_gaps(self, n0: int, n1: int, precision: int):
+        """(n+1) b_{n+1} - (n+1/2) b_n; the half floors (ceils) once."""
+        ns, blo, bhi = self._rows(n0, n1 + 1, precision)
+        return _times_ehp(
+            ((n + 1) * blo[n + 1] - ((2 * n + 1) * bhi[n] + 1 >> 1)
+             for n in ns[:-1]),
+            ((n + 1) * bhi[n + 1] - ((2 * n + 1) * blo[n] >> 1)
+             for n in ns[:-1]), precision)
+
     def ratio(self, n: int, precision: int) -> Interval:
-        """Enclosure of b_n / W_n.  b~_n 4^n / C(2n,n) is floored and
-        ceiled once: the bits of ``mul_scalar(1 / W_n)``."""
-        c, bt = self._central(n), self._btilde(n, precision)
-        bt = Interval((bt.lo << 2 * n) // c, -((-bt.hi << 2 * n) // c),
-                      bt.prec)
-        return (bt * enclose_constant("exp_half_pi", bt.prec)
-                ).round_to(precision)
+        """Enclosure of b_n / W_n."""
+        (lo,), (hi,) = self.ratios(n, n, precision)
+        return Interval(lo, hi, precision)
 
     def ratio_gap(self, n: int, precision: int) -> Interval:
         """Enclosure of (n+1) b_{n+1} - (n+1/2) b_n."""
-        hi = self._btilde(n + 1, precision).mul_scalar(n + 1)
-        lo = self._btilde(n, precision).mul_scalar(Fraction(2 * n + 1, 2))
-        return ((hi - lo) * enclose_constant("exp_half_pi", hi.prec)
-                ).round_to(precision)
+        (lo,), (hi,) = self.ratio_gaps(n, n, precision)
+        return Interval(lo, hi, precision)
 
     # ------------------------------------------------------------------
     # difference sequence c_n(p) = b_n - p W_n
@@ -491,20 +551,22 @@ class CoefficientTable:
         nonzero p raises the ring's mixed-scale ValueError."""
         return self.b_coeff(n) - PiExpression.of(p).scale(self.wallis(n))
 
-    def c_coeff(self, n: int, p, precision: int) -> Interval:
-        """Enclosure of c_n(p) = b_n - p W_n for a rational or
-        :class:`PiExpression` p, formed at the value table's scale.
+    def c_coeffs(self, n0: int, n1: int, p, precision: int):
+        """c_n(p) for a rational or :class:`PiExpression` p, enclosed once a
+        call; p C(2n,n) / 4^n floors and ceils once (``mul_scalar(W_n)``)."""
+        ns, blo, bhi = self._rows(n0, n1, precision)
+        self._central(n1)
+        C = self._C
+        pe = self._p_enclosure(PiExpression.of(p), precision + _VALUE_GUARD)
+        return _times_ehp((blo[n] for n in ns), (bhi[n] for n in ns),
+                          precision,
+                          (((pe.lo * C[n]) >> 2 * n for n in ns),
+                           (-((-pe.hi * C[n]) >> 2 * n) for n in ns)))
 
-        Exact-cancellation cases are decided by :meth:`c_exact` /
-        :meth:`c_is_exactly_zero`; this method encloses.
-        """
-        c, bt = self._central(n), self._btilde(n, precision)
-        b = bt * enclose_constant("exp_half_pi", bt.prec)
-        pe = self._p_enclosure(PiExpression.of(p), bt.prec)
-        # p C(2n,n) / 4^n, floored and ceiled once: the bits of
-        # pe.mul_scalar(W_n) without reducing the Fraction W_n
-        p_w = Interval((pe.lo * c) >> 2 * n, -((-pe.hi * c) >> 2 * n), pe.prec)
-        return (b - p_w).round_to(precision)
+    def c_coeff(self, n: int, p, precision: int) -> Interval:
+        """Enclosure of c_n(p); :meth:`c_is_exactly_zero` decides zeros."""
+        (lo,), (hi,) = self.c_coeffs(n, n, p, precision)
+        return Interval(lo, hi, precision)
 
     def _p_enclosure(self, p: PiExpression, work: int) -> Interval:
         """Enclosure of p (with its e^(pi/2) factor, if it has one) at

@@ -43,6 +43,12 @@ class DomainError(ValueError):
     nonpositive, division by an interval containing zero, ...)."""
 
 
+def check_precision(precision: int) -> None:
+    """The one error of every certificate and table for precision < 1."""
+    if precision < 1:
+        raise DomainError(f"precision {precision} is below one bit")
+
+
 class BudgetError(OverflowError):
     """Result would exceed the configured bit budget; raised loudly
     rather than degrading precision silently."""

@@ -356,3 +356,22 @@ def test_an_order_the_family_never_reads_is_a_usage_error(capsys, argv,
     rc, out, err = run(capsys, *argv, "--no-timestamp")
     assert rc == 2 and not out
     assert err == f"error: family '{family}' takes no order\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "--claim", "u_signs", "--n-end", "5"),
+    ("certify", "--claim", "v_positive", "--n-end", "5"),
+    ("certify", "--claim", "gap_positive", "--n-end", "5"),
+    ("certify", "--claim", "c_nonneg", "--n-end", "5", "--p", "4"),
+    ("verify", "--family", "P1_lower", "--density", "3"),
+    ("verify", "--family", "RMK4_QI", "--density", "3"),
+    ("sharpness", "--family", "P1_lower", "--epsilon", "1/100"),
+])
+@pytest.mark.parametrize("precision", ["0", "-5"])
+def test_precision_below_one_bit_is_one_usage_error(capsys, argv, precision):
+    # every certificate command refuses before any table work, with the
+    # same message
+    rc, out, err = run(capsys, *argv, "--precision", precision,
+                       "--no-timestamp")
+    assert rc == 2 and not out
+    assert err == f"error: precision {precision} is below one bit\n"
