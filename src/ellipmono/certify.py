@@ -541,7 +541,6 @@ _CLAIMS: dict[str, _Claim] = {
 SEQUENCE_CLAIMS = tuple(_CLAIMS)
 
 _EXACT_ZERO_CAP = 64
-_BLOCK = 256  # indices per kernel call of a sequence scan
 
 
 def certify_sequence(claim: str, n_start: int, n_end: int,
@@ -550,10 +549,12 @@ def certify_sequence(claim: str, n_start: int, n_end: int,
                      max_precision: int = 8192) -> Certificate:
     """Certify a sign claim for every index n in [n_start, n_end].
 
-    The claim's kernel reads blocks of _BLOCK indices; an undecided index
-    escalates alone, by the kernel over [n, n].  Only the two c-claims
-    take the parameter p, and they allow exact cancellation: indices
-    where c_n(p) vanishes symbolically are boundary zeros, not failures.
+    The claim's kernel reads the whole range in one call.  The fold sees,
+    in index order, each margin that is not positive and the first
+    smallest positive one: no other can fail or be the witness.  An
+    undecided index escalates alone, by the kernel over [n, n].  The
+    c-claims take the parameter p; where c_n(p) vanishes symbolically the
+    index is a boundary zero, not a failure.
     """
     t0 = time.perf_counter()
     check_precision(precision)
@@ -570,26 +571,24 @@ def certify_sequence(claim: str, n_start: int, n_end: int,
     if p is not None:
         p = PiExpression.of(p)
         scope["p"] = p.render()
-    if n_start <= n_end:  # size every table the claim reads, once
-        record.kernel(n_end, n_end, p, precision)
 
-    def evaluate(n: int, block, prec: int) -> Optional[Interval]:
-        (lo,), (hi,) = (block if prec == precision
-                        else record.kernel(n, n, p, prec))
+    def evaluate(n: int, lo: int, hi: int, prec: int) -> Optional[Interval]:
+        if prec != precision:
+            (lo,), (hi,) = record.kernel(n, n, p, prec)
         if (record.needs_p and lo <= 0 <= hi and n <= _EXACT_ZERO_CAP
                 and _table.c_is_exactly_zero(n, p)):
             return None
         return Interval(lo, hi, prec)
 
     def items():
-        for n0 in range(n_start, n_end + 1, _BLOCK):
-            lo, hi = record.kernel(n0, min(n0 + _BLOCK - 1, n_end), p,
-                                   precision)
-            if min(lo) > 0:  # the first smallest margin stands for all
-                i = lo.index(min(lo))
-                n0, lo, hi = n0 + i, [lo[i]], [hi[i]]
-            for n, a, b in zip(range(n0, n_end + 1), lo, hi):
-                yield f"n={n}", partial(evaluate, n, ([a], [b]))
+        if n_start > n_end:
+            return
+        lo, hi = record.kernel(n_start, n_end, p, precision)
+        positive = [a for a in lo if a > 0]
+        first = n_start + lo.index(min(positive)) if positive else -1
+        for n, a, b in zip(range(n_start, n_end + 1), lo, hi):
+            if a <= 0 or n == first:
+                yield f"n={n}", partial(evaluate, n, a, b)
 
     top = max(precision, max_precision)  # keys: integers at one scale
     return _fold(claim, f"n={n_start}..{n_end}", items(),

@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional
 
-from .intervals import DomainError, BudgetError
+from .intervals import DomainError, BudgetError, check_precision
 from .constants import CONSTANT_NAMES, enclose_constant
 from .coefficients import shared_coefficients
 from .pi_expr import PiExpression
@@ -359,6 +359,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.precision is not None:  # None: coeffs without --precision
+            check_precision(args.precision)
         return args.func(args)
     except (DomainError, BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,10 +33,11 @@ multiplies by a number-theoretic transform, M(s) = O(s log s).  Both
 give the same exact sums, so the table's bits do not depend on the
 path.  The exact polynomial table is O(N^3) big-integer work and is
 only grown on demand.
-The readers are block kernels over integer endpoint lists (``ratios``,
-``ratio_gaps``, ``c_coeffs``; ``u_values``, ``v_values`` for u and v):
-the sequence claims scan them in blocks, and ``ratio``, ``ratio_gap`` and
-``c_coeff`` are their one-index reads.
+Every reader takes the table's integer endpoint lists in one call: the
+block kernels ``ratios``, ``ratio_gaps`` and ``c_coeffs`` (``u_values``,
+``v_values`` for u and v) give whole ranges, ``exp_K`` runs Horner's rule
+on the lists, and ``ratio``, ``ratio_gap``, ``c_coeff``,
+``btilde_enclosure`` and ``b_enclosure`` (= c_n(0)) are one-index reads.
 
 The difference sequence  c_n(p) = b_n - p W_n  and the auxiliary exact
 sequences
@@ -490,22 +491,6 @@ class CoefficientTable:
             _extend_online(blo, wlo, n, step_lo)
             _extend_online(bhi, whi, n, step_hi)
 
-    def _btilde(self, n: int, precision: int) -> Interval:
-        """b~_n at the table's scale; each reader works there, rounds once."""
-        self.ensure_values(n, precision)
-        st = self._values[precision]
-        return Interval(st["blo"][n], st["bhi"][n], precision + _VALUE_GUARD)
-
-    def btilde_enclosure(self, n: int, precision: int) -> Interval:
-        """Enclosure of b_n / e^(pi/2)."""
-        return self._btilde(n, precision).round_to(precision)
-
-    def b_enclosure(self, n: int, precision: int) -> Interval:
-        """Enclosure of b_n."""
-        bt = self._btilde(n, precision)
-        return (bt * enclose_constant("exp_half_pi", bt.prec)
-                ).round_to(precision)
-
     # Block kernels: the endpoint lists (lo, hi) of a reader over n0..n1
     # at P bits; the one-index readers are calls over [n, n].
 
@@ -514,6 +499,16 @@ class CoefficientTable:
         self.ensure_values(n1, precision)
         st = self._values[precision]
         return range(n0, n1 + 1), st["blo"], st["bhi"]
+
+    def btilde_enclosure(self, n: int, precision: int) -> Interval:
+        """Enclosure of b_n / e^(pi/2)."""
+        _, blo, bhi = self._rows(n, n, precision)
+        return Interval(blo[n], bhi[n], precision + _VALUE_GUARD
+                        ).round_to(precision)
+
+    def b_enclosure(self, n: int, precision: int) -> Interval:
+        """Enclosure of b_n = c_n(0)."""
+        return self.c_coeff(n, 0, precision)
 
     def ratios(self, n0: int, n1: int, precision: int):
         """b_n / W_n: b~_n 4^n / C(2n,n) floored and ceiled once."""

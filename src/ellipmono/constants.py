@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .intervals import Interval, _ln2_fp
+from .intervals import Interval, _ln2_fp, check_precision
 
 __all__ = ["ConstantTable", "enclose_constant", "CONSTANT_NAMES", "shared_table"]
 
@@ -129,8 +129,7 @@ class ConstantTable:
     def enclose(self, name: str, precision: int) -> Interval:
         if name not in _GENERATORS:
             raise KeyError(f"unknown constant {name!r}; have {CONSTANT_NAMES}")
-        if precision <= 0:
-            raise ValueError("precision must be positive")
+        check_precision(precision)
         key = (name, precision)
         with self._lock:
             cached = self._answers.get(key)

@@ -35,7 +35,7 @@ from typing import Optional
 
 from .intervals import Interval, DomainError, _isqrt_ceil
 from .constants import enclose_constant
-from .coefficients import C_REC, _next, shared_coefficients
+from .coefficients import C_REC, _VALUE_GUARD, _next, shared_coefficients
 
 __all__ = [
     "SeriesEval",
@@ -265,9 +265,10 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
     The tail uses 0 <= sum_{n>N} b_n x^n <= e^(pi/2) (1/sqrt(1-x) -
     sum_{n<=N} W_n x^n), valid because b_n <= e^(pi/2) W_n for every n
     (see the module docstring); the upper end of the e^(pi/2) enclosure
-    stands in for the constant.  The partial sum reads b~_n from the
-    value table kept for ``precision`` and runs at that table's scale,
-    precision + 32 bits.
+    stands in for the constant.  The partial sum is Horner's rule on the
+    b~_n endpoint lists of the value table for ``precision``, read once,
+    at its scale precision + _VALUE_GUARD, with the roundings of
+    ``Interval.mul_scalar``; one multiply by e^(pi/2) ends it.
     """
     xf = _as_fraction(x)
     if not 0 <= xf < 1:
@@ -275,7 +276,6 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
     if n_terms is not None and n_terms < 0:
         raise DomainError(f"n_terms={n_terms} is negative")
     work = precision + _GUARD
-    table = shared_coefficients()
     ehp = enclose_constant("exp_half_pi", work)
     ehp_hi = ehp.hi_fraction()
     sup = _rprime(xf, work).recip()
@@ -305,10 +305,12 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
     tail_hi = ehp_hi * (sup.hi_fraction() - Fraction(wal_num, wal_den))
     tail = Interval.hull_of_fractions(Fraction(0), max(tail_hi, Fraction(0)),
                                       work)
-    horner = table._btilde(terms, precision)
+    _, blo, bhi = shared_coefficients()._rows(0, terms, precision)
+    lo, hi = blo[terms], bhi[terms]
     for k in range(terms - 1, -1, -1):
-        horner = horner.mul_scalar(xf) + table._btilde(k, precision)
-    partial = horner * ehp
+        lo = lo * num // den + blo[k]
+        hi = -(-hi * num // den) + bhi[k]
+    partial = Interval(lo, hi, precision + _VALUE_GUARD) * ehp
     return SeriesEval(terms_used=terms + 1, partial=partial.round_to(precision),
                       tail_bound=tail.round_to(precision))
 

@@ -44,7 +44,7 @@ class DomainError(ValueError):
 
 
 def check_precision(precision: int) -> None:
-    """The one error of every certificate and table for precision < 1."""
+    """The one error, wherever a precision is read, for one below 1 bit."""
     if precision < 1:
         raise DomainError(f"precision {precision} is below one bit")
 

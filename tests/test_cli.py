@@ -366,12 +366,19 @@ def test_an_order_the_family_never_reads_is_a_usage_error(capsys, argv,
     ("verify", "--family", "P1_lower", "--density", "3"),
     ("verify", "--family", "RMK4_QI", "--density", "3"),
     ("sharpness", "--family", "P1_lower", "--epsilon", "1/100"),
+    ("eval", "--what", "alpha"),
+    ("eval", "--what", "K", "--m", "1/2"),
+    ("eval", "--what", "expK_series", "--x", "1/3"),
+    ("constants",),
+    ("coeffs", "--kind", "b", "--n-max", "3", "--enclosure"),
+    ("coeffs", "--kind", "c", "--n-max", "3", "--p", "4"),
 ])
 @pytest.mark.parametrize("precision", ["0", "-5"])
 def test_precision_below_one_bit_is_one_usage_error(capsys, argv, precision):
-    # every certificate command refuses before any table work, with the
-    # same message
-    rc, out, err = run(capsys, *argv, "--precision", precision,
-                       "--no-timestamp")
+    # every command that reads --precision refuses before any table work,
+    # with the same message
+    stamp = ("--no-timestamp",) if argv[0] in (
+        "certify", "verify", "sharpness") else ()
+    rc, out, err = run(capsys, *argv, "--precision", precision, *stamp)
     assert rc == 2 and not out
     assert err == f"error: precision {precision} is below one bit\n"

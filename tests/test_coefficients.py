@@ -31,7 +31,7 @@ from ellipmono.coefficients import (
     wallis,
 )
 from ellipmono.constants import enclose_constant
-from ellipmono.intervals import DomainError
+from ellipmono.intervals import DomainError, Interval
 from ellipmono.pi_expr import PiExpression
 
 F = Fraction
@@ -301,6 +301,14 @@ def bits(iv):
     return iv.lo, iv.hi, iv.prec
 
 
+def btilde(table, n, precision):
+    """b~_n at the value table's scale, unrounded."""
+    table.ensure_values(n, precision)
+    st = table._values[precision]
+    return Interval(st["blo"][n], st["bhi"][n],
+                    precision + coefficients._VALUE_GUARD)
+
+
 def test_wallis_readers_match_the_fraction_formula():
     # ratio and c_coeff scale by the integer C(2n,n) and a 2n-bit shift;
     # their bits are those of mul_scalar by the Fraction W_n
@@ -308,7 +316,7 @@ def test_wallis_readers_match_the_fraction_formula():
     for n in list(range(0, 4001, 97)) + [4001]:
         w = F(math.comb(2 * n, n), 4 ** n)
         for precision in (64, 128):
-            bt = table._btilde(n, precision)
+            bt = btilde(table, n, precision)
             e = enclose_constant("exp_half_pi", bt.prec)
             assert bits(table.ratio(n, precision)) == bits(
                 (bt.mul_scalar(1 / w) * e).round_to(precision)), n

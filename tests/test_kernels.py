@@ -1,9 +1,10 @@
-"""The block kernels of the coefficient table against the Interval
-formulas they replaced, compared bit for bit on the lo/hi integers.
+"""The readers of the coefficient table against the Interval formulas
+they replaced, compared bit for bit on the lo/hi integers.
 
 Each oracle below is a reader's former body: b~_n read at the value
 table's scale W = P + 32, scaled and multiplied there by the enclosure of
-e^(pi/2), then rounded once to P; u_n and v_n by ``PiExpression.evaluate``.
+e^(pi/2), then rounded once to P; u_n and v_n by ``PiExpression.evaluate``;
+the partial sum of ``exp_K`` by an Interval Horner loop over b~_n.
 """
 
 import functools
@@ -12,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellipmono import certify
+from ellipmono import certify, elliptic
 from ellipmono.certify import certify_sequence
 from ellipmono.coefficients import (CoefficientTable, shared_coefficients,
                                     threshold)
@@ -20,19 +21,27 @@ from ellipmono.constants import enclose_constant
 from ellipmono.intervals import Interval
 from ellipmono.pi_expr import PiExpression
 
-# the ranges below cross the scan's block boundaries
-BLOCK = certify._BLOCK
+# the ranges below cross n = 256 and 512, the cut points of a scan in
+# blocks of 256 indices
+BLOCK = 256
+
+
+def btilde(t, n, prec):
+    """b~_n at the value table's scale W = P + 32, unrounded."""
+    t.ensure_values(n, prec)
+    st = t._values[prec]
+    return Interval(st["blo"][n], st["bhi"][n], prec + 32)
 
 
 def oracle_ratio(t, n, prec):
-    c, bt = t._central(n), t._btilde(n, prec)
+    c, bt = t._central(n), btilde(t, n, prec)
     bt = Interval((bt.lo << 2 * n) // c, -((-bt.hi << 2 * n) // c), bt.prec)
     return (bt * enclose_constant("exp_half_pi", bt.prec)).round_to(prec)
 
 
 def oracle_ratio_gap(t, n, prec):
-    hi = t._btilde(n + 1, prec).mul_scalar(n + 1)
-    lo = t._btilde(n, prec).mul_scalar(F(2 * n + 1, 2))
+    hi = btilde(t, n + 1, prec).mul_scalar(n + 1)
+    lo = btilde(t, n, prec).mul_scalar(F(2 * n + 1, 2))
     return ((hi - lo) * enclose_constant("exp_half_pi", hi.prec)
             ).round_to(prec)
 
@@ -43,7 +52,7 @@ def p_enclosure(p, work):
 
 
 def oracle_c(t, n, p, prec):
-    c, bt = t._central(n), t._btilde(n, prec)
+    c, bt = t._central(n), btilde(t, n, prec)
     b = bt * enclose_constant("exp_half_pi", bt.prec)
     pe = p_enclosure(p, bt.prec)
     p_w = Interval((pe.lo * c) >> 2 * n, -((-pe.hi * c) >> 2 * n), pe.prec)
@@ -99,6 +108,59 @@ def test_one_index_readers_are_the_kernels(prec):
         for p in PARAMS:
             assert bits(t.c_coeff(n, p, prec)) == bits(
                 oracle_c(t, n, p, prec))
+
+
+def oracle_btilde_enclosure(t, n, prec):
+    return btilde(t, n, prec).round_to(prec)
+
+
+def oracle_b_enclosure(t, n, prec):
+    bt = btilde(t, n, prec)
+    return (bt * enclose_constant("exp_half_pi", bt.prec)).round_to(prec)
+
+
+@pytest.mark.parametrize("prec", [2, 7, 64, 128, 333])
+def test_enclosure_readers_match_the_interval_formulas(prec):
+    t = CoefficientTable()
+    for n in [0, 1, 2, 3, 39, 40, BLOCK - 1, BLOCK, 500, 999, 1000]:
+        assert bits(t.btilde_enclosure(n, prec)) == bits(
+            oracle_btilde_enclosure(t, n, prec)), n
+        assert bits(t.b_enclosure(n, prec)) == bits(
+            oracle_b_enclosure(t, n, prec)), n
+
+
+def oracle_horner(x, prec, terms):
+    """exp_K's former Interval Horner loop over b~_0..b~_terms, at the
+    value table's scale."""
+    t = shared_coefficients()
+    horner = btilde(t, terms, prec)
+    for k in range(terms - 1, -1, -1):
+        horner = horner.mul_scalar(x) + btilde(t, k, prec)
+    return horner
+
+
+@pytest.mark.parametrize("prec", [2, 7, 64, 128, 280, 333])
+@pytest.mark.parametrize("x", [F(0), F(1, 100), F(1, 2), F(81, 100),
+                               1 - F(1, 1 << 10)])
+@pytest.mark.parametrize("n_terms", [None, 60])
+def test_exp_K_horner_matches_the_interval_loop(monkeypatch, prec, x,
+                                                n_terms):
+    # the rounding to P hides a few ulps at the table's scale, so the
+    # Horner ends are compared there too: the last Interval that exp_K
+    # builds holds them
+    made = []
+
+    class Recording(Interval):
+        def __init__(self, lo, hi, p):
+            super().__init__(lo, hi, p)
+            made.append((lo, hi, p))
+
+    monkeypatch.setattr(elliptic, "Interval", Recording)
+    got = elliptic.exp_K(x, prec, n_terms)
+    horner = oracle_horner(x, prec, got.terms_used - 1)
+    assert made[-1] == bits(horner)
+    assert bits(got.partial) == bits(
+        (horner * enclose_constant("exp_half_pi", prec + 32)).round_to(prec))
 
 
 def test_an_empty_block_is_empty():
@@ -179,3 +241,32 @@ def test_block_scan_is_the_per_index_fold(claim, p, precision,
     assert body(certify_sequence(claim, 0, n_end, p, precision,
                                  max_precision)) == body(
         oracle_certificate(claim, 0, n_end, p, precision, max_precision))
+
+
+def _between_ratios(n):
+    """A rational p with ratio(n) < p < ratio(n + 1): c_nonpos at p holds
+    up to n and is refuted at n + 1."""
+    t = shared_coefficients()
+    below = t.ratio(n, 128).hi_fraction()
+    above = t.ratio(n + 1, 128).lo_fraction()
+    return (below + above) / 2
+
+
+@pytest.mark.parametrize("claim,p,precision,status", [
+    # n = 2974..3000 are undecided at 24 bits and decide at 48; n = 3001
+    # is refuted at 48 bits
+    ("c_nonpos", 3000, 24, ("Refuted", 48, "n=3001",
+                            "-0.000000001106384317495212599169 ± 1.8e-15")),
+    # refuted at the first index of a range read whole
+    ("c_nonneg", F(4), 128, ("Refuted", 128, "n=1",
+                             "-0.110929949962422769816709257558 ± 1.5e-39")),
+])
+def test_whole_range_scan_keeps_late_and_early_refutations(claim, p,
+                                                          precision, status):
+    if isinstance(p, int):
+        p = _between_ratios(p)
+    got = body(certify_sequence(claim, 1, 4000, p, precision))
+    assert got == body(oracle_certificate(claim, 1, 4000, p, precision, 8192))
+    (witness,) = got["witnesses"]
+    assert (got["status"], got["precision_used"], witness["location"],
+            witness["value"]) == status

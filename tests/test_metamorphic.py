@@ -7,12 +7,15 @@ must relate to each other, whatever their values:
   so [a, c] has the status and witness of [a, b] unless that is
   ``Certified``, and else those of [b+1, c]; when both are ``Certified``
   the witness is the smaller margin, and the boundary zeros concatenate.
-  Splits at the scan's block boundaries check that blocks change nothing;
+  Splits at n = 256 and 512, where a scan in blocks of 256 would cut
+  the range, check that the range is read as one;
 * monotone in p -- c_n(p) decreases in p, so ``c_nonneg`` certified at p
   stays ``Certified``, with no boundary zero, at any p' < p, and
   ``c_nonpos`` likewise at p' > p;
 * start precision -- the starting precision may change
-  ``precision_used``, never a status other than ``Undecided``.
+  ``precision_used``, never a status other than ``Undecided``;
+* sub-grids -- an inequality family certified on a grid stays
+  ``Certified`` on every subset of it, with a smallest margin no smaller.
 """
 
 from decimal import Decimal
@@ -21,11 +24,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellipmono.certify import _BLOCK, CertStatus, certify_sequence
+from ellipmono.certify import (FAMILIES, BoundSpec, CertStatus, _pt_str,
+                               certify_sequence, default_grid, grid_verify)
 from ellipmono.coefficients import ratio, threshold
 
 CERTIFIED = CertStatus.CERTIFIED
-N = 2 * _BLOCK + 150  # scans from n = 1 cross two block boundaries
+BLOCK = 256  # the cut points of a scan in blocks of 256 indices
+N = 2 * BLOCK + 150  # scans from n = 1 cross two of them
 
 
 def _between_ratios(n):
@@ -50,7 +55,7 @@ SCANS = {
     "c_nonneg/-1/3": ("c_nonneg", F(-1, 3), 0, {}),
     "c_nonpos/4": ("c_nonpos", F(4), 1, {}),
     "c_nonpos/threshold(0)": ("c_nonpos", threshold(0), 0, {}),
-    "c_nonpos/refuted_at_256": ("c_nonpos", _BLOCK - 1, 1, {}),
+    "c_nonpos/refuted_at_256": ("c_nonpos", BLOCK - 1, 1, {}),
     "c_nonpos/refuted_at_301": ("c_nonpos", 300, 1, {}),
     "c_nonpos/threshold(65)/cap_128": ("c_nonpos", threshold(65), 1,
                                        {"max_precision": 128}),
@@ -98,8 +103,8 @@ def check_split(name, a, b, c):
 @pytest.mark.parametrize("name", sorted(SCANS))
 def test_range_splitting_at_block_boundaries(name):
     a = SCANS[name][2]
-    for b in (a, a + _BLOCK - 2, a + _BLOCK - 1, a + _BLOCK, 300, 301,
-              a + 2 * _BLOCK - 1, N - 1):
+    for b in (a, a + BLOCK - 2, a + BLOCK - 1, a + BLOCK, 300, 301,
+              a + 2 * BLOCK - 1, N - 1):
         check_split(name, a, b, N)
 
 
@@ -132,3 +137,35 @@ def test_start_precision_changes_only_undecided(name):
     if CertStatus.UNDECIDED not in (at_64.status, at_128.status):
         assert at_64.status is at_128.status
         assert at_64.boundary_zeros == at_128.boundary_zeros
+
+
+# inequality families (the identity family's witness is its widest
+# residual, not a smallest margin) on small grids
+GRID_FAMILIES = sorted(name for name, family in FAMILIES.items()
+                       if not family.identity)
+
+
+def small_grid(name):
+    build = FAMILIES[name].grid
+    return build(4 if build is default_grid else 6)
+
+
+def rad(witness):
+    return Decimal(witness.value.split(" ± ")[1])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(name=st.sampled_from(GRID_FAMILIES), data=st.data())
+def test_a_certified_grid_stays_certified_on_its_subsets(name, data):
+    grid = small_grid(name)
+    keep = data.draw(st.sets(st.integers(0, len(grid) - 1), min_size=1))
+    sub = [pt for i, pt in enumerate(grid) if i in keep]
+    whole = grid_verify(BoundSpec(name), grid)
+    part = grid_verify(BoundSpec(name), sub)
+    assert whole.status is CERTIFIED and part.status is CERTIFIED
+    (w,), (s,) = whole.witnesses, part.witnesses
+    if w.location in {_pt_str(pt) for pt in sub}:
+        assert s == w  # the first smallest margin of the grid is kept
+    else:
+        # lo(s) >= lo(w) > mid(w) - rad(w); mids print to 30 places
+        assert mid(s) >= mid(w) - rad(w) - Decimal("1e-30")
