@@ -6,15 +6,34 @@ Wallis ratios
 Series coefficients b_n of  exp(K(sqrt(x))) = sum b_n x^n  satisfy
 
     b_0 = e^(pi/2),
-    (n+1) b_{n+1} = n b_n + (pi/8) * sum_{k=0}^{n} (W_k^2/(k+1)) b_{n-k},
+    (n+1) b_{n+1} = n b_n + (pi/8) * sum_{k=0}^{n} (W_k^2/(k+1)) b_{n-k}.
 
-and each b_n is exactly  B_n(pi) / (16^n n!) * e^(pi/2)  for an
-integer-coefficient polynomial B_n with the recurrence
+The exact table takes them from K(sqrt(x)) = (pi/2) sum_k W_k^2 x^k
+instead.  With W_0 = 1 and W_k^2 = C(2k,k)^2/16^k,
 
-    B_{n+1} = 16 n B_n + pi * sum_k [2 C(2k,k)^2/(k+1)] * fall(n,k) * B_{n-k}
+    exp(K(sqrt(x))) = e^(pi/2) exp((pi/2) H_1(x/16)),
+    H_1(y) = sum_{k>=1} C(2k,k)^2 y^k.
 
-(fall is the falling factorial).  The integer form keeps the exact table
-free of per-coefficient gcd work.
+C(2k,k) is even for k >= 1, so G = H_1/4 = sum_{k>=1} (C(2k,k)/2)^2 y^k
+has integer coefficients too, and with its powers G_j = G^j = H_1^j/4^j
+(G_j[n] = 0 for n < j)
+
+    b_n = e^(pi/2) sum_{j<=n} (2 pi)^j/j! G_j[n]/16^n
+        = B_n(pi) / (16^n n!) * e^(pi/2),   B_n[j] = 2^j (n!/j!) G_j[n],
+
+an integer polynomial read from the G_j[n] by products alone.  The
+table holds the G_j[n], not B_n.  The coefficients of y^n in
+y G_j' = j G_{j-1} y G'  give the row recurrence
+
+    n G_j[n] = j sum_{k=1}^{n-j+1} k (C(2k,k)/2)^2 G_{j-1}[n-k],   G_0 = 1,
+
+whose division by n is exact, G_j being an integer series.  Row n reads
+only earlier rows, so the table grows on demand one index at a time.
+Its entries have about 4n bits (789 at n = 200, where B_n has up to
+2036) and its weights k (C(2k,k)/2)^2 about 4k; the falling-factorial
+recurrence for B_n that this replaced multiplied integers of about 10n
+bits.  The integer form keeps the exact table free of per-coefficient
+gcd work.
 
 The table also maintains, per precision P, an interval-valued run of
 the same recurrence on  b~_n = b_n / e^(pi/2)  with pi enclosed and every
@@ -31,8 +50,8 @@ whose shorter operand reaches _NTT_DIGITS decimal digits packs them into
 decimal slots of a ``Decimal``, whose C implementation (libmpdec)
 multiplies by a number-theoretic transform, M(s) = O(s log s).  Both
 give the same exact sums, so the table's bits do not depend on the
-path.  The exact polynomial table is O(N^3) big-integer work and is
-only grown on demand.
+path.  The exact table's N rows are O(N^3) products of O(N)-bit
+integers, grown on demand.
 Every reader takes the table's integer endpoint lists in one call: the
 block kernels ``ratios``, ``ratio_gaps`` and ``c_coeffs`` (``u_values``,
 ``v_values`` for u and v) give whole ranges, ``exp_K`` runs Horner's rule
@@ -62,8 +81,8 @@ recurrence.
 Each exact integer sequence -- C(2k,k), E_k, P_n, R_n, D_n = 16^n n! --
 is a module-level record (C_REC, ...) stepped by :func:`_next`, the single
 statement of its recurrence; the tables and ``exp_K`` read it.  A table
-holds one integer list per sequence: ``wallis`` and the kernels read
-C(2n,n) from the list that ``ensure_quotient`` grows.
+holds one integer list per sequence: ``wallis``, the kernels and the
+weights of the G rows read C(2n,n) from the same list.
 
 The formal quotient (sum_{n>=1} b_n x^n) / (sum_{n>=1} W_n x^n) is kept
 as integer pi-polynomials too (see :meth:`CoefficientTable.ensure_quotient`).
@@ -274,12 +293,12 @@ class CoefficientTable:
 
     def __init__(self):
         self._lock = threading.RLock()
-        # exact b: integer polynomials over D_n = 16^n * n!
-        self._B: list[list[int]] = [[1]]
+        # exact b: column j holds G_j[j], G_j[j+1], ... (G_j[n] = 0 below
+        # n = j); B_n is read from them over D_n = 16^n * n!
+        self._G: list[list[int]] = [[1]]
         self._D: list[int] = [1]
         # the record sequences, each from its start term a_0
         self._C: list[int] = [1]
-        self._E: list[int] = [1]
         self._P: list[int] = [1]
         self._R: list[int] = [3]
         # formal quotient: integer polynomials Q_k over D_{k+1}
@@ -310,34 +329,50 @@ class CoefficientTable:
     # exact b-polynomials
 
     def ensure_exact(self, n: int) -> None:
-        """Grow the exact polynomial table so b_0..b_n are available.
+        """Grow the exact table so b_0..b_n are available.
 
-        Cost grows cubically with n (degree-n polynomials with Theta(n)-bit
-        integer coefficients); a few hundred terms take seconds.
+        The table holds G_j[m] = [y^m] G(y)^j, G(y) = sum_{k>=1}
+        (C(2k,k)/2)^2 y^k, for j <= m <= n, one row m at a time by
+
+            m G_j[m] = j sum_{k=1}^{m-j+1} k (C(2k,k)/2)^2 G_{j-1}[m-k],
+
+        G_0 = 1: the coefficients of y^m in y G_j' = j G_{j-1} y G'.
+        Each division by m is exact, and ``_exact_div`` raises if one is
+        not.  Row m costs O(m^2) products of about 4k- by 4m-bit
+        integers; ``_b_row`` reads B_n from row n.
         """
         with self._lock:
-            if len(self._B) > n:
+            G = self._G
+            if len(G) > n:
                 return
-            _grow(E_REC, self._E, n)
-            while len(self._B) <= n:
-                m = len(self._B) - 1  # recurrence step m -> m+1
-                new = [16 * m * c for c in self._B[m]] + [0]
-                fall = 1
-                for k in range(m + 1):
-                    mult = 2 * self._E[k] * fall
-                    Bk = self._B[m - k]
-                    for j in range(m - k + 1):
-                        new[j + 1] += mult * Bk[j]
-                    fall *= (m - k)
-                self._B.append(new)
+            _grow(C_REC, self._C, n)
+            w = [k * (c >> 1) ** 2
+                 for k, c in enumerate(self._C[1:n + 1], 1)]
+            for m in range(len(G), n + 1):
+                G.append([])
+                # j descending: column j-1 still ends at G_{j-1}[m-1]
+                for j in range(m, 0, -1):
+                    s = sum(map(mul, w, reversed(G[j - 1])))
+                    G[j].append(_exact_div(j * s, m))
+                G[0].append(0)
             _grow(D_REC, self._D, n)
+
+    def _b_row(self, n: int) -> list[int]:
+        """B_n[j] = 2^j (n!/j!) G_j[n], the pi^j coefficients of b_n over
+        D_n (callers hold the lock and have grown the table)."""
+        row, fall = [0] * (n + 1), 1  # fall = n!/j!
+        for j in range(n, -1, -1):
+            row[j] = (fall * self._G[j][n - j]) << j
+            fall *= j
+        return row
 
     def b_coeff(self, n: int) -> PiExpression:
         """Exact b_n as a pi-polynomial times e^(pi/2)."""
         _check_index(n)
         self.ensure_exact(n)
         with self._lock:
-            return PiExpression(self._B[n], exp_scale=True, den=self._D[n])
+            return PiExpression(self._b_row(n), exp_scale=True,
+                                den=self._D[n])
 
     def gap_exact(self, n: int) -> PiExpression:
         """Exact (n+1) b_{n+1} - (n+1/2) b_n."""
@@ -362,8 +397,7 @@ class CoefficientTable:
         with self._lock:
             if len(self._Q) >= count:
                 return
-            self.ensure_exact(count)
-            _grow(C_REC, self._C, count)
+            self.ensure_exact(count)  # grows C(2n,n) to n = count too
             Q = self._Q
             while len(Q) < count:
                 k = len(Q)
@@ -375,7 +409,8 @@ class CoefficientTable:
                     mult = (self._C[d + 1] * fact) << (2 * (d - 1))
                     for i, c in enumerate(Q[j]):
                         acc[i] += mult * c
-                Q.append([2 * (b - a) for b, a in zip(self._B[k + 1], acc)])
+                Q.append([2 * (b - a)
+                          for b, a in zip(self._b_row(k + 1), acc)])
 
     def quotient_coeff(self, k: int) -> PiExpression:
         """Exact coefficient q_k of the formal quotient, a pi-polynomial

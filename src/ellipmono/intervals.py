@@ -19,6 +19,7 @@ width stays within a few ulps of the requested precision.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from enum import Enum
 from typing import Union
@@ -362,8 +363,10 @@ def _atanh_series_fp(U: int, W: int) -> tuple[int, int]:
     return (-S if neg else S), k
 
 
+@lru_cache(maxsize=64)
 def _ln2_fp(W: int) -> tuple[int, int]:
-    """Enclosure of ln 2 at scale 2^W via 2*atanh(1/3)."""
+    """Enclosure of ln 2 at scale 2^W via 2*atanh(1/3); a pure function of
+    W, so ``ln`` reuses it for every argument at one working scale."""
     s = 0
     k = 0
     q = 3

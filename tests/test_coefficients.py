@@ -1,16 +1,20 @@
 """Coefficient tables against independent oracles.
 
-The production code builds b_n through an integer-polynomial recurrence
-and u_n/v_n through a three-term integer recurrence; the oracles here
-recompute both from their defining formulas (plain Fractions, or the
-integer convolution that defines P_n) and compare exactly, then pin a few decimal values computed separately (mpmath,
-dps=45).
+The production code builds b_n from the powers H_1^j / 4^j of
+H_1(y) = sum_{k>=1} C(2k,k)^2 y^k by a row recurrence, and u_n/v_n
+through a three-term integer recurrence; the oracles here recompute both
+from their defining formulas (plain Fractions, the falling-factorial
+recurrence the b table had before, direct polynomial powers, or the
+integer convolution that defines P_n) and compare exactly, then pin a
+few decimal values computed separately (mpmath, dps=45).
 """
 
 import decimal
+import inspect
 import math
 import random
 import sys
+import textwrap
 from fractions import Fraction
 
 import mpmath as mp
@@ -90,6 +94,105 @@ def test_b_matches_direct_recurrence():
     bs = direct_b_recurrence(12)
     for n in range(13):
         assert b_coeff(n) == bs[n], n
+
+
+EXACT_N = 60
+
+
+def falling_factorial_B(n_max):
+    """B_0..B_n_max by the recurrence the exact table used to run,
+    B_{m+1} = 16 m B_m + pi sum_k 2 E_k fall(m,k) B_{m-k} with
+    E_k = C(2k,k)^2/(k+1) and fall(m,k) = m(m-1)...(m-k+1)."""
+    E = [math.comb(2 * k, k) ** 2 // (k + 1) for k in range(n_max + 1)]
+    B = [[1]]
+    for m in range(n_max):
+        new = [16 * m * c for c in B[m]] + [0]
+        fall = 1
+        for k in range(m + 1):
+            mult = 2 * E[k] * fall
+            for j, c in enumerate(B[m - k]):
+                new[j + 1] += mult * c
+            fall *= m - k
+        B.append(new)
+    return B
+
+
+def exact_rows(table, n_max):
+    """The integer B_n lists of a table, read one index at a time."""
+    rows = []
+    for n in range(n_max + 1):
+        table.ensure_exact(n)
+        rows.append(table._b_row(n))
+    return rows
+
+
+def test_b_rows_match_the_falling_factorial_recurrence():
+    B = falling_factorial_B(EXACT_N)
+    assert exact_rows(CoefficientTable(), EXACT_N) == B
+    grown_at_once = CoefficientTable()
+    grown_at_once.ensure_exact(EXACT_N)
+    for n in range(EXACT_N + 1):
+        assert grown_at_once._b_row(n) == B[n], n
+        assert grown_at_once.b_coeff(n) == PiExpression(
+            B[n], exp_scale=True, den=16 ** n * math.factorial(n)), n
+
+
+def powers_of_H1(n_max):
+    """rows[j][m] = [y^m] H_1(y)^j by direct polynomial multiplication."""
+    h1 = [0] + [math.comb(2 * k, k) ** 2 for k in range(1, n_max + 1)]
+    rows = [[1] + [0] * n_max]
+    for _ in range(n_max):
+        prev = rows[-1]
+        rows.append([sum(prev[i] * h1[m - i] for i in range(m + 1))
+                     for m in range(n_max + 1)])
+    return rows
+
+
+def test_g_table_holds_the_powers_of_H1():
+    # the table holds G_j = H_1^j / 4^j, column j from index j on
+    n_max = 30
+    rows = powers_of_H1(n_max)
+    table = CoefficientTable()
+    table.ensure_exact(n_max)
+    for j in range(n_max + 1):
+        assert rows[j][:j] == [0] * j  # H_1^j starts at y^j
+        assert [g << 2 * j for g in table._G[j]] == rows[j][j:], j
+
+
+ENSURE_EXACT = textwrap.dedent(inspect.getsource(
+    CoefficientTable.ensure_exact))
+
+
+def mutant_ensure_exact(old, new):
+    """CoefficientTable.ensure_exact with the one source fragment old
+    replaced by new, compiled in the module's namespace."""
+    assert ENSURE_EXACT.count(old) == 1, old
+    scope = {}
+    exec(compile(ENSURE_EXACT.replace(old, new), "<mutant>", "exec"),
+         vars(coefficients), scope)
+    return scope["ensure_exact"]
+
+
+WEIGHTS = "w = [k * (c >> 1) ** 2"
+MUTANTS = [(WEIGHTS, f"{WEIGHTS} + (k == {k})") for k in range(1, 31)] + [
+    ("_exact_div(j * s, m)", "_exact_div((j - 1) * s, m)")]
+
+
+@pytest.mark.parametrize("old,new", MUTANTS)
+def test_a_changed_weight_or_factor_of_the_row_recurrence_is_caught(
+        monkeypatch, old, new):
+    # add 1 to one weight k (C(2k,k)/2)^2, or take j - 1 for j: the
+    # table must raise at an exact division or read differently
+    expected = falling_factorial_B(30)
+    monkeypatch.setattr(CoefficientTable, "ensure_exact",
+                        mutant_ensure_exact(old, old))
+    assert exact_rows(CoefficientTable(), 30) == expected
+    monkeypatch.setattr(CoefficientTable, "ensure_exact",
+                        mutant_ensure_exact(old, new))
+    try:
+        assert exact_rows(CoefficientTable(), 30) != expected
+    except ArithmeticError:
+        pass
 
 
 def test_b1_decimal_pin():

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from ellipmono import intervals
 from ellipmono.intervals import BudgetError, DomainError, Interval, Sign
 
 
@@ -111,6 +112,31 @@ def test_ln_contains_mpmath(x):
     iv = Interval.from_fraction(x, 192).ln()
     assert_contains_mp(iv, mp.ln(mpf(x.numerator) / x.denominator))
     assert iv.width() <= Fraction(1, 1 << 160)
+
+
+LN_ARGS = [Fraction(1, 1000), Fraction(1, 3), Fraction(999999, 1000000),
+           Fraction(1), Fraction(2), Fraction(10 ** 6)]
+
+
+def test_ln_bits_do_not_depend_on_the_ln2_cache():
+    # ln 2 at each working scale is memoized; each ln on a cold cache, on
+    # a warm one, and the uncached kernel give the same bits
+    cases = [(x, p) for p in (16, 53, 128, 333) for x in LN_ARGS]
+
+    def reading(x, p):
+        iv = Interval.from_fraction(x, p).ln()
+        return iv.lo, iv.hi, iv.prec
+
+    cold = []
+    for x, p in cases:
+        intervals._ln2_fp.cache_clear()
+        cold.append(reading(x, p))
+    warm = [reading(x, p) for x, p in cases]
+    assert intervals._ln2_fp.cache_info().hits >= len(cases)
+    assert warm == cold
+    for p in (16, 53, 128, 333):
+        W = p + intervals._GUARD
+        assert intervals._ln2_fp(W) == intervals._ln2_fp.__wrapped__(W)
 
 
 def test_ln_exp_roundtrip():

@@ -4,16 +4,19 @@ they replaced, compared bit for bit on the lo/hi integers.
 Each oracle below is a reader's former body: b~_n read at the value
 table's scale W = P + 32, scaled and multiplied there by the enclosure of
 e^(pi/2), then rounded once to P; u_n and v_n by ``PiExpression.evaluate``;
-the partial sum of ``exp_K`` by an Interval Horner loop over b~_n.
+the partial sum of ``exp_K`` by an Interval Horner loop over b~_n.  The
+ends of ``ratios``, ``ratio_gaps`` and ``c_coeffs`` are also compared at
+the table's scale, before that rounding, which can hide an ulp there.
 """
 
 import functools
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellipmono import certify, elliptic
+from ellipmono import certify, coefficients, elliptic
 from ellipmono.certify import certify_sequence
 from ellipmono.coefficients import (CoefficientTable, shared_coefficients,
                                     threshold)
@@ -33,17 +36,29 @@ def btilde(t, n, prec):
     return Interval(st["blo"][n], st["bhi"][n], prec + 32)
 
 
-def oracle_ratio(t, n, prec):
+def times_e(iv, prec):
+    """An interval at the table's scale times e^(pi/2), rounded to P."""
+    return (iv * enclose_constant("exp_half_pi", iv.prec)).round_to(prec)
+
+
+def scaled_ratio(t, n, prec):
+    """b~_n 4^n / C(2n,n) at the table's scale, before e^(pi/2)."""
     c, bt = t._central(n), btilde(t, n, prec)
-    bt = Interval((bt.lo << 2 * n) // c, -((-bt.hi << 2 * n) // c), bt.prec)
-    return (bt * enclose_constant("exp_half_pi", bt.prec)).round_to(prec)
+    return Interval((bt.lo << 2 * n) // c, -((-bt.hi << 2 * n) // c), bt.prec)
+
+
+def oracle_ratio(t, n, prec):
+    return times_e(scaled_ratio(t, n, prec), prec)
+
+
+def scaled_ratio_gap(t, n, prec):
+    """(n+1) b~_{n+1} - (n+1/2) b~_n at the table's scale."""
+    return (btilde(t, n + 1, prec).mul_scalar(n + 1)
+            - btilde(t, n, prec).mul_scalar(F(2 * n + 1, 2)))
 
 
 def oracle_ratio_gap(t, n, prec):
-    hi = btilde(t, n + 1, prec).mul_scalar(n + 1)
-    lo = btilde(t, n, prec).mul_scalar(F(2 * n + 1, 2))
-    return ((hi - lo) * enclose_constant("exp_half_pi", hi.prec)
-            ).round_to(prec)
+    return times_e(scaled_ratio_gap(t, n, prec), prec)
 
 
 @functools.lru_cache(maxsize=None)
@@ -51,12 +66,16 @@ def p_enclosure(p, work):
     return PiExpression.of(p).evaluate(work)
 
 
+def scaled_p_wallis(t, n, p, prec):
+    """p W_n at the table's scale, the part of c_n(p) subtracted there."""
+    c, pe = t._central(n), p_enclosure(p, prec + 32)
+    return Interval((pe.lo * c) >> 2 * n, -((-pe.hi * c) >> 2 * n), pe.prec)
+
+
 def oracle_c(t, n, p, prec):
-    c, bt = t._central(n), btilde(t, n, prec)
+    bt = btilde(t, n, prec)
     b = bt * enclose_constant("exp_half_pi", bt.prec)
-    pe = p_enclosure(p, bt.prec)
-    p_w = Interval((pe.lo * c) >> 2 * n, -((-pe.hi * c) >> 2 * n), pe.prec)
-    return (b - p_w).round_to(prec)
+    return (b - scaled_p_wallis(t, n, p, prec)).round_to(prec)
 
 
 def ends(ivs):
@@ -68,19 +87,44 @@ def bits(iv):
     return iv.lo, iv.hi, iv.prec
 
 
+def kernel_ends(call):
+    """call()'s result, and the endpoint lists its kernel hands to
+    ``_times_ehp``: the ends at the table's scale P + 32, before the
+    product with e^(pi/2) and the shift to P, whose rounding can hide a
+    kernel's wrong rounding direction by an ulp or two."""
+    made = []
+    real = coefficients._times_ehp
+
+    def recording(lo, hi, precision, sub=None):
+        lo, hi = list(lo), list(hi)
+        if sub is not None:
+            sub = tuple(map(list, sub))
+        made.append(((lo, hi), sub))
+        return real(lo, hi, precision, sub)
+
+    with mock.patch.object(coefficients, "_times_ehp", recording):
+        got = call()
+    ((scaled, sub),) = made
+    return got, scaled, sub
+
+
 def check_block(t, n0, n1, prec, ps):
     ns = range(n0, n1 + 1)
-    assert t.ratios(n0, n1, prec) == ends(oracle_ratio(t, n, prec)
-                                          for n in ns)
-    assert t.ratio_gaps(n0, n1, prec) == ends(oracle_ratio_gap(t, n, prec)
-                                              for n in ns)
+    for kernel, scaled_oracle in ((t.ratios, scaled_ratio),
+                                  (t.ratio_gaps, scaled_ratio_gap)):
+        got, scaled, _ = kernel_ends(lambda: kernel(n0, n1, prec))
+        want = [scaled_oracle(t, n, prec) for n in ns]
+        assert scaled == ends(want), kernel
+        assert got == ends(times_e(iv, prec) for iv in want), kernel
     assert t.u_values(n0, n1, prec) == ends(t.u_coeff(n).evaluate(prec)
                                             for n in ns)
     assert t.v_values(n0, n1, prec) == ends(t.v_coeff(n).evaluate(prec)
                                             for n in ns)
     for p in ps:
-        assert t.c_coeffs(n0, n1, p, prec) == ends(oracle_c(t, n, p, prec)
-                                                   for n in ns), p
+        got, scaled, sub = kernel_ends(lambda: t.c_coeffs(n0, n1, p, prec))
+        assert scaled == ends(btilde(t, n, prec) for n in ns), p
+        assert sub == ends(scaled_p_wallis(t, n, p, prec) for n in ns), p
+        assert got == ends(oracle_c(t, n, p, prec) for n in ns), p
 
 
 PARAMS = (F(4), F(399, 100), F(-1, 3), threshold(0), threshold(1),
@@ -102,12 +146,17 @@ def test_kernels_match_the_interval_formulas(prec):
 def test_one_index_readers_are_the_kernels(prec):
     t = CoefficientTable()
     for n in (0, 1, 2, 39, 40):
-        assert bits(t.ratio(n, prec)) == bits(oracle_ratio(t, n, prec))
-        assert bits(t.ratio_gap(n, prec)) == bits(
-            oracle_ratio_gap(t, n, prec))
+        for reader, scaled_oracle in ((t.ratio, scaled_ratio),
+                                      (t.ratio_gap, scaled_ratio_gap)):
+            got, scaled, _ = kernel_ends(lambda: reader(n, prec))
+            want = scaled_oracle(t, n, prec)
+            assert scaled == ends([want])
+            assert bits(got) == bits(times_e(want, prec))
         for p in PARAMS:
-            assert bits(t.c_coeff(n, p, prec)) == bits(
-                oracle_c(t, n, p, prec))
+            got, scaled, sub = kernel_ends(lambda: t.c_coeff(n, p, prec))
+            assert scaled == ends([btilde(t, n, prec)])
+            assert sub == ends([scaled_p_wallis(t, n, p, prec)])
+            assert bits(got) == bits(oracle_c(t, n, p, prec))
 
 
 def oracle_btilde_enclosure(t, n, prec):
