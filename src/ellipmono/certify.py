@@ -689,10 +689,8 @@ def h_monotonicity(xs: Sequence[Fraction],
 
 def j_quotient_coefficients(count: int) -> list[PiExpression]:
     """First ``count`` exact coefficients of the formal quotient
-    (sum_{n>=1} b_n x^n) / (sum_{n>=1} W_n x^n), read from the table's
-    integer quotient polynomials (see
-    :meth:`CoefficientTable.ensure_quotient`).  A later call reuses the
-    prefix built by an earlier one.
+    (sum_{n>=1} b_n x^n) / (sum_{n>=1} W_n x^n), each read from the
+    table's G columns (see :meth:`CoefficientTable.quotient_coeff`).
     """
     return [_table.quotient_coeff(k) for k in range(count)]
 

@@ -28,7 +28,8 @@ y G_j' = j G_{j-1} y G'  give the row recurrence
     n G_j[n] = j sum_{k=1}^{n-j+1} k (C(2k,k)/2)^2 G_{j-1}[n-k],   G_0 = 1,
 
 whose division by n is exact, G_j being an integer series.  Row n reads
-only earlier rows, so the table grows on demand one index at a time.
+only earlier rows, so the table grows on demand one index at a time; its
+N rows are O(N^3) products of O(N)-bit integers.
 Its entries have about 4n bits (789 at n = 200, where B_n has up to
 2036) and its weights k (C(2k,k)/2)^2 about 4k; the falling-factorial
 recurrence for B_n that this replaced multiplied integers of about 10n
@@ -50,9 +51,7 @@ whose shorter operand reaches _NTT_DIGITS decimal digits packs them into
 decimal slots of a ``Decimal``, whose C implementation (libmpdec)
 multiplies by a number-theoretic transform, M(s) = O(s log s).  Both
 give the same exact sums, so the table's bits do not depend on the
-path.  The exact table's N rows are O(N^3) products of O(N)-bit
-integers, grown on demand.
-Every reader takes the table's integer endpoint lists in one call: the
+path.  Every reader takes the table's integer endpoint lists in one call: the
 block kernels ``ratios``, ``ratio_gaps`` and ``c_coeffs`` (``u_values``,
 ``v_values`` for u and v) give whole ranges, ``exp_K`` runs Horner's rule
 on the lists, and ``ratio``, ``ratio_gap``, ``c_coeff``,
@@ -84,8 +83,12 @@ statement of its recurrence; the tables and ``exp_K`` read it.  A table
 holds one integer list per sequence: ``wallis``, the kernels and the
 weights of the G rows read C(2n,n) from the same list.
 
-The formal quotient (sum_{n>=1} b_n x^n) / (sum_{n>=1} W_n x^n) is kept
-as integer pi-polynomials too (see :meth:`CoefficientTable.ensure_quotient`).
+The formal quotient (sum_{n>=1} b_n x^n) / (sum_{n>=1} W_n x^n) is read
+from the same G columns.  Its divisor is 1/sqrt(1-x) - 1, whose
+reciprocal (1 - x + sqrt(1-x))/x has the coefficients tau_m/16^m with
+the integers tau_m = 2, -24, then -4^m C(2m,m)/(2m-1); so q_k over
+D_{k+1} has the pi^j coefficient 2^j ((k+1)!/j!) sum_i tau_i G_j[k+1-i]
+for j >= 1, and 0 for j = 0 (:meth:`CoefficientTable.quotient_coeff`).
 """
 
 from __future__ import annotations
@@ -274,6 +277,24 @@ def _grow(rec, a: list[int], n: int) -> None:
         a.append(_next(rec, len(a) - 1, a))
 
 
+def _pi_row(n: int, g: list[int]) -> list[int]:
+    """[2^j (n!/j!) g_j for j <= n], the pi^j coefficients over D_n of
+    sum_j (2 pi)^j/j! g_j/16^n: B_n for g_j = G_j[n], Q_{n-1} for
+    g_j = (tau * G_j)[n]."""
+    row, fall = [0] * (n + 1), 1  # fall = n!/j!
+    for j in range(n, -1, -1):
+        row[j] = (fall * g[j]) << j
+        fall *= j
+    return row
+
+
+def _tau(C: list[int], n: int) -> list[int]:
+    """tau_0..tau_n of quotient_coeff from the C(2m,m) list C; the
+    division is exact, -4^m C(2m,m)/(2m-1) being -2 4^m Catalan(m-1)."""
+    return [2, -24, *(-_exact_div(C[m] << 2 * m, 2 * m - 1)
+                      for m in range(2, n + 1))]
+
+
 def _times_ehp(lo, hi, precision: int, sub=None):
     """(Interval(lo, hi, W) * e - sub).round_to(P) as lists, for endpoint
     iterables at the table's scale W and e = e^(pi/2) at W: e > 0 picks
@@ -301,8 +322,6 @@ class CoefficientTable:
         self._C: list[int] = [1]
         self._P: list[int] = [1]
         self._R: list[int] = [3]
-        # formal quotient: integer polynomials Q_k over D_{k+1}
-        self._Q: list[list[int]] = []
         # exact v: integer pairs over 16^n
         self._VP: list[int] = []
         self._VR: list[int] = []
@@ -339,7 +358,7 @@ class CoefficientTable:
         G_0 = 1: the coefficients of y^m in y G_j' = j G_{j-1} y G'.
         Each division by m is exact, and ``_exact_div`` raises if one is
         not.  Row m costs O(m^2) products of about 4k- by 4m-bit
-        integers; ``_b_row`` reads B_n from row n.
+        integers; ``_pi_row`` reads B_n from row n.
         """
         with self._lock:
             G = self._G
@@ -357,22 +376,14 @@ class CoefficientTable:
                 G[0].append(0)
             _grow(D_REC, self._D, n)
 
-    def _b_row(self, n: int) -> list[int]:
-        """B_n[j] = 2^j (n!/j!) G_j[n], the pi^j coefficients of b_n over
-        D_n (callers hold the lock and have grown the table)."""
-        row, fall = [0] * (n + 1), 1  # fall = n!/j!
-        for j in range(n, -1, -1):
-            row[j] = (fall * self._G[j][n - j]) << j
-            fall *= j
-        return row
-
     def b_coeff(self, n: int) -> PiExpression:
         """Exact b_n as a pi-polynomial times e^(pi/2)."""
         _check_index(n)
         self.ensure_exact(n)
         with self._lock:
-            return PiExpression(self._b_row(n), exp_scale=True,
-                                den=self._D[n])
+            G = self._G
+            g = [G[j][n - j] for j in range(n + 1)]
+            return PiExpression(_pi_row(n, g), exp_scale=True, den=self._D[n])
 
     def gap_exact(self, n: int) -> PiExpression:
         """Exact (n+1) b_{n+1} - (n+1/2) b_n."""
@@ -382,44 +393,24 @@ class CoefficientTable:
     # ------------------------------------------------------------------
     # formal quotient (sum_{n>=1} b_n x^n) / (sum_{n>=1} W_n x^n)
 
-    def ensure_quotient(self, count: int) -> None:
-        """Grow the quotient table so q_0..q_{count-1} are available.
-
-        With Q_k = q_k e^(-pi/2) 16^(k+1) (k+1)!, the long division
-        q_k = (b_{k+1} - sum_{j<k} q_j W_{k+1-j}) / W_1 becomes
-
-            Q_k = 2 B_{k+1} - 2 sum_{j<k} C(2(k+1-j), k+1-j) 4^(k-j-1)
-                                          (k+1)!/(j+1)! Q_j,
-
-        integer polynomials in pi throughout (4^(k-j-1) is integral since
-        j <= k-1), so no rational arithmetic runs.
-        """
-        with self._lock:
-            if len(self._Q) >= count:
-                return
-            self.ensure_exact(count)  # grows C(2n,n) to n = count too
-            Q = self._Q
-            while len(Q) < count:
-                k = len(Q)
-                acc = [0] * (k + 2)
-                fact = 1  # (k+1)!/(j+1)!
-                for j in range(k - 1, -1, -1):
-                    fact *= j + 2
-                    d = k - j
-                    mult = (self._C[d + 1] * fact) << (2 * (d - 1))
-                    for i, c in enumerate(Q[j]):
-                        acc[i] += mult * c
-                Q.append([2 * (b - a)
-                          for b, a in zip(self._b_row(k + 1), acc)])
-
     def quotient_coeff(self, k: int) -> PiExpression:
         """Exact coefficient q_k of the formal quotient, a pi-polynomial
-        times e^(pi/2)."""
+        times e^(pi/2): q_k = sum_{n=1}^{k+1} b_n tau_{k+1-n}/16^(k+1-n),
+        tau_m = 16^m [x^m] (1 - x + sqrt(1-x)) = 2, -24, then
+        -4^m C(2m,m)/(2m-1) (``_tau``).  Over D_{k+1} its pi^j coefficient is
+
+            Q_k[j] = 2^j ((k+1)!/j!) sum_i tau_i G_j[k+1-i]   (j >= 1),
+
+        and Q_k[0] = 0: b_0, the j = 0 column, is not in the dividend.
+        """
         _check_index(k)
-        self.ensure_quotient(k + 1)
+        n = k + 1
+        self.ensure_exact(n)  # grows C(2n,n) to n too
         with self._lock:
-            return PiExpression(self._Q[k], exp_scale=True,
-                                den=self._D[k + 1])
+            tau, G = _tau(self._C, n), self._G
+            g = [0] + [sum(map(mul, tau, reversed(G[j][:n + 1 - j])))
+                       for j in range(1, n + 1)]
+            return PiExpression(_pi_row(n, g), exp_scale=True, den=self._D[n])
 
     # ------------------------------------------------------------------
     # exact u/v

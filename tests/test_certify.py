@@ -1,7 +1,9 @@
 """Certification machinery: sequence claims, grids, probes, quotients."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -286,6 +288,80 @@ def test_j_quotient_matches_long_division():
     assert j_quotient_coefficients(60) == long_division_quotient(60)
 
 
+QUOTIENT_N = 200
+
+
+def numerators(e, n):
+    """The integer pi^j coefficients of e e^(-pi/2) 16^n n!, for e a
+    pi-polynomial times e^(pi/2) whose denominator divides 16^n n!."""
+    scale = 16 ** n * math.factorial(n) // e.den
+    return [c * scale for c in e.nums]
+
+
+@lru_cache(maxsize=None)
+def integer_long_division(count):
+    """Q_0..Q_{count-1}, q_k e^(-pi/2) 16^(k+1) (k+1)! as integer lists,
+    by the recursion the quotient table used to run: the long division
+    q_k = (b_{k+1} - sum_{j<k} q_j W_{k+1-j}) / W_1 in integers,
+
+        Q_k = 2 B_{k+1} - 2 sum_{j<k} C(2(k+1-j), k+1-j) 4^(k-j-1)
+                                      (k+1)!/(j+1)! Q_j.
+    """
+    Q = []
+    for k in range(count):
+        acc = [0] * (k + 2)
+        fact = 1  # (k+1)!/(j+1)!
+        for j in range(k - 1, -1, -1):
+            fact *= j + 2
+            d = k - j
+            mult = (math.comb(2 * d + 2, d + 1) * fact) << (2 * (d - 1))
+            for i, c in enumerate(Q[j]):
+                acc[i] += mult * c
+        Q.append([2 * (b - a)
+                  for b, a in zip(numerators(b_coeff(k + 1), k + 1), acc)])
+    return Q
+
+
+def quotient_rows(table, count):
+    return [numerators(table.quotient_coeff(k), k + 1) for k in range(count)]
+
+
+def test_quotient_rows_match_the_integer_long_division():
+    Q = integer_long_division(QUOTIENT_N)
+    # a fresh table grown one k at a time by its reads ...
+    assert quotient_rows(CoefficientTable(), QUOTIENT_N) == Q
+    # ... and one grown at once by its last read
+    table = CoefficientTable()
+    table.quotient_coeff(QUOTIENT_N - 1)
+    assert quotient_rows(table, QUOTIENT_N) == Q
+
+
+def test_a_changed_tau_is_caught(monkeypatch):
+    count = 60
+    Q = integer_long_division(QUOTIENT_N)[:count]
+    table = CoefficientTable()
+    table.ensure_exact(count)  # the mutants below change no G entry
+    assert quotient_rows(table, count) == Q
+    tau, caught = coefficients._tau, 0
+    for m in range(31):
+        for delta in (1, -1):
+            def mutant(C, n, m=m, delta=delta):
+                t = tau(C, n)
+                if m <= n:
+                    t[m] += delta
+                return t
+            monkeypatch.setattr(coefficients, "_tau", mutant)
+            caught += quotient_rows(table, count) != Q
+    assert caught == 62
+    # the divisor 2m+1 in place of 2m-1 makes a division inexact
+    monkeypatch.setattr(coefficients, "_tau", tau)
+    exact_div = coefficients._exact_div
+    monkeypatch.setattr(coefficients, "_exact_div",
+                        lambda num, den: exact_div(num, den + 2))
+    with pytest.raises(ArithmeticError):
+        quotient_rows(table, count)
+
+
 def test_j_quotient_reconstructs_b():
     # sum_{j<=k} q_j W_{k+1-j} must rebuild b_{k+1} exactly
     qs = j_quotient_coefficients(100)
@@ -299,7 +375,7 @@ def test_j_quotient_reconstructs_b():
 def test_j_quotient_prefix_is_reused():
     table = CoefficientTable()
     first = [table.quotient_coeff(k) for k in range(12)]
-    table.quotient_coeff(29)  # grows the table past the first prefix
+    table.quotient_coeff(29)  # grows the G table the reads share
     assert [table.quotient_coeff(k) for k in range(12)] == first
     assert j_quotient_coefficients(12) == first  # the shared table agrees
 
