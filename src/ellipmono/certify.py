@@ -15,6 +15,9 @@ starting precision are retried with doubled working precision up to a
 cap, and exact-cancellation cases (coefficient parameters hitting a
 sharp threshold) are recognized symbolically and reported as boundary
 zeros rather than ground for refutation.
+
+Grid margins compute the values no point changes (p, the c_n, the
+identity's constants) once per (spec, precision), bit for bit as before.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .intervals import Interval, DomainError, check_precision
@@ -211,11 +214,17 @@ class BoundSpec:
         return d
 
 
-def _c_interval(n: int, spec: BoundSpec, precision: int) -> Interval:
-    """Enclosure of c_n at the (possibly offset) parameter."""
-    off = spec.param_offset * _table.wallis(n)
-    return (_table.c_coeff(n, spec.param, precision)
-            - Interval.from_fraction(off, precision))
+@lru_cache(maxsize=64)
+def _spec_values(spec: BoundSpec, top: int,
+                 precision: int) -> tuple[Interval, tuple[Interval, ...]]:
+    """p + offset and c_0..c_top at that offset parameter: the values of a
+    spec that no point changes, computed once per (spec, top, precision)."""
+    off = spec.param_offset
+    p = (PiExpression.of(spec.param).evaluate(precision)
+         + Interval.from_fraction(off, precision))
+    return p, tuple(_table.c_coeff(n, spec.param, precision)
+                    - Interval.from_fraction(off * _table.wallis(n), precision)
+                    for n in range(top + 1))
 
 
 def _log_arg_margin(spec: BoundSpec, x: Fraction, precision: int, *,
@@ -228,11 +237,9 @@ def _log_arg_margin(spec: BoundSpec, x: Fraction, precision: int, *,
     (sum_{n<=m} c_n) x^(m+1) from it (lower); otherwise top = m.
     """
     m = spec.order
-    arg = ((PiExpression.of(spec.param).evaluate(precision)
-            + Interval.from_fraction(spec.param_offset, precision))
-           * elliptic._rprime(x, precision).recip())
     top = m + 1 if (extrapolated and upper) else m
-    cs = [_c_interval(n, spec, precision) for n in range(top + 1)]
+    p, cs = _spec_values(spec, top, precision)
+    arg = p * elliptic._rprime(x, precision).recip()
     for n, cn in enumerate(cs):
         arg = arg + cn.mul_scalar(x ** n)
     if extrapolated and not upper:
@@ -258,9 +265,10 @@ def _sum_rule_margin(spec: BoundSpec, pt: tuple, precision: int, *,
         raise DomainError("upper comparison bound needs x + y < 1")
     z, w = (x + y, 1) if upper else ((x + y) / 2, 2)
     corr = Interval.from_int(0, precision)
-    for n in range(2, spec.order + 1):
-        corr = corr + _c_interval(n, spec, precision).mul_scalar(
-            x ** n + y ** n - w * z ** n)
+    if spec.order >= 2:  # below order 2 the spec has no p to read
+        cs = _spec_values(spec, spec.order, precision)[1]
+        for n in range(2, spec.order + 1):
+            corr = corr + cs[n].mul_scalar(x ** n + y ** n - w * z ** n)
     K = lambda t: elliptic.agm_K_m(t, precision)
     gap = K(x) + K(y) - K(z).mul_scalar(w) - corr
     if upper:
@@ -310,24 +318,29 @@ def _vs_weighted_margin(spec: BoundSpec, x: Fraction,
     return a_yi - a_new
 
 
+@lru_cache(maxsize=16)
+def _identity_values(precision: int) -> tuple[Interval, ...]:
+    """The x-free values of the order-1 identity, p_k = threshold(k):
+    p_2 - p_1, c_0(p_2) - c_0(p_1), c_1(p_2) and pi (pi - 3) e^(pi/2)."""
+    p1, p2 = _table.threshold(1), _table.threshold(2)
+    pi = enclose_constant("pi", precision)
+    c = partial(_table.c_coeff, precision=precision)
+    return (p2.evaluate(precision) - p1.evaluate(precision),
+            c(0, p2) - c(0, p1), c(1, p2),
+            pi * (pi - Interval.from_int(3, precision))
+            * enclose_constant("exp_half_pi", precision))
+
+
 def _first_order_identity_residual(spec: BoundSpec, x: Fraction,
                                    precision: int) -> Interval:
     """Residual of the closed form for the gap between the order-1 and
     order-0 sharp truncated-logarithm arguments."""
-    p1 = _table.threshold(1)
-    p2 = _table.threshold(2)
+    dp, dc0, c1, scale = _identity_values(precision)
     rp = elliptic._rprime(x, precision)
-    inv = rp.recip()
-    lhs = (p2.evaluate(precision) - p1.evaluate(precision)) * inv \
-        + _table.c_coeff(0, p2, precision) \
-        + _table.c_coeff(1, p2, precision).mul_scalar(x) \
-        - _table.c_coeff(0, p1, precision)
-    pi = enclose_constant("pi", precision)
-    ehp = enclose_constant("exp_half_pi", precision)
+    lhs = dp * rp.recip() + dc0 + c1.mul_scalar(x)
     den = rp * (Interval.from_int(2, precision)
                 + rp.mul_scalar(x + 2))
-    num = (pi * (pi - Interval.from_int(3, precision)) * ehp
-           ).mul_scalar(Fraction(x * x * (x + 3), 96))
+    num = scale.mul_scalar(Fraction(x * x * (x + 3), 96))
     rhs = num * den.recip()
     return lhs - rhs
 
@@ -340,6 +353,12 @@ def default_grid(density: int = 200) -> list[Fraction]:
     pts |= {Fraction(1, 1 << j) for j in range(2, 13)}
     pts |= {1 - Fraction(1, 1 << j) for j in range(2, 13)}
     return sorted(pts)
+
+
+def _grid_off_half(density: int = 200) -> list[Fraction]:
+    """:func:`default_grid` without x = 1/2 (held when density + 1 is
+    even), where both sides of the difference bound vanish."""
+    return [x for x in default_grid(density) if x != Fraction(1, 2)]
 
 
 def default_pair_grid(density: int = 32) -> list[tuple[Fraction, Fraction]]:
@@ -359,7 +378,8 @@ class Family:
     ``margin(spec, point, precision)`` encloses a quantity that is
     positive where the bound holds, or for an ``identity`` family a
     residual that must enclose zero.  ``grid(density)`` builds its points,
-    x (:func:`default_grid`) or pairs (x, y) (:func:`default_pair_grid`).
+    x (:func:`default_grid`, or it without x = 1/2 for ``EKDIFF_*``) or
+    pairs (x, y) (:func:`default_pair_grid`).
     ``default_param(spec)`` gives the sharp parameter used when the spec
     names none, or None at an order whose margin reads no parameter.
     ``probe`` makes the family a sharpness family: (offset sign, k -> k-th
@@ -405,10 +425,10 @@ FAMILIES: dict[str, Family] = {
     "CP3_upper": Family(partial(_sum_rule_margin, upper=True),
                         grid=default_pair_grid),
     "EKDIFF_upper": Family(
-        partial(_ekd_margin, upper=True),
+        partial(_ekd_margin, upper=True), grid=_grid_off_half,
         probe=(-1, lambda k: Fraction(1, 1 << (2 * k)))),
     "EKDIFF_lower": Family(
-        partial(_ekd_margin, upper=False),
+        partial(_ekd_margin, upper=False), grid=_grid_off_half,
         probe=(1, lambda k: Fraction(1, 2) - Fraction(1, 1 << (k + 1)))),
     "RMK4_QI": Family(_linear_refinement_margin),
     "RMK4_YI": Family(_vs_weighted_margin),

@@ -24,12 +24,16 @@ That bound needs no sign claim about the b_n: it follows from
 
 and W_k^2 < 1/(pi k), so the inner series is dominated coefficientwise by
 sum x^k/(2k) = -ln(1-x)/2, and b_n <= e^(pi/2) W_n.
+
+K and exp(K) at a rational m are memoized by (m, precision) in bounded LRU
+caches, alpha and beta once per precision; an ``Interval`` m is not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 from typing import Optional
 
@@ -116,12 +120,19 @@ def agm_K_m(m, precision: int) -> Interval:
     ``precision`` bits whether or not 1 - m is exact there.
     """
     if isinstance(m, Interval):
+        return _agm_K.__wrapped__(m, precision)
+    return _agm_K(_as_fraction(m), precision)
+
+
+# K at a rational m; the cached Interval is shared by every caller
+@lru_cache(maxsize=4096)
+def _agm_K(m, precision: int) -> Interval:
+    if isinstance(m, Interval):
         work = precision + _GUARD
         mi = m.round_to(work)
     else:
-        mf = _as_fraction(m)
-        work = precision + _GUARD + _near_one_bits(mf, precision)
-        mi = Interval.from_fraction(mf, work)
+        work = precision + _GUARD + _near_one_bits(m, precision)
+        mi = Interval.from_fraction(m, work)
     one = 1 << work
     if mi.lo < 0 or mi.hi >= one:
         raise DomainError("parameter m must lie in [0, 1)")
@@ -152,8 +163,14 @@ def agm_K(r, precision: int) -> Interval:
 
 def exp_K_agm(m, precision: int) -> Interval:
     """Enclosure of exp(K) at parameter m, via AGM plus interval exp."""
-    work = precision + 8
-    return agm_K_m(m, work).exp().round_to(precision)
+    if isinstance(m, Interval):
+        return _exp_K.__wrapped__(m, precision)
+    return _exp_K(_as_fraction(m), precision)
+
+
+@lru_cache(maxsize=2048)
+def _exp_K(m, precision: int) -> Interval:
+    return agm_K_m(m, precision + 8).exp().round_to(precision)
 
 
 # ----------------------------------------------------------------------
@@ -197,6 +214,15 @@ def _sup_tail_ratio(a: Fraction, b: Fraction, c: Fraction, n: int) -> Fraction:
     return max(here, Fraction(1))
 
 
+def _tail_ratio_ints(A: int, B: int, C: int, L: int, n: int,
+                     xn: int, xd: int) -> tuple[int, int]:
+    """(qn, qd) with qn/qd = _sup_tail_ratio(A/L, B/L, C/L, n) * xn/xd:
+    the L^2 of r_n cancels, and max(r_n, 1) is max(num, den)/den."""
+    Ln = L * n
+    num, den = (A + Ln) * (B + Ln), (C + Ln) * (L + Ln)
+    return max(num, den) * xn, den * xd
+
+
 def hyp_series(kind, x, precision: int,
                max_terms: Optional[int] = None) -> SeriesEval:
     """Sum F(a,b;c;x) for a supported triple with a certified tail.
@@ -225,7 +251,6 @@ def hyp_series(kind, x, precision: int,
     lo = hi = 1 << work                # the current term
     total_lo = total_hi = lo
     n = 0
-    tol = Fraction(4, 1 << work)       # 4 work-scale ulps
     while True:
         Ln = L * n
         num = (A + Ln) * (B + Ln) * xn
@@ -237,13 +262,13 @@ def hyp_series(kind, x, precision: int,
             tail = Interval(0, 0, work)
             break
         if n >= cap or n % 16 == 0 or n < 16:
-            q = _sup_tail_ratio(a, b, c, n) * xf
-            if q < 1:
-                # certified tail: t_n <= tail <= t_n / (1 - q)
-                tail_hi = Fraction(hi, 1 << work) / (1 - q)
-                if n >= cap or tail_hi <= tol:
+            qn, qd = _tail_ratio_ints(A, B, C, L, n, xn, xd)
+            if qn < qd:
+                # certified tail t_n <= tail <= t_n/(1 - q), q = qn/qd
+                if n >= cap or hi * qd <= 4 * (qd - qn):  # 4 ulps
                     tail = Interval.hull_of_fractions(
-                        Fraction(lo, 1 << work), tail_hi, work)
+                        Fraction(lo, 1 << work),
+                        Fraction(hi * qd, (qd - qn) << work), work)
                     break
             elif n >= cap:
                 raise DomainError(
@@ -398,6 +423,7 @@ def asymptotic_defect(m, precision: int) -> Interval:
             ).round_to(precision)
 
 
+@lru_cache(maxsize=16)
 def alpha_enclosure(precision: int) -> Interval:
     """Enclosure of exp(pi/2) - 4, the limit of H at 0+ and 1-."""
     work = precision + 8
@@ -405,6 +431,7 @@ def alpha_enclosure(precision: int) -> Interval:
             - Interval.from_int(4, work)).round_to(precision)
 
 
+@lru_cache(maxsize=16)
 def beta_enclosure(precision: int) -> Interval:
     """Enclosure of 4 sqrt(2) - Gamma(3/4)^2/sqrt(pi)
     * exp(Gamma(1/4)^2/(4 sqrt(pi))), the midpoint value of H."""

@@ -78,7 +78,8 @@ _Rat = Union[int, Fraction]
 
 
 class Interval:
-    """A closed real interval with dyadic endpoints ``[lo, hi] * 2**-prec``."""
+    """A closed real interval with dyadic endpoints ``[lo, hi] * 2**-prec``;
+    never mutated, so the library's memos share one instance among callers."""
 
     __slots__ = ("lo", "hi", "prec")
 

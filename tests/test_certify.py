@@ -219,6 +219,20 @@ def test_negative_grid_density_rejected(build):
     assert len(build(0)) == (22 if build is default_grid else 0)
 
 
+@pytest.mark.parametrize("family", ["EKDIFF_upper", "EKDIFF_lower"])
+def test_difference_bound_grid_leaves_out_the_half(family):
+    # both sides of the bound vanish at x = 1/2, which default_grid holds
+    # at every odd density
+    build = FAMILIES[family].grid
+    for density in (0, 1, 3, 59, 60, 200):
+        assert build(density) == [x for x in default_grid(density)
+                                  if x != F(1, 2)]
+    assert build() == default_grid()
+    # an explicit grid is taken as given
+    with pytest.raises(DomainError, match="degenerates at x = 1/2"):
+        grid_verify(BoundSpec(family), [F(1, 4), F(1, 2)])
+
+
 # ----------------------------------------------------------------------
 # sharpness probes
 
@@ -596,3 +610,64 @@ def test_p3_below_order_two_takes_no_parameter(family, order):
             resolve_spec(spec)
     with pytest.raises(DomainError, match="takes no parameter"):
         grid_verify(BoundSpec(family, order, 4), SMALL_PAIRS)
+
+
+# ----------------------------------------------------------------------
+# each value computed once: the memos of elliptic and certify
+
+def test_the_agm_core_runs_once_per_distinct_parameter(monkeypatch):
+    calls = []
+    public = elliptic.agm_K_m
+
+    def recording(m, precision):
+        calls.append((m, precision))
+        return public(m, precision)
+
+    monkeypatch.setattr(elliptic, "agm_K_m", recording)
+    elliptic._agm_K.cache_clear()
+    cert = grid_verify(BoundSpec("P3_lower"), SMALL_PAIRS)
+    assert cert.status is CertStatus.CERTIFIED
+    # the pairs share their x, y and midpoints
+    assert elliptic._agm_K.cache_info().misses == len(set(calls))
+    assert len(set(calls)) < len(calls) // 2
+
+
+def test_spec_values_are_read_once_whatever_the_grid(monkeypatch):
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(PiExpression, "evaluate",
+                        counting("evaluate", PiExpression.evaluate))
+    monkeypatch.setattr(CoefficientTable, "c_coeff",
+                        counting("c_coeff", CoefficientTable.c_coeff))
+    seen = []
+    for density in (5, 50):
+        counts.update(evaluate=0, c_coeff=0)
+        monkeypatch.setattr(certify, "_table", CoefficientTable())
+        certify._spec_values.cache_clear()
+        cert = grid_verify(BoundSpec("P2_upper"), default_grid(density))
+        assert cert.status is CertStatus.CERTIFIED
+        assert cert.precision_used == 96
+        seen.append(dict(counts))
+    # c_0 and c_1 at p = 4, and p itself, once for the spec
+    assert seen[0] == seen[1] == {"evaluate": 2, "c_coeff": 2}
+
+
+def test_a_grid_run_leaves_the_memoized_intervals_unchanged():
+    grid = default_grid(20)
+    held = [elliptic.agm_K_m(x, 96) for x in grid]
+    held += [elliptic.exp_K_agm(x, 112) for x in grid]
+    held += [elliptic.alpha_enclosure(96), elliptic.beta_enclosure(96)]
+    before = [(iv.lo, iv.hi, iv.prec) for iv in held]
+    for family in ("P1_lower", "P2_upper", "EKDIFF_upper", "EKDIFF_lower",
+                   "M1_identity"):
+        grid_verify(BoundSpec(family), FAMILIES[family].grid(20))
+    assert [(iv.lo, iv.hi, iv.prec) for iv in held] == before
+    # and the memos still hand out those very objects
+    assert all(elliptic.agm_K_m(x, 96) is iv for x, iv in zip(grid, held))
+    assert elliptic.beta_enclosure(96) is held[-1]

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from ellipmono.certify import default_grid
 from ellipmono.cli import main, parse_param
 from ellipmono.coefficients import threshold
 from ellipmono.pi_expr import PiExpression
@@ -306,6 +307,19 @@ def test_verify_without_density_uses_the_family_grid(capsys):
                      "--no-timestamp")
     assert rc == 0
     assert json.loads(out)["range"] == "240 grid points"
+
+
+@pytest.mark.parametrize("density", [1, 3, 59])
+@pytest.mark.parametrize("family", ["EKDIFF_upper", "EKDIFF_lower"])
+def test_verify_difference_bounds_at_odd_densities(capsys, family, density):
+    # default_grid holds x = 1/2 at these densities; the family's grid
+    # leaves it out, so the bound is certified rather than a domain error
+    rc, out, err = run(capsys, "verify", "--family", family, "--density",
+                       str(density), "--no-timestamp")
+    assert rc == 0 and not err
+    cert = json.loads(out)
+    assert cert["status"] == "Certified"
+    assert cert["range"] == f"{len(default_grid(density)) - 1} grid points"
 
 
 def test_verify_rejects_a_parameter_below_the_order_that_reads_it(capsys):

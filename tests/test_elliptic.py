@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import mpmath as mp
 import numpy as np
@@ -12,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 from ellipmono.coefficients import (shared_coefficients, u_coeff, v_coeff,
                                     wallis)
 from ellipmono.constants import enclose_constant
+from ellipmono import elliptic
 from ellipmono.elliptic import (
     _sup_tail_ratio,
+    _tail_ratio_ints,
     HYP_KINDS,
     G4_eval,
     G_eval,
@@ -385,6 +388,27 @@ def test_tail_ratio_bound_holds(kind):
         assert sup <= _sup_tail_ratio(a, b, c, n), n
 
 
+@pytest.mark.parametrize("kind", sorted(HYP_KINDS))
+def test_integer_stop_test_matches_the_fraction_test(kind):
+    # qn/qd is max(r_n, 1) x exactly, so q < 1 iff qn < qd, and the tail
+    # t_n / (1 - q) is at most 4 ulps iff hi qd <= 4 (qd - qn)
+    a, b, c = HYP_KINDS[kind]
+    L = lcm(a.denominator, b.denominator, c.denominator)
+    A, B, C = int(L * a), int(L * b), int(L * c)
+    tol = F(4, 1 << 64)
+    for x in (F(0), F(1, 3), F(1, 2), F(9, 10), F(99, 100), F(1023, 1024)):
+        for n in range(1, 4097):
+            qn, qd = _tail_ratio_ints(A, B, C, L, n, x.numerator,
+                                      x.denominator)
+            q = _sup_tail_ratio(a, b, c, n) * x
+            assert F(qn, qd) == q and (qn < qd) == (q < 1), (x, n)
+            if q < 1 and n % 64 == 0:
+                edge = 4 * (qd - qn) // qd  # the largest hi that stops
+                for hi in (0, edge, edge + 1, 1 << 64):
+                    assert (hi * qd <= 4 * (qd - qn)) == (
+                        F(hi, 1 << 64) / (1 - q) <= tol), (x, n, hi)
+
+
 # ----------------------------------------------------------------------
 # exp(K) series
 
@@ -454,7 +478,7 @@ def test_exp_K_capped_tail_uses_the_independent_bound(terms):
     assert (ev.enclosure.lo, ev.enclosure.hi) == (full.lo, full.hi)
 
 
-def test_exp_K_at_zero():
+def test_exp_K_zero():
     assert exp_K(F(0), 128).enclosure.overlaps(
         enclose_constant("exp_half_pi", 128))
 
@@ -594,3 +618,56 @@ def test_series_eval_is_frozen():
     assert isinstance(ev, SeriesEval)
     with pytest.raises(AttributeError):
         ev.terms_used = 0
+
+
+# ----------------------------------------------------------------------
+# memos of the point functions
+
+MEMO_MS = [F(0), F(1, 3), F(1, 2)] + [1 - F(1, 1 << k) for k in range(2, 41)]
+MEMO_PRECISIONS = [2, 7, 64, 96, 192, 1024]
+
+
+def ends(iv):
+    return iv.lo, iv.hi, iv.prec
+
+
+@pytest.mark.parametrize("precision", MEMO_PRECISIONS)
+def test_memoized_point_functions_equal_their_uncached_cores(precision):
+    for memo, public in ((elliptic._agm_K, agm_K_m),
+                         (elliptic._exp_K, exp_K_agm)):
+        memo.cache_clear()
+        for m in MEMO_MS:
+            want = ends(memo.__wrapped__(m, precision))
+            assert ends(public(m, precision)) == want, m  # a miss
+            assert ends(public(m, precision)) == want, m  # a hit
+        assert memo.cache_info().hits == len(MEMO_MS)
+    for fn in (alpha_enclosure, beta_enclosure):
+        fn.cache_clear()
+        want = ends(fn.__wrapped__(precision))
+        assert ends(fn(precision)) == ends(fn(precision)) == want
+
+
+def test_memo_keys_by_exact_value():
+    # int and Fraction m share an entry; a float is still refused, even
+    # where an equal Fraction is cached
+    assert agm_K_m(0, 64) is agm_K_m(F(0), 64)
+    assert exp_K_agm(0, 64) is exp_K_agm(F(0), 64)
+    with pytest.raises(TypeError):
+        agm_K_m(0.5, 64)
+    with pytest.raises(TypeError):
+        exp_K_agm(0.5, 64)
+    # a domain error is raised at every call, never cached
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            agm_K_m(F(1), 64)
+
+
+def test_an_interval_parameter_is_not_memoized():
+    m = Interval.from_fraction(F(1, 3), 128)
+    before = (elliptic._agm_K.cache_info(),
+              elliptic._exp_K.cache_info())
+    k1, k2 = agm_K_m(m, 96), agm_K_m(m, 96)
+    assert k1 is not k2 and ends(k1) == ends(k2)
+    assert exp_K_agm(m, 96) is not exp_K_agm(m, 96)
+    assert (elliptic._agm_K.cache_info(),
+            elliptic._exp_K.cache_info()) == before

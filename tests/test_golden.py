@@ -16,12 +16,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from ellipmono import constants
+from ellipmono import certify, constants, elliptic
 from ellipmono.certify import (
     FAMILIES,
     BoundSpec,
     certify_sequence,
-    default_grid,
     default_pair_grid,
     grid_verify,
     h_monotonicity,
@@ -35,15 +34,13 @@ GOLDEN = pathlib.Path(__file__).with_name("golden") / "certificates.json"
 H_POINTS = [F(k, 10) for k in (1, 2, 3, 4, 6, 7, 8, 9)]
 
 
-# the golden density of each grid builder a family may name
-DENSITY = {default_grid: 60, default_pair_grid: 12}
-
-
 def _grid(family, order=0, param=None, offset=F(0), **kw):
     def run():
         spec = BoundSpec(family, order, param, offset)
         build = FAMILIES[family].grid
-        return grid_verify(spec, build(DENSITY[build]), **kw)
+        # the golden density: 12 for pairs, 60 for the x grids
+        return grid_verify(spec, build(12 if build is default_pair_grid
+                                       else 60), **kw)
     return run
 
 
@@ -124,6 +121,43 @@ def test_certificate_bytes_do_not_depend_on_earlier_constants(monkeypatch):
             warmed.enclose(const, bits)
     monkeypatch.setattr(constants, "_shared", warmed)
     assert json.dumps(_fresh(name), indent=2) == want
+
+
+# cases whose certificates read the memos of elliptic and certify
+MEMO_CASES = ["grid/P1_lower/0", "grid/P3_lower/0", "grid/EKDIFF_upper/0",
+              "grid/M1_identity/0", "probe/EKDIFF_lower", "h/96"]
+MEMOS = (elliptic._agm_K, elliptic._exp_K, elliptic.alpha_enclosure,
+         elliptic.beta_enclosure, certify._spec_values,
+         certify._identity_values)
+
+
+def _warm_memos(name):
+    # the other memo cases, and this one's family at other precisions
+    for other in MEMO_CASES:
+        if other != name:
+            CASES[other]()
+    family = name.split("/")[1]
+    if name.startswith("grid/"):
+        for bits in (64, 192):
+            _grid(family, precision=bits)()
+    elif name.startswith("probe/"):
+        sharpness_probe(family, F(1, 1000), max_steps=8, precision=192)
+    else:
+        h_monotonicity(H_POINTS, precision=192)
+
+
+@pytest.mark.parametrize("name", MEMO_CASES)
+def test_certificate_bytes_do_not_depend_on_the_memos(name):
+    want = json.dumps(json.loads(GOLDEN.read_text())[name], indent=2)
+    for memo in MEMOS:
+        memo.cache_clear()
+    assert json.dumps(_fresh(name), indent=2) == want
+    for memo in MEMOS:
+        memo.cache_clear()
+    _warm_memos(name)
+    hits = sum(memo.cache_info().hits for memo in MEMOS)
+    assert json.dumps(_fresh(name), indent=2) == want
+    assert sum(memo.cache_info().hits for memo in MEMOS) > hits
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellipmono.certify import (FAMILIES, BoundSpec, CertStatus, _pt_str,
-                               certify_sequence, default_grid, grid_verify)
+                               certify_sequence, default_pair_grid,
+                               grid_verify)
 from ellipmono.coefficients import ratio, threshold
 
 CERTIFIED = CertStatus.CERTIFIED
@@ -147,7 +148,7 @@ GRID_FAMILIES = sorted(name for name, family in FAMILIES.items()
 
 def small_grid(name):
     build = FAMILIES[name].grid
-    return build(4 if build is default_grid else 6)
+    return build(6 if build is default_pair_grid else 4)
 
 
 def rad(witness):
