@@ -222,9 +222,10 @@ def _spec_values(spec: BoundSpec, top: int,
     off = spec.param_offset
     p = (PiExpression.of(spec.param).evaluate(precision)
          + Interval.from_fraction(off, precision))
-    return p, tuple(_table.c_coeff(n, spec.param, precision)
+    lo, hi = _table.c_coeffs(0, top, spec.param, precision)
+    return p, tuple(Interval(a, b, precision)
                     - Interval.from_fraction(off * _table.wallis(n), precision)
-                    for n in range(top + 1))
+                    for n, (a, b) in enumerate(zip(lo, hi)))
 
 
 def _log_arg_margin(spec: BoundSpec, x: Fraction, precision: int, *,
@@ -320,13 +321,14 @@ def _vs_weighted_margin(spec: BoundSpec, x: Fraction,
 
 @lru_cache(maxsize=16)
 def _identity_values(precision: int) -> tuple[Interval, ...]:
-    """The x-free values of the order-1 identity, p_k = threshold(k):
+    """The x-free values of the order-1 identity, the gap between the
+    sharp ``P1_lower`` arguments of orders 0 and 1 (p_k = threshold(k)):
     p_2 - p_1, c_0(p_2) - c_0(p_1), c_1(p_2) and pi (pi - 3) e^(pi/2)."""
-    p1, p2 = _table.threshold(1), _table.threshold(2)
+    (p1, (c0_1,)), (p2, (c0_2, c1_2)) = (
+        _spec_values(resolve_spec(BoundSpec("P1_lower", m)), m, precision)
+        for m in (0, 1))
     pi = enclose_constant("pi", precision)
-    c = partial(_table.c_coeff, precision=precision)
-    return (p2.evaluate(precision) - p1.evaluate(precision),
-            c(0, p2) - c(0, p1), c(1, p2),
+    return (p2 - p1, c0_2 - c0_1, c1_2,
             pi * (pi - Interval.from_int(3, precision))
             * enclose_constant("exp_half_pi", precision))
 

@@ -21,9 +21,10 @@ import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
-from .intervals import DomainError, BudgetError, check_precision
+from .intervals import DomainError, BudgetError, Interval, check_precision
 from .constants import CONSTANT_NAMES, enclose_constant
 from .coefficients import shared_coefficients
 from .pi_expr import PiExpression
@@ -96,20 +97,25 @@ def _emit_certificate(cert: Certificate, args,
 # ----------------------------------------------------------------------
 # subcommands
 
-def _c_row(args, n: int):
+def _c_rows(args):
     if args.p is None:
         raise DomainError("--kind c needs --p")
-    return _table.c_coeff(n, args.p, args.precision)
+    lo, hi = _table.c_coeffs(0, args.n_max, args.p, args.precision)
+    return (Interval(a, b, args.precision) for a, b in zip(lo, hi))
 
 
-# coeffs --kind -> (flags it reads, (args, n) -> row n), an exact
-# PiExpression or an enclosure (c_n(p), printed as one without --enclosure)
+def _each(reader: str):  # exact rows, read one at a time: they are big
+    return lambda args: map(getattr(_table, reader), range(args.n_max + 1))
+
+
+# coeffs --kind -> (flags it reads, args -> rows 0..n_max), exact
+# PiExpressions or enclosures (c_n(p), printed as such without --enclosure)
 _COEFF_ROWS = {
-    "b": ((), lambda args, n: _table.b_coeff(n)),
-    "u": ((), lambda args, n: _table.u_coeff(n)),
-    "v": ((), lambda args, n: _table.v_coeff(n)),
-    "c": (("p",), _c_row),
-    "q": ((), lambda args, n: _table.quotient_coeff(n)),
+    "b": ((), _each("b_coeff")),
+    "u": ((), _each("u_coeff")),
+    "v": ((), _each("v_coeff")),
+    "c": (("p",), _c_rows),
+    "q": ((), _each("quotient_coeff")),
 }
 
 
@@ -132,19 +138,21 @@ def _cmd_coeffs(args) -> int:
              if getattr(args, f) is not None]
     args.digits = 30 if args.digits is None else args.digits
     args.precision = 128 if args.precision is None else args.precision
-    exact = not args.enclosure and isinstance(read(args, 0), PiExpression)
+    values = read(args)
+    first = next(values)
+    exact = not args.enclosure and isinstance(first, PiExpression)
     if exact and given:
         raise DomainError(f"coeffs --kind {args.kind} takes --{given[0]} "
                           "only with --enclosure")
 
-    def text(value) -> str:  # one row at a time: the rows are big
+    def text(value) -> str:
         if exact:
             return value.render()
         if isinstance(value, PiExpression):
             value = value.evaluate(args.precision)
         return value.to_decimal(args.digits)
 
-    rows = [text(read(args, n)) for n in range(args.n_max + 1)]
+    rows = [text(v) for v in chain([first], values)]
     col = "expression" if exact else "enclosure"
     if args.format == "json":
         payload = {

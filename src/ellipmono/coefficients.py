@@ -57,8 +57,9 @@ block kernels ``ratios``, ``ratio_gaps`` and ``c_coeffs`` (``u_values``,
 on the lists, and ``ratio``, ``ratio_gap``, ``c_coeff``,
 ``btilde_enclosure`` and ``b_enclosure`` (= c_n(0)) are one-index reads.
 
-The difference sequence  c_n(p) = b_n - p W_n  and the auxiliary exact
-sequences
+The difference sequence  c_n(p) = b_n - p W_n,  enclosed with one
+evaluation of p per ``c_coeffs`` call, is exactly zero only at
+p = threshold(n) (``c_is_exactly_zero``); the auxiliary exact sequences
 
     u_n = pi * sum_k W_k^2 W_{n-k}^2 /((k+1)(n-k+1))
           - 6(2n+1)/((n+2)(n+1)) * W_n^2,
@@ -327,8 +328,6 @@ class CoefficientTable:
         self._VR: list[int] = []
         # interval value tables, keyed by precision
         self._values: dict[int, dict] = {}
-        # enclosures of the parameter p of c_n(p), keyed by (p, precision)
-        self._p_enclosures: dict[tuple[PiExpression, int], Interval] = {}
 
     # ------------------------------------------------------------------
     # Wallis ratios
@@ -578,7 +577,7 @@ class CoefficientTable:
         ns, blo, bhi = self._rows(n0, n1, precision)
         self._central(n1)
         C = self._C
-        pe = self._p_enclosure(PiExpression.of(p), precision + _VALUE_GUARD)
+        pe = PiExpression.of(p).evaluate(precision + _VALUE_GUARD)
         return _times_ehp((blo[n] for n in ns), (bhi[n] for n in ns),
                           precision,
                           (((pe.lo * C[n]) >> 2 * n for n in ns),
@@ -589,21 +588,12 @@ class CoefficientTable:
         (lo,), (hi,) = self.c_coeffs(n, n, p, precision)
         return Interval(lo, hi, precision)
 
-    def _p_enclosure(self, p: PiExpression, work: int) -> Interval:
-        """Enclosure of p (with its e^(pi/2) factor, if it has one) at
-        ``work`` bits; computed once per value of p and ``work``."""
-        key = (p, work)
-        with self._lock:
-            hit = self._p_enclosures.get(key)
-            if hit is None:
-                hit = self._p_enclosures[key] = p.evaluate(work)
-            return hit
-
     def c_is_exactly_zero(self, n: int, p) -> bool:
-        """True iff c_n(p) cancels exactly.  b_n is a nonzero multiple of
-        e^(pi/2), so only a scaled p can cancel it."""
+        """True iff c_n(p) cancels exactly.  b_n is e^(pi/2) times a
+        pi-polynomial of degree exactly n and pi is transcendental, so only
+        p = threshold(n) cancels it; the exact table grows to n at most."""
         p = PiExpression.of(p)
-        return p.exp_scale and self.c_exact(n, p).is_zero
+        return p.exp_scale and p.degree == n and p == self.threshold(n)
 
     # ------------------------------------------------------------------
 

@@ -258,9 +258,6 @@ def hyp_series(kind, x, precision: int,
         lo = lo * num // den
         hi = -(-hi * num // den)
         n += 1
-        if xn == 0:  # a, b > 0, so the terms vanish only at x = 0
-            tail = Interval(0, 0, work)
-            break
         if n >= cap or n % 16 == 0 or n < 16:
             qn, qd = _tail_ratio_ints(A, B, C, L, n, xn, xd)
             if qn < qd:
@@ -310,22 +307,20 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
     num, den = xf.numerator, xf.denominator
     wal_num, wal_den = 1, 1          # S_n = wal_num / wal_den
     binom, xpow = 1, 1
-    n = 1
-    while True:
+    n = 0
+    while n < cap:
+        n += 1
         binom = _next(C_REC, n - 1, (binom,))
         xpow *= num
         wal_num = wal_num * 4 * den + binom * xpow
         wal_den *= 4 * den
-        if n >= cap:
-            break
         if n % 32 == 0 or xf == 0:
             # stop on the lower end of sup: sup is itself a few ulps
             # wide, so a test on its upper end would never pass; the
-            # tail below still uses the upper end
+            # tail below still uses the upper end (the gap is 0 at x = 0)
             gap = sup.lo_fraction() - Fraction(wal_num, wal_den)
-            if ehp_hi * gap <= tol or xf == 0:
+            if ehp_hi * gap <= tol:
                 break
-        n += 1
     terms = n
     tail_hi = ehp_hi * (sup.hi_fraction() - Fraction(wal_num, wal_den))
     tail = Interval.hull_of_fractions(Fraction(0), max(tail_hi, Fraction(0)),

@@ -31,7 +31,7 @@ from ellipmono.certify import (
 from ellipmono.coefficients import (CoefficientTable, b_coeff, threshold,
                                     wallis)
 from ellipmono.constants import enclose_constant
-from ellipmono.intervals import DomainError
+from ellipmono.intervals import DomainError, Interval
 from ellipmono.pi_expr import PiExpression
 
 F = Fraction
@@ -250,6 +250,11 @@ def test_sharpness_probe_gives_up_honestly():
     assert cert.status is CertStatus.UNDECIDED
 
 
+def test_sharpness_probe_rejects_a_zero_epsilon():
+    with pytest.raises(DomainError, match="epsilon must be positive"):
+        sharpness_probe("P1_lower", F(0))
+
+
 def test_sharpness_probe_rejects_unknown_family():
     with pytest.raises(DomainError):
         sharpness_probe("RMK4_QI", F(1, 100))
@@ -425,6 +430,26 @@ def test_identity_witness_is_the_widest_residual():
     assert widest == F(2047, 2048)
     assert cert.witnesses[0].location == f"x={widest}"
     assert cert.witnesses[0].note == "widest residual"
+
+
+def test_identity_family_reports_its_failures(monkeypatch):
+    spec, grid = BoundSpec("M1_identity"), default_grid(4)
+    cert = grid_verify(spec, grid, precision=24, max_precision=24)
+    assert cert.status is CertStatus.UNDECIDED
+    assert cert.witnesses[0].note == "residual enclosure too wide"
+    # a wrong constant in the closed form: the residual excludes zero
+    real = certify._identity_values
+
+    def shifted(precision):
+        *values, scale = real(precision)
+        return (*values,
+                scale + Interval.from_fraction(F(1, 1 << 20), precision))
+
+    monkeypatch.setattr(certify, "_identity_values", shifted)
+    cert = grid_verify(spec, grid)
+    assert cert.status is CertStatus.REFUTED
+    assert cert.witnesses[0].location == "x=1/4096"
+    assert cert.witnesses[0].note == "residual excludes zero"
 
 
 def test_sharpness_families_come_from_the_registry():
@@ -643,19 +668,20 @@ def test_spec_values_are_read_once_whatever_the_grid(monkeypatch):
 
     monkeypatch.setattr(PiExpression, "evaluate",
                         counting("evaluate", PiExpression.evaluate))
-    monkeypatch.setattr(CoefficientTable, "c_coeff",
-                        counting("c_coeff", CoefficientTable.c_coeff))
+    monkeypatch.setattr(CoefficientTable, "c_coeffs",
+                        counting("c_coeffs", CoefficientTable.c_coeffs))
     seen = []
     for density in (5, 50):
-        counts.update(evaluate=0, c_coeff=0)
+        counts.update(evaluate=0, c_coeffs=0)
         monkeypatch.setattr(certify, "_table", CoefficientTable())
         certify._spec_values.cache_clear()
         cert = grid_verify(BoundSpec("P2_upper"), default_grid(density))
         assert cert.status is CertStatus.CERTIFIED
         assert cert.precision_used == 96
         seen.append(dict(counts))
-    # c_0 and c_1 at p = 4, and p itself, once for the spec
-    assert seen[0] == seen[1] == {"evaluate": 2, "c_coeff": 2}
+    # c_0..c_1 at p = 4 from one kernel call, which encloses p once, and
+    # p itself, once for the spec
+    assert seen[0] == seen[1] == {"evaluate": 2, "c_coeffs": 1}
 
 
 def test_a_grid_run_leaves_the_memoized_intervals_unchanged():

@@ -76,6 +76,38 @@ def test_coeffs_c_with_p(capsys):
     assert lines[2].startswith('1,"-0.11092994996242')
 
 
+def test_coeffs_c_json_names_its_parameter(capsys):
+    for text, p in (("4", "4"), ("threshold(1)", str(threshold(1)))):
+        rc, out, _ = run(capsys, "coeffs", "--kind", "c", "--n-max", "1",
+                         "--p", text, "--format", "json")
+        assert rc == 0
+        data = json.loads(out)
+        assert data["p"] == p
+        assert data["column"] == "enclosure" and len(data["rows"]) == 2
+    rc, out, _ = run(capsys, "coeffs", "--kind", "b", "--n-max", "1",
+                     "--format", "json")
+    assert rc == 0 and "p" not in json.loads(out)
+
+
+def test_coeffs_c_encloses_p_once_for_all_its_rows(capsys, monkeypatch):
+    calls = []
+    real = PiExpression.evaluate
+
+    def counting(self, precision):
+        calls.append(precision)
+        return real(self, precision)
+
+    monkeypatch.setattr(PiExpression, "evaluate", counting)
+    rc, out, _ = run(capsys, "coeffs", "--kind", "c", "--n-max", "300",
+                     "--p", "threshold(40)")
+    assert rc == 0
+    assert len(calls) == 1
+    lines = out.strip().splitlines()
+    assert len(lines) == 302
+    # c_40 vanishes at p = threshold(40); its enclosure holds 0
+    assert re.fullmatch(r'40,"-?0\.0+ ± [0-9.e+-]+"', lines[41]), lines[41]
+
+
 def test_coeffs_q_exact(capsys):
     rc, out, _ = run(capsys, "coeffs", "--kind", "q", "--n-max", "1")
     assert rc == 0

@@ -347,10 +347,9 @@ def test_c_coeff_values():
         assert ref <= mp.mpf(hi.numerator) / hi.denominator
 
 
-def test_c_coeff_encloses_p_once_per_precision(monkeypatch):
+def test_one_c_coeffs_call_encloses_p_once_whatever_its_range(monkeypatch):
     table = CoefficientTable()
     p = threshold(3)
-    first = [table.c_coeff(n, p, 128) for n in range(3, 40)]
     calls = []
     real = PiExpression.evaluate
 
@@ -359,11 +358,43 @@ def test_c_coeff_encloses_p_once_per_precision(monkeypatch):
         return real(self, precision)
 
     monkeypatch.setattr(PiExpression, "evaluate", counting)
-    assert [table.c_coeff(n, p, 128) for n in range(3, 40)] == first
-    assert calls == []
-    table.c_coeff(3, p, 256)
-    table.c_coeff(4, p, 256)
-    assert calls == [256 + coefficients._VALUE_GUARD]
+    for n1 in (3, 39, 400):
+        calls.clear()
+        lo, hi = table.c_coeffs(3, n1, p, 128)
+        assert calls == [128 + coefficients._VALUE_GUARD]
+        assert len(lo) == len(hi) == n1 - 2
+    # the table keeps no enclosure of p: its state is integer lists
+    assert not hasattr(table, "_p_enclosures")
+    calls.clear()
+    assert table.c_coeffs(3, 39, p, 128) == table.c_coeffs(3, 39, p, 128)
+    assert len(calls) == 2
+
+
+def old_zero_rule(table, n, p):
+    """The zero test by exact subtraction that the degree rule replaced."""
+    p = PiExpression.of(p)
+    return p.exp_scale and table.c_exact(n, p).is_zero
+
+
+def test_exact_zero_decided_by_degree_agrees_with_subtraction():
+    table = CoefficientTable()
+    for k in range(31):
+        t = table.threshold(k)
+        for p in (t, t.scale(1 + F(1, 1 << 60)), F(k), F(4)):
+            for n in range(36):
+                assert (bool(table.c_is_exactly_zero(n, p))
+                        == bool(old_zero_rule(table, n, p))), (k, p, n)
+                assert table.c_is_exactly_zero(n, p) == (n == k and p == t)
+
+
+def test_exact_zero_test_never_grows_the_table_past_deg_p():
+    table = CoefficientTable()
+    p = table.threshold(3)
+    assert len(table._G) == 4
+    assert not table.c_is_exactly_zero(100, p)
+    assert not table.c_is_exactly_zero(2, p)
+    assert table.c_is_exactly_zero(3, p)
+    assert len(table._G) == 4
 
 
 def test_value_table_consistent_with_exact():

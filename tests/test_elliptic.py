@@ -372,6 +372,18 @@ def test_hyp_matches_interval_loop_at_random_points(kind, x, precision, cap):
 
 
 @pytest.mark.parametrize("kind", sorted(HYP_KINDS))
+def test_hyp_series_at_zero_is_one_term_with_no_tail(kind):
+    for precision in (1, 2, 7, 64, 128, 333):
+        for cap in (None, 0, 1, 2, 40):
+            ev = hyp_series(kind, F(0), precision, cap)
+            assert ev.terms_used == 1
+            assert (ev.partial.lo, ev.partial.hi, ev.partial.prec) == (
+                1 << precision, 1 << precision, precision)
+            assert (ev.tail_bound.lo, ev.tail_bound.hi,
+                    ev.tail_bound.prec) == (0, 0, precision)
+
+
+@pytest.mark.parametrize("kind", sorted(HYP_KINDS))
 def test_tail_ratio_bound_holds(kind):
     # max(r_n, 1) bounds every later ratio r_k because r_k stays on one
     # side of 1 and moves towards it; checked exactly for k <= 4096
@@ -469,13 +481,17 @@ def test_exp_K_stops_early_with_the_capped_enclosure(r):
         full.lo, full.hi, full.prec)
 
 
-@pytest.mark.parametrize("terms", [8, 32])
+@pytest.mark.parametrize("terms", [0, 1, 2, 3, 8, 32])
 def test_exp_K_capped_tail_uses_the_independent_bound(terms):
     # a capped sum keeps a wide tail, so the constant in front of the
-    # Wallis remainder shows: e^(pi/2), not the paper's 4
+    # Wallis remainder shows: e^(pi/2), not the paper's 4; n_terms = N
+    # sums b_0..b_N, N = 0 included
     ev = exp_K(F(1, 2), 96, n_terms=terms)
+    assert ev.terms_used == terms + 1
     full = exp_K_summed_to(F(1, 2), 96, terms)
     assert (ev.enclosure.lo, ev.enclosure.hi) == (full.lo, full.hi)
+    mp.mp.prec = 200
+    assert mp_contains(ev.enclosure, mp.exp(mp.ellipk(mp.mpf(1) / 2)))
 
 
 def test_exp_K_zero():
