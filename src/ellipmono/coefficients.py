@@ -45,7 +45,12 @@ them are sound.  The convolution sums of that run are exact integers,
 so they are evaluated in an online divide-and-conquer order whose block
 products are single big-number multiplies (Kronecker substitution):
 N terms cost O(M(N P) log N) for P-bit bounds instead of N^2/2 products,
-M(s) being the cost of one s-digit multiply.  A small product packs its
+M(s) being the cost of one s-digit multiply.  One pass builds both ends
+(lo, hi): the upper weights are the lower ones plus one, so with the
+width d = hi - lo the upper sum is the lower one plus a product of d,
+whose few-bit entries nearly halve its slots, plus a running sum of hi.
+Every sum is exact and each end rounds only after its sum, so the split
+does not change a bit.  A small product packs its
 entries into byte slots of an ``int`` (Karatsuba, M(s) = O(s^1.59)); one
 whose shorter operand reaches _NTT_DIGITS decimal digits packs them into
 decimal slots of a ``Decimal``, whose C implementation (libmpdec)
@@ -124,8 +129,10 @@ __all__ = [
 # directly; longer runs split in two (see _extend_online).
 _DIRECT_STEPS = 32
 
-# The value table for P bits runs P + _VALUE_GUARD bits: b~_n widens about
-# 6.4 n ulps there, so its readers keep P bits for n <= 4000.
+# The value table for P bits runs P + _VALUE_GUARD bits: b~_n is at most
+# 1.6 (n+1) ulps wide there (measured for n <= 4000, 5327 ulps at n = 4000
+# and 128 bits; tests pin 2(n+1) for n <= 600), so its readers keep P bits
+# for n <= 4000.
 _VALUE_GUARD = 32
 
 
@@ -191,26 +198,43 @@ def _product_slice(a: list[int], c: list[int], start: int,
             for i in range(start * digits, stop * digits, digits)]
 
 
-def _extend_online(b: list[int], w: list[int], n: int, step) -> None:
-    """Append b_L..b_n to b (L = len(b)), where
-    b_{m+1} = step(m, b_m, sum_{k<=m} w_k b_{m-k}).
+def _extend_online(lo: list[int], hi: list[int], w: list[int], n: int,
+                   step) -> None:
+    """Append lo_L..lo_n to lo and hi_L..hi_n to hi (L = len(lo)), where
+    (lo_{m+1}, hi_{m+1}) = step(m, lo_m, hi_m, S_m, T_m) with
 
-    The sums are exact, so any evaluation order gives the same bits.
-    The weights are all known, only b is produced online: ``solve(l, r)``
-    produces b_{l+1..r} given the pending sums S_m (m in [l, r)) holding
-    every b_i with i <= l.  It solves the left half, adds b_{l+1..mid} to
-    S_m for m in [mid, r) with one packed product, then solves the right
-    half.  Growth first adds b_0..b_{L-1} with one prefix product; a
-    growth of at most _DIRECT_STEPS steps sums directly instead.
+        S_m = sum_{k<=m} w_k lo_{m-k},   T_m = sum_{k<=m} (w_k + 1) hi_{m-k}.
+
+    With d = hi - lo (never negative: _product_slice raises on a negative
+    entry),  T_m = S_m + sum_{k<=m} w_k d_{m-k} + sum_{i<=m} hi_i,  so the
+    upper sums need no product of their own as wide as S's: the one of d
+    has slots about as wide as w alone, and the last sum is a running
+    total.  The sums are exact, so any evaluation order gives the same
+    bits.  The weights are all known, only lo and hi are produced online:
+    ``solve(l, r)`` produces terms l+1..r given the pending sums of S and
+    of the d part (m in [l, r)) holding every term i <= l.  It solves the
+    left half, adds terms l+1..mid to the pending sums of m in [mid, r)
+    with one packed product each of lo and d, then solves the right half.
+    Growth first adds terms 0..L-1 with one prefix product each; a growth
+    of at most _DIRECT_STEPS steps sums directly instead.
     """
-    first = len(b) - 1
-    pending = [0] * (n - first)
+    first = len(lo) - 1
+    d = [h - l for l, h in zip(lo, hi)]
+    total = sum(hi)  # sum_{i<=m} hi_i for the next step m
+    pending = [[0] * (n - first), [0] * (n - first)]  # of S and of w*d
 
     def direct(l, r, frm):
+        nonlocal total
         for m in range(l, r):
-            s = pending[m - first] + sum(
-                map(mul, b[frm:m + 1], reversed(w[:m + 1 - frm])))
-            b.append(step(m, b[m], s))
+            rw = w[:m + 1 - frm][::-1]
+            s = pending[0][m - first] + sum(map(mul, lo[frm:m + 1], rw))
+            t = (s + total + pending[1][m - first]
+                 + sum(map(mul, d[frm:m + 1], rw)))
+            a, b = step(m, lo[m], hi[m], s, t)
+            lo.append(a)
+            hi.append(b)
+            d.append(b - a)
+            total += b
 
     def solve(l, r):
         if r - l <= _DIRECT_STEPS:
@@ -218,16 +242,17 @@ def _extend_online(b: list[int], w: list[int], n: int, step) -> None:
             return
         mid = (l + r) // 2
         solve(l, mid)
-        extra = _product_slice(b[l + 1:mid + 1], w[:r - l - 1],
-                               mid - l - 1, r - l - 1)
-        for i, s in enumerate(extra, mid - first):
-            pending[i] += s
+        for pend, x in zip(pending, (lo, d)):
+            extra = _product_slice(x[l + 1:mid + 1], w[:r - l - 1],
+                                   mid - l - 1, r - l - 1)
+            for i, s in enumerate(extra, mid - first):
+                pend[i] += s
         solve(mid, r)
 
     if n - first <= _DIRECT_STEPS:
         direct(first, n, 0)
     else:
-        pending[:] = _product_slice(b, w[:n], first, n)
+        pending[:] = [_product_slice(x, w[:n], first, n) for x in (lo, d)]
         solve(first, n)
 
 
@@ -474,9 +499,13 @@ class CoefficientTable:
         step floors (lower bound) or ceils (upper bound) only after its
         exact convolution sum, so the divide-and-conquer order of
         :func:`_extend_online` gives the bits of a term-by-term loop.
-        The weights W_k^2/(k+1) = E_k/16^k floor to (E_k << W) >> 4k,
-        with the integer E_k = C(2k,k)^2/(k+1) carried from step to step
-        by E_REC: one running integer per precision, not a list.
+        The weights W_k^2/(k+1) = E_k/16^k floor to wlo_k = (E_k << W)
+        >> 4k, with the integer E_k = C(2k,k)^2/(k+1) carried from step
+        to step by E_REC: one running integer per precision, not a list.
+        The upper bound sums over wlo_k + 1, which no list holds: one
+        online pass forms that sum exactly from the lower one, a product
+        of the width d_n = bhi_n - blo_n (about 13 bits at n = 4000, so
+        about half as wide as blo's) and a running sum of bhi.
         """
         _check_index(n)
         check_precision(precision)
@@ -487,34 +516,30 @@ class CoefficientTable:
                 pi = enclose_constant("pi", W).round_to(W)
                 st = self._values[precision] = {
                     "pi": (pi.lo, pi.hi), "blo": [1 << W], "bhi": [1 << W],
-                    "wlo": [], "whi": [],
+                    "wlo": [],
                     "E": 1}   # E_k of E_REC for the next weight index k
             blo, bhi = st["blo"], st["bhi"]
             if len(blo) > n:
                 return
-            wlo, whi = st["wlo"], st["whi"]
+            wlo = st["wlo"]
             while len(wlo) <= n:
                 k = len(wlo)
                 E = st["E"]
-                q = (E << W) >> (4 * k)
-                wlo.append(q)
-                whi.append(q + 1)
+                wlo.append((E << W) >> (4 * k))
                 st["E"] = _next(E_REC, k, (E,))
             pi_lo, pi_hi = st["pi"]
 
             # b~_{m+1} = (m b~_m + (pi/8) S_m) / (m+1): the lower bound
-            # floors every division, the upper bound ceils it
-            def step_lo(m, bm, s):
-                t2 = ((pi_lo * (s >> W)) >> W) // (8 * (m + 1))
-                return (m * bm) // (m + 1) + t2
+            # floors every division of its sum S over wlo, the upper bound
+            # ceils every division of its sum T over wlo + 1
+            def step(m, lo, hi, s, t):
+                t = -((-t) >> W)
+                x = -((-(pi_hi * t)) >> W)
+                return ((m * lo) // (m + 1)
+                        + ((pi_lo * (s >> W)) >> W) // (8 * (m + 1)),
+                        -((-(m * hi)) // (m + 1)) - ((-x) // (8 * (m + 1))))
 
-            def step_hi(m, bm, s):
-                s = -((-s) >> W)
-                x = -((-(pi_hi * s)) >> W)
-                return -((-(m * bm)) // (m + 1)) - ((-x) // (8 * (m + 1)))
-
-            _extend_online(blo, wlo, n, step_lo)
-            _extend_online(bhi, whi, n, step_hi)
+            _extend_online(blo, bhi, wlo, n, step)
 
     # Block kernels: the endpoint lists (lo, hi) of a reader over n0..n1
     # at P bits; the one-index readers are calls over [n, n].

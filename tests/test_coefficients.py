@@ -505,12 +505,13 @@ VALUE_N = 600
 _loop_cache = {}
 
 
-def loop_reference(precision):
-    """The loop's bounds at the scale the table for ``precision`` runs at."""
-    if precision not in _loop_cache:
-        _loop_cache[precision] = loop_values(
-            VALUE_N, precision + coefficients._VALUE_GUARD)
-    return _loop_cache[precision]
+def loop_reference(precision, n=VALUE_N):
+    """The loop's bounds b~_0..b~_n at the scale the table for
+    ``precision`` runs at."""
+    if (precision, n) not in _loop_cache:
+        _loop_cache[precision, n] = loop_values(
+            n, precision + coefficients._VALUE_GUARD)
+    return _loop_cache[precision, n]
 
 
 def value_bounds(table, n, precision):
@@ -551,7 +552,11 @@ PRODUCT_PATHS = {"int": math.inf, "decimal": 0,
                  "crossover": coefficients._NTT_DIGITS}
 
 
-@pytest.mark.parametrize("precision", [64, 96, 128, 136, 312])
+# 128 and 280 are the library's own keys (sequence claims, exp_K)
+ORACLE_PRECISIONS = [64, 96, 128, 136, 280, 312]
+
+
+@pytest.mark.parametrize("precision", ORACLE_PRECISIONS)
 @pytest.mark.parametrize("pattern", sorted(GROWTH_PATTERNS))
 def test_value_table_matches_term_by_term_loop(pattern, precision,
                                                monkeypatch):
@@ -563,6 +568,45 @@ def test_value_table_matches_term_by_term_loop(pattern, precision,
             table.ensure_values(n, precision)
             assert value_bounds(table, n, precision) == ref[:n + 1], (
                 path, pattern, n)
+
+
+@pytest.mark.parametrize("pattern", sorted(GROWTH_PATTERNS))
+def test_online_sums_are_the_defining_convolutions(pattern):
+    # the ends come from a fixed random sequence, so every S_m and T_m the
+    # builder hands to step is seen unshifted, not hidden by a rounding
+    rng = random.Random(23)
+    w = [rng.getrandbits(40) for _ in range(VALUE_N + 1)]
+    lo = [rng.getrandbits(40) for _ in range(VALUE_N + 1)]
+    hi = [x + rng.getrandbits(rng.choice([0, 5, 40])) for x in lo]
+    hi[0] += 1  # the start ends differ too
+    seen = {}
+
+    def step(m, lo_m, hi_m, s, t):
+        assert (lo_m, hi_m) == (lo[m], hi[m])
+        seen[m] = s, t
+        return lo[m + 1], hi[m + 1]
+
+    blo, bhi = lo[:1], hi[:1]
+    for n in GROWTH_PATTERNS[pattern]:
+        coefficients._extend_online(blo, bhi, w, n, step)
+    assert (blo, bhi) == (lo, hi)
+    for m in range(VALUE_N):
+        assert seen[m] == (
+            sum(w[k] * lo[m - k] for k in range(m + 1)),
+            sum((w[k] + 1) * hi[m - k] for k in range(m + 1))), m
+
+
+# The upper sums come from a product of the width d_n = bhi_n - blo_n,
+# whose slots _product_slice sizes by max d: pin that d stays small and
+# never negative (a negative entry would make the product raise).
+ESCALATION = (8192, 100)   # an escalation precision and its oracle length
+
+
+@pytest.mark.parametrize("precision, n_max", [
+    *((p, VALUE_N) for p in ORACLE_PRECISIONS), ESCALATION])
+def test_value_table_width_stays_below_two_ulps_per_term(precision, n_max):
+    for n, (lo, hi) in enumerate(loop_reference(precision, n_max)):
+        assert 0 <= hi - lo <= 2 * (n + 1), (precision, n)
 
 
 def test_seeded_growth_pattern_has_long_and_short_steps():
@@ -658,6 +702,58 @@ def test_packed_product_takes_entries_past_the_int_str_limit(monkeypatch):
     c = [rng.getrandbits(16_000) for _ in range(4)]
     assert coefficients._product_slice(a, c, 0, 6) == schoolbook(a, c)
     assert counting.calls == (0 if 0 < limit < 9_600 else 1)
+
+
+def product_paths(monkeypatch):
+    """Record, for each packed product, the bit length of its first
+    operand's widest entry and whether it multiplied as a Decimal."""
+    counting = counting_context(monkeypatch)
+    product = coefficients._product_slice
+    seen = []
+
+    def recording(a, c, start, stop):
+        before = counting.calls
+        out = product(a, c, start, stop)
+        seen.append((max(a).bit_length(), counting.calls > before))
+        return out
+
+    monkeypatch.setattr(coefficients, "_product_slice", recording)
+    return seen
+
+
+@pytest.mark.parametrize("pattern", ["from_empty", "by_one", "across_base"])
+def test_value_table_at_escalation_precision_matches_the_loop(pattern,
+                                                              monkeypatch):
+    precision, n_max = ESCALATION
+    ref = loop_reference(precision, n_max)
+    growth = [n for n in GROWTH_PATTERNS[pattern] if n < n_max] + [n_max]
+    for path, ntt_digits in PRODUCT_PATHS.items():
+        monkeypatch.setattr(coefficients, "_NTT_DIGITS", ntt_digits)
+        table = CoefficientTable()
+        for n in growth:
+            table.ensure_values(n, precision)
+            assert value_bounds(table, n, precision) == ref[:n + 1], (
+                path, pattern, n)
+    # at the real crossover a slot past the int/str digit limit keeps its
+    # product on the int path.  The products of blo take slots of about
+    # 4 950 decimal digits here, those of the width d about 2 480: under
+    # the default limit of 4 300 one table mixes int products of blo with
+    # Decimal products of d
+    monkeypatch.setattr(coefficients, "_NTT_DIGITS",
+                        PRODUCT_PATHS["crossover"])
+    seen = product_paths(monkeypatch)
+    table = CoefficientTable()
+    for n in growth:
+        table.ensure_values(n, precision)
+    assert value_bounds(table, n_max, precision) == ref
+    wide = [dec for bits, dec in seen if bits > precision]
+    narrow = [dec for bits, dec in seen if bits < 64]
+    assert wide and narrow and len(wide) + len(narrow) == len(seen)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+    if limit == 0 or limit >= 5_000:   # past every slot
+        assert any(wide) and any(narrow), limit
+    elif 2_500 <= limit < 4_900:       # between the two slot sizes
+        assert not any(wide) and any(narrow), limit
 
 
 @pytest.mark.parametrize("precision", [0, -20])
