@@ -10,11 +10,11 @@ statuses:
   records where and by how much);
 * ``Undecided`` — enclosures were still too wide at the precision cap.
 
-Precision escalates automatically: points that fail to decide at the
-starting precision are retried with doubled working precision up to a
-cap, and exact-cancellation cases (coefficient parameters hitting a
-sharp threshold) are recognized symbolically and reported as boundary
-zeros rather than ground for refutation.
+Precision escalates automatically: points that fail to decide (or to
+evaluate at all) at the starting precision are retried with doubled
+working precision up to a cap, and exact-cancellation cases (coefficient
+parameters hitting a sharp threshold) are recognized symbolically and
+reported as boundary zeros rather than ground for refutation.
 
 Grid margins compute the values no point changes (p, the c_n, the
 identity's constants) once per (spec, precision), bit for bit as before.
@@ -115,12 +115,19 @@ class Certificate:
 def _escalate(evaluate: Callable[[int], object], precision: int,
               max_precision: int, done: Callable[[object, int], bool]):
     """Evaluate at ``precision``, doubling it up to ``max_precision``
-    until ``done(value, prec)``; returns the last value and precision."""
+    until ``done(value, prec)``; returns the last value and precision.
+    A DomainError below the cap (a precision too low to evaluate at all)
+    doubles it too; at the cap it propagates."""
     prec = precision
     while True:
-        value = evaluate(prec)
-        if done(value, prec) or prec >= max_precision:
-            return value, prec
+        try:
+            value = evaluate(prec)
+        except DomainError:
+            if prec >= max_precision:
+                raise
+        else:
+            if done(value, prec) or prec >= max_precision:
+                return value, prec
         prec = min(2 * prec, max_precision)
 
 
@@ -141,16 +148,19 @@ def _fold(claim: str, range_: str,
           notes: tuple[str, str, str], *, t0: float, precision: int,
           max_precision: int, scope: dict,
           done=_sign_known, failure=_sign_failure,
-          key=Interval.lo_fraction) -> Certificate:
+          key=None) -> Certificate:
     """Scan ``items``, (location, evaluate) pairs, into a certificate.
 
     Each item escalates until ``done``; a value of None is an exact
     boundary zero.  An empty scan raises DomainError rather than certify
-    nothing.  The first value ``failure`` gives a status ends the
-    scan and is the witness; if none does, the witness is the value of
-    smallest ``key``.  ``notes`` are the witness notes for the statuses
-    in :class:`CertStatus` order (Certified, Refuted, Undecided).
+    nothing.  The first value ``failure`` gives a status ends the scan and
+    is the witness; if none does, the witness is the first value of least
+    ``key``, by default the lower end as an integer at the scale
+    max(precision, max_precision).  ``notes`` are the witness notes for
+    the statuses in :class:`CertStatus` order (Certified, Refuted, Undecided).
     """
+    top = max(precision, max_precision)
+    key = key or (lambda iv: iv.lo << (top - iv.prec))
     status = CertStatus.CERTIFIED
     hi_prec = precision
     zeros: list[str] = []
@@ -247,9 +257,6 @@ def _log_arg_margin(spec: BoundSpec, x: Fraction, precision: int, *,
         total = sum(cs, Interval.from_int(0, precision))
         arg = arg - total.mul_scalar(x ** (m + 1))
     K = elliptic.agm_K_m(x, precision)
-    if arg.lo <= 0:
-        raise DomainError("log argument not certified positive; "
-                          "raise the working precision")
     L = arg.ln()
     return (L - K) if upper else (K - L)
 
@@ -612,12 +619,11 @@ def certify_sequence(claim: str, n_start: int, n_end: int,
             if a <= 0 or n == first:
                 yield f"n={n}", partial(evaluate, n, a, b)
 
-    top = max(precision, max_precision)  # keys: integers at one scale
     return _fold(claim, f"n={n_start}..{n_end}", items(),
                  ("smallest margin", "sign provably violated",
                   "sign undecided at precision cap"),
                  t0=t0, precision=precision, max_precision=max_precision,
-                 scope=scope, key=lambda iv: iv.lo << (top - iv.prec))
+                 scope=scope)
 
 
 # ======================================================================

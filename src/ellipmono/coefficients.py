@@ -59,8 +59,8 @@ give the same exact sums, so the table's bits do not depend on the
 path.  Every reader takes the table's integer endpoint lists in one call: the
 block kernels ``ratios``, ``ratio_gaps`` and ``c_coeffs`` (``u_values``,
 ``v_values`` for u and v) give whole ranges, ``exp_K`` runs Horner's rule
-on the lists, and ``ratio``, ``ratio_gap``, ``c_coeff``,
-``btilde_enclosure`` and ``b_enclosure`` (= c_n(0)) are one-index reads.
+on the lists, and ``ratio``, ``ratio_gap``, ``btilde_enclosure`` and
+``c_coeff`` (b_n is c_coeff(n, 0)) are one-index reads.
 
 The difference sequence  c_n(p) = b_n - p W_n,  enclosed with one
 evaluation of p per ``c_coeffs`` call, is exactly zero only at
@@ -555,10 +555,6 @@ class CoefficientTable:
         _, blo, bhi = self._rows(n, n, precision)
         return Interval(blo[n], bhi[n], precision + _VALUE_GUARD
                         ).round_to(precision)
-
-    def b_enclosure(self, n: int, precision: int) -> Interval:
-        """Enclosure of b_n = c_n(0)."""
-        return self.c_coeff(n, 0, precision)
 
     def ratios(self, n0: int, n1: int, precision: int):
         """b_n / W_n: b~_n 4^n / C(2n,n) floored and ceiled once."""

@@ -263,9 +263,7 @@ def hyp_series(kind, x, precision: int,
             if qn < qd:
                 # certified tail t_n <= tail <= t_n/(1 - q), q = qn/qd
                 if n >= cap or hi * qd <= 4 * (qd - qn):  # 4 ulps
-                    tail = Interval.hull_of_fractions(
-                        Fraction(lo, 1 << work),
-                        Fraction(hi * qd, (qd - qn) << work), work)
+                    tail = Interval(lo, -(-hi * qd // (qd - qn)), work)
                     break
             elif n >= cap:
                 raise DomainError(
@@ -373,12 +371,14 @@ def G_eval(x, precision: int) -> Interval:
     return (factor * exp_K_agm(xf, work)).round_to(precision)
 
 
+def _g4(x: Fraction, work: int) -> Interval:
+    """exp(K(sqrt(x))) - 4/sqrt(1-x) at ``work`` bits, not yet rounded."""
+    return exp_K_agm(x, work) - _rprime(x, work).recip().mul_scalar(4)
+
+
 def G4_eval(x, precision: int) -> Interval:
     """Enclosure of exp(K(sqrt(x))) - 4/sqrt(1-x)."""
-    work = precision + 16
-    xf = _as_fraction(x)
-    inv = _rprime(xf, work).recip()
-    return (exp_K_agm(xf, work) - inv.mul_scalar(4)).round_to(precision)
+    return _g4(_as_fraction(x), precision + 16).round_to(precision)
 
 
 def H_eval(x, precision: int) -> Interval:
@@ -391,15 +391,13 @@ def H_eval(x, precision: int) -> Interval:
 
 
 def ekd_eval(x, precision: int) -> Interval:
-    """Enclosure of exp(K(r)) - exp(K(r')) + 4/r - 4/r' at x = r^2."""
+    """Enclosure of exp(K(r)) - exp(K(r')) + 4/r - 4/r' at x = r^2,
+    = G4(x) - G4(1 - x); r = sqrt(x) is r' at 1 - x."""
     work = precision + 16
     xf = _as_fraction(x)
     if not 0 < xf < 1:
         raise DomainError("x = r^2 must lie in (0, 1)")
-    rx = Interval.from_fraction(xf, work).sqrt()
-    return (exp_K_agm(xf, work) - exp_K_agm(1 - xf, work)
-            + rx.recip().mul_scalar(4)
-            - _rprime(xf, work).recip().mul_scalar(4)).round_to(precision)
+    return (_g4(xf, work) - _g4(1 - xf, work)).round_to(precision)
 
 
 def asymptotic_defect(m, precision: int) -> Interval:
@@ -447,12 +445,10 @@ def lt_check(a, b, c, x, precision: int) -> Interval:
     """Residual F(a,b;c;x) - (1-x)^(c-a-b) F(c-a,c-b;c;x) for supported
     triples; a correct implementation encloses zero."""
     af, bf, cf = Fraction(a), Fraction(b), Fraction(c)
-    _hyp_params((af, bf, cf))          # validate the source triple
     ta, tb = cf - af, cf - bf
-    _hyp_params((ta, tb, cf))          # transformed triple must be supported
     work = precision + 16
+    lhs = hyp_series((af, bf, cf), x, work).enclosure  # checks the triple
     xf = _as_fraction(x)
-    lhs = hyp_series((af, bf, cf), xf, work).enclosure
     rhs = hyp_series((ta, tb, cf), xf, work).enclosure
     k = cf - af - bf
     if k.denominator != 1:

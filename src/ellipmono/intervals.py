@@ -21,12 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from enum import Enum
 from typing import Union
 
 __all__ = [
     "Interval",
-    "Sign",
     "DomainError",
     "BudgetError",
 ]
@@ -53,12 +51,6 @@ def check_precision(precision: int) -> None:
 class BudgetError(OverflowError):
     """Result would exceed the configured bit budget; raised loudly
     rather than degrading precision silently."""
-
-
-class Sign(Enum):
-    POSITIVE = "Positive"
-    NEGATIVE = "Negative"
-    UNDECIDED = "Undecided"
 
 
 def _shr_ceil(a: int, s: int) -> int:
@@ -143,16 +135,6 @@ class Interval:
     def overlaps(self, other: "Interval") -> bool:
         return (self.lo_fraction() <= other.hi_fraction()
                 and other.lo_fraction() <= self.hi_fraction())
-
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    def sign(self) -> Sign:
-        if self.lo > 0:
-            return Sign.POSITIVE
-        if self.hi < 0:
-            return Sign.NEGATIVE
-        return Sign.UNDECIDED
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Interval({self.to_decimal(12)} @{self.prec}b)"

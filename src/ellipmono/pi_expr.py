@@ -73,10 +73,6 @@ class PiExpression:
         to an unscaled constant."""
         return p if isinstance(p, PiExpression) else cls((p,))
 
-    @classmethod
-    def zero(cls) -> "PiExpression":
-        return cls()
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The rational coefficients nums[j]/den."""
@@ -132,7 +128,7 @@ class PiExpression:
             return self.scale(q)
         if isinstance(q, PiExpression):
             if self.is_zero or q.is_zero:
-                return PiExpression.zero()
+                return PiExpression()
             if self.exp_scale and q.exp_scale:
                 raise ValueError(
                     "product would carry exp(pi); outside the coefficient ring")
@@ -150,13 +146,6 @@ class PiExpression:
 
     def __truediv__(self, q: _Rat) -> "PiExpression":
         return self.scale(Fraction(1, 1) / Fraction(q))
-
-    def mul_pi(self, power: int = 1) -> "PiExpression":
-        """Multiply by pi**power (shift coefficients)."""
-        if self.is_zero:
-            return self
-        return PiExpression((0,) * power + self.nums, self.exp_scale,
-                            self.den)
 
     # ------------------------------------------------------------------
     # evaluation

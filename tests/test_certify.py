@@ -1,6 +1,8 @@
 """Certification machinery: sequence claims, grids, probes, quotients."""
 
+import itertools
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -164,6 +166,70 @@ def test_overshooting_parameter_is_refuted():
     cert = grid_verify(spec, [F(1, 256), F(1, 64), F(1, 16)])
     assert cert.status is CertStatus.REFUTED
     assert cert.witnesses
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_a_start_precision_too_low_to_evaluate_escalates(family):
+    # at 8 bits and below, 1 - x rounds to [0, 2^-P] at x = 1 - 2^-12, so
+    # 1/sqrt(1 - x) divides by an interval holding zero; like an undecided
+    # sign, that doubles the precision instead of ending the run
+    for bits in (1, 2, 4, 8):
+        cert = grid_verify(BoundSpec(family), precision=bits)
+        assert cert.status is CertStatus.CERTIFIED, (bits, cert)
+        assert cert.precision_used > bits
+
+
+@pytest.mark.parametrize("family", SHARPNESS_FAMILIES)
+def test_a_probe_from_too_few_bits_escalates(family):
+    eps = F(1, 100) if family.startswith("P1") else F(1, 1000)
+    for bits in (1, 2, 8):
+        cert = sharpness_probe(family, eps, precision=bits)
+        assert cert.status is CertStatus.REFUTED, (bits, cert)
+
+
+def test_a_domain_error_at_the_cap_still_raises():
+    # a point outside the margin's domain fails at every precision
+    for family in ("EKDIFF_upper", "EKDIFF_lower"):
+        with pytest.raises(DomainError, match="degenerates at x = 1/2"):
+            grid_verify(BoundSpec(family), [F(1, 4), F(1, 2)], precision=2)
+    # and a cap too low to evaluate the point gives the kernel's error
+    with pytest.raises(DomainError, match="interval containing zero"):
+        grid_verify(BoundSpec("P1_lower"), [1 - F(1, 1 << 12)],
+                    precision=2, max_precision=8)
+
+
+def _fold_witness(values):
+    """The witness location of a fold over items whose margins are
+    ``values``, (name, Interval) pairs, each decided at once."""
+    cert = certify._fold("claim", "range",
+                         ((loc, lambda prec, iv=iv: iv) for loc, iv in values),
+                         ("smallest", "negative", "undecided"), t0=0.0,
+                         precision=7, max_precision=333, scope={})
+    assert cert.status is CertStatus.CERTIFIED
+    return cert.witnesses[0].location
+
+
+def test_fold_orders_witnesses_across_precisions():
+    bits = (7, 64, 333)
+    # equal values at three precisions: the first item is the witness
+    for order in itertools.permutations(bits):
+        items = [(f"at {b}", Interval.from_fraction(F(3, 4), b))
+                 for b in order]
+        assert _fold_witness(items) == f"at {order[0]}"
+    # distinct values: the first smallest lower end, as Fraction keys pick
+    # it; at 7 bits many of these lower ends coincide
+    rng = random.Random(24)
+    for _ in range(50):
+        items = [(f"item {i}", Interval.from_fraction(
+                  1 + F(rng.randint(1, 999), rng.randint(1, 999)), b))
+                 for i, b in enumerate(rng.choice(bits) for _ in range(5))]
+        least = min(items, key=lambda item: item[1].lo_fraction())
+        assert _fold_witness(items) == least[0]
+    # lower ends tied across precisions: the earlier item wins
+    coarse = Interval(96, 97, 7)                    # [3/4, 97/128]
+    fine = Interval(96 << 57, (96 << 57) + 1, 64)   # [3/4, 3/4 + 2^-64]
+    assert _fold_witness([("coarse", coarse), ("fine", fine)]) == "coarse"
+    assert _fold_witness([("fine", fine), ("coarse", coarse)]) == "fine"
 
 
 def test_resolve_spec_defaults():
@@ -385,7 +451,7 @@ def test_j_quotient_reconstructs_b():
     # sum_{j<=k} q_j W_{k+1-j} must rebuild b_{k+1} exactly
     qs = j_quotient_coefficients(100)
     for k in list(range(9)) + [37, 64, 99]:
-        acc = PiExpression.zero()
+        acc = PiExpression()
         for j in range(k + 1):
             acc = acc + qs[j] * wallis(k + 1 - j)
         assert acc == b_coeff(k + 1), k

@@ -195,6 +195,17 @@ def test_verify_small_grid(capsys):
     assert json.loads(out)["status"] == "Certified"
 
 
+def test_verify_escalates_from_a_start_precision_too_low(capsys):
+    # at 8 bits 1 - x rounds to 0 at the grid point x = 1 - 2^-12, which
+    # escalates like an undecided sign rather than failing the run
+    rc, out, err = run(capsys, "verify", "--family", "P1_lower",
+                       "--precision", "8", "--no-timestamp")
+    assert rc == 0 and not err
+    cert = json.loads(out)
+    assert cert["status"] == "Certified"
+    assert cert["precision_used"] > 8
+
+
 def test_sharpness_refutes(capsys):
     rc, out, _ = run(capsys, "sharpness", "--family", "P1_lower",
                      "--epsilon", "1/100", "--no-timestamp")

@@ -542,7 +542,7 @@ def test_v_series_sums_to_g():
 def test_g0_positive_near_one():
     for k in range(4, 9):
         x = 1 - F(1, 1 << k)
-        assert g0_eval(x, 96).sign().name == "POSITIVE", k
+        assert g0_eval(x, 96).lo > 0, k
 
 
 def test_G_derivative_matches_series_form():

@@ -54,6 +54,8 @@ def _cases():
         "grid/P1_lower/over_threshold": _grid("P1_lower", offset=F(1, 2)),
         "grid/P1_upper/p=4-1/100": _grid("P1_upper", param=4 - F(1, 100)),
         "grid/P1_lower/from_32_bits": _grid("P1_lower", precision=32),
+        # 1 - x rounds to 0 at x = 1 - 2^-12: the point escalates
+        "grid/P1_lower/from_8_bits": _grid("P1_lower", precision=8),
         "grid/M1_identity/from_32_bits": _grid("M1_identity", precision=32),
         "seq/u_signs": lambda: certify_sequence("u_signs", 0, 40),
         "seq/v_positive": lambda: certify_sequence("v_positive", 2, 60),

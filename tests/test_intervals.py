@@ -11,7 +11,7 @@ import pytest
 from mpmath import mp, mpf
 
 from ellipmono import intervals
-from ellipmono.intervals import BudgetError, DomainError, Interval, Sign
+from ellipmono.intervals import BudgetError, DomainError, Interval
 
 
 def mp_value(iv):
@@ -34,13 +34,13 @@ def test_from_fraction_outward_and_tight():
 
 def test_exact_dyadic_is_point():
     iv = Interval.from_fraction(Fraction(3, 8), 8)
-    assert iv.is_point()
+    assert iv.lo == iv.hi
     assert iv.lo_fraction() == Fraction(3, 8)
 
 
 def test_from_int():
     iv = Interval.from_int(7, 32)
-    assert iv.is_point() and iv.mid() == 7
+    assert iv.lo == iv.hi and iv.mid() == 7
 
 
 def test_arithmetic_containment_random():
@@ -174,12 +174,6 @@ def test_width_shrinks_with_precision():
     w64 = Interval.from_fraction(Fraction(1, 3), 64).exp().width()
     w128 = Interval.from_fraction(Fraction(1, 3), 128).exp().width()
     assert w128 < w64
-
-
-def test_sign():
-    assert Interval.from_int(3, 16).sign() is Sign.POSITIVE
-    assert Interval.from_int(-3, 16).sign() is Sign.NEGATIVE
-    assert Interval(-1, 1, 16).sign() is Sign.UNDECIDED
 
 
 def test_intersect_hull():

@@ -174,7 +174,7 @@ def test_enclosure_readers_match_the_interval_formulas(prec):
     for n in [0, 1, 2, 3, 39, 40, BLOCK - 1, BLOCK, 500, 999, 1000]:
         assert bits(t.btilde_enclosure(n, prec)) == bits(
             oracle_btilde_enclosure(t, n, prec)), n
-        assert bits(t.b_enclosure(n, prec)) == bits(
+        assert bits(t.c_coeff(n, 0, prec)) == bits(
             oracle_b_enclosure(t, n, prec)), n
 
 
@@ -266,7 +266,7 @@ def oracle_certificate(claim, n_start, n_end, p, precision, max_precision):
         ("smallest margin", "sign provably violated",
          "sign undecided at precision cap"),
         t0=0.0, precision=precision, max_precision=max_precision,
-        scope=scope)
+        scope=scope, key=Interval.lo_fraction)
 
 
 def body(cert):

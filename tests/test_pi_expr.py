@@ -24,7 +24,7 @@ def test_canonical_trailing_zeros_trimmed():
 def test_zero_normalizes_scale():
     z = PiExpression((F(0),), exp_scale=True)
     assert z.is_zero and not z.exp_scale
-    assert z == PiExpression.zero()
+    assert z == PiExpression()
     z = PiExpression((0, 0), exp_scale=True, den=7)
     assert (z.nums, z.den, z.exp_scale) == ((), 1, False)
 
@@ -49,7 +49,7 @@ def test_addition_mixed_scale_raises():
     with pytest.raises(ValueError):
         plain + scaled
     # adding zero is always allowed
-    assert (scaled + PiExpression.zero()) == scaled
+    assert (scaled + PiExpression()) == scaled
 
 
 def test_scalar_ops():
@@ -74,13 +74,14 @@ def test_product_scale_rules():
     assert (plain * scaled).exp_scale
     with pytest.raises(ValueError):
         scaled * scaled
-    assert (scaled * PiExpression.zero()).is_zero
+    assert (scaled * PiExpression()).is_zero
 
 
 def test_mul_pi_shifts():
+    # the product with pi^k shifts the coefficients k places up
     a = PiExpression((F(2), F(3)))
-    assert a.mul_pi().coeffs == (F(0), F(2), F(3))
-    assert a.mul_pi(2).coeffs == (F(0), F(0), F(2), F(3))
+    assert (a * PiExpression((0, 1))).coeffs == (F(0), F(2), F(3))
+    assert (a * PiExpression((0, 0, 1))).coeffs == (F(0), F(0), F(2), F(3))
 
 
 def test_render():
@@ -89,13 +90,13 @@ def test_render():
     assert e.render() == "(pi^3 + 27*pi^2 + 150*pi)/3072 * exp(pi/2)"
     assert PiExpression((F(1),), exp_scale=True).render() == "1 * exp(pi/2)"
     assert PiExpression((F(-3), F(1))).render() == "pi - 3"
-    assert PiExpression.zero().render() == "0"
+    assert PiExpression().render() == "0"
     assert str(PiExpression((F(1, 4),))) == "1/4"
 
 
 def test_evaluate_plain_rational_is_point():
     iv = PiExpression((F(5, 8),)).evaluate(64)
-    assert iv.is_point() and iv.mid() == F(5, 8)
+    assert iv.lo == iv.hi and iv.mid() == F(5, 8)
 
 
 def test_evaluate_contains_oracle():
@@ -165,8 +166,8 @@ def test_evaluate_contains_random_polynomials(terms, exp_scale, precision):
 
 
 def test_evaluate_zero_is_exact():
-    iv = PiExpression.zero().evaluate(96)
-    assert iv.is_point() and iv.mid() == 0
+    iv = PiExpression().evaluate(96)
+    assert iv.lo == iv.hi and iv.mid() == 0
 
 
 def test_structural_equality_is_semantic():
