@@ -155,12 +155,13 @@ def _fold(claim: str, range_: str,
     boundary zero.  An empty scan raises DomainError rather than certify
     nothing.  The first value ``failure`` gives a status ends the scan and
     is the witness; if none does, the witness is the first value of least
-    ``key``, by default the lower end as an integer at the scale
-    max(precision, max_precision).  ``notes`` are the witness notes for
-    the statuses in :class:`CertStatus` order (Certified, Refuted, Undecided).
+    ``key``, by default the exact lower end: an integer at the scale top =
+    max(precision, max_precision), a Fraction for a finer value.  ``notes``
+    are the witness notes of the statuses Certified, Refuted, Undecided.
     """
     top = max(precision, max_precision)
-    key = key or (lambda iv: iv.lo << (top - iv.prec))
+    key = key or (lambda iv: iv.lo << (top - iv.prec) if iv.prec <= top
+                  else Fraction(iv.lo, 1 << (iv.prec - top)))
     status = CertStatus.CERTIFIED
     hi_prec = precision
     zeros: list[str] = []
@@ -496,13 +497,18 @@ def grid_verify(spec: BoundSpec,
     """Certify a strict inequality family (or identity residual) on a grid.
 
     Inequality families must show a positive margin at every point;
-    the identity family must enclose zero tightly at every point.
+    the identity family must enclose zero tightly at every point.  A point
+    with a coordinate outside (0, 1) raises DomainError before any work.
     """
     t0 = time.perf_counter()
     check_precision(precision)
+    grid = None if grid is None else list(grid)
+    for pt in grid or ():
+        if not all(0 < t < 1 for t in (pt if isinstance(pt, tuple) else [pt])):
+            raise DomainError(f"grid point {_pt_str(pt)} lies outside (0, 1)")
     spec = resolve_spec(spec)
     family = FAMILIES[spec.family]
-    grid = list(family.grid() if grid is None else grid)
+    grid = family.grid() if grid is None else grid
     scope = spec.describe()
     scope["points"] = len(grid)
     if family.identity:

@@ -56,11 +56,11 @@ whose shorter operand reaches _NTT_DIGITS decimal digits packs them into
 decimal slots of a ``Decimal``, whose C implementation (libmpdec)
 multiplies by a number-theoretic transform, M(s) = O(s log s).  Both
 give the same exact sums, so the table's bits do not depend on the
-path.  Every reader takes the table's integer endpoint lists in one call: the
-block kernels ``ratios``, ``ratio_gaps`` and ``c_coeffs`` (``u_values``,
-``v_values`` for u and v) give whole ranges, ``exp_K`` runs Horner's rule
-on the lists, and ``ratio``, ``ratio_gap``, ``btilde_enclosure`` and
-``c_coeff`` (b_n is c_coeff(n, 0)) are one-index reads.
+path.  Only this module reads the table's lists, each reader in one call:
+the kernels ``ratios``, ``ratio_gaps``, ``c_coeffs`` (``u_values``,
+``v_values`` for u and v) and ``exp_partial_sum``, exp_K's Horner sum,
+round once through ``_times_ehp``; ``ratio``, ``ratio_gap``,
+``btilde_enclosure`` and ``c_coeff`` (b_n is c_coeff(n, 0)) read one n.
 
 The difference sequence  c_n(p) = b_n - p W_n,  enclosed with one
 evaluation of p per ``c_coeffs`` call, is exactly zero only at
@@ -573,6 +573,18 @@ class CoefficientTable:
              for n in ns[:-1]),
             ((n + 1) * bhi[n + 1] - ((2 * n + 1) * blo[n] >> 1)
              for n in ns[:-1]), precision)
+
+    def exp_partial_sum(self, x: Fraction, terms: int, precision: int):
+        """sum_{n<=terms} b_n x^n, x >= 0: Horner's rule on the b~_n with
+        the roundings of ``Interval.mul_scalar(x)``, then e^(pi/2) once."""
+        _, blo, bhi = self._rows(0, terms, precision)
+        num, den = x.numerator, x.denominator
+        lo, hi = blo[terms], bhi[terms]
+        for k in range(terms - 1, -1, -1):
+            lo = lo * num // den + blo[k]
+            hi = -(-hi * num // den) + bhi[k]
+        (lo,), (hi,) = _times_ehp((lo,), (hi,), precision)
+        return Interval(lo, hi, precision)
 
     def ratio(self, n: int, precision: int) -> Interval:
         """Enclosure of b_n / W_n."""

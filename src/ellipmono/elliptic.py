@@ -16,8 +16,8 @@ bound (:class:`SeriesEval`).  Both loops, the AGM and the series, run on
 the bare integer endpoints at the work scale with the directed rounding
 of :class:`Interval` arithmetic, so they give the enclosures the same
 loops over ``Interval`` objects would, bit for bit.  The exponential
-series exp(K(sqrt(x))) = sum b_n x^n is summed from the certified
-coefficient table with the tail dominated by e^(pi/2) sum_{n>N} W_n x^n.
+series exp(K(sqrt(x))) = sum b_n x^n is the table's ``exp_partial_sum``
+plus a tail below e^(pi/2) sum_{n>N} W_n x^n, summed on integers.
 That bound needs no sign claim about the b_n: it follows from
 
     exp(K(sqrt(x))) = e^(pi/2) exp((pi/2) sum_{k>=1} W_k^2 x^k)
@@ -39,7 +39,7 @@ from typing import Optional
 
 from .intervals import Interval, DomainError, _isqrt_ceil
 from .constants import enclose_constant
-from .coefficients import C_REC, _VALUE_GUARD, _next, shared_coefficients
+from .coefficients import C_REC, _next, shared_coefficients
 
 __all__ = [
     "SeriesEval",
@@ -285,10 +285,9 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
     The tail uses 0 <= sum_{n>N} b_n x^n <= e^(pi/2) (1/sqrt(1-x) -
     sum_{n<=N} W_n x^n), valid because b_n <= e^(pi/2) W_n for every n
     (see the module docstring); the upper end of the e^(pi/2) enclosure
-    stands in for the constant.  The partial sum is Horner's rule on the
-    b~_n endpoint lists of the value table for ``precision``, read once,
-    at its scale precision + _VALUE_GUARD, with the roundings of
-    ``Interval.mul_scalar``; one multiply by e^(pi/2) ends it.
+    stands in for the constant.  The Wallis sums are integers over
+    scale = (4 x_den)^n, so the stop test and the tail run on integers.
+    The partial sum is the coefficient table's ``exp_partial_sum``.
     """
     xf = _as_fraction(x)
     if not 0 <= xf < 1:
@@ -297,39 +296,28 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
         raise DomainError(f"n_terms={n_terms} is negative")
     work = precision + _GUARD
     ehp = enclose_constant("exp_half_pi", work)
-    ehp_hi = ehp.hi_fraction()
     sup = _rprime(xf, work).recip()
     cap = n_terms if n_terms is not None else max(128, 8 * precision)
-    tol = Fraction(4, 1 << work)
     # exact partial sums of the Wallis series: S_n = sum_{k<=n} W_k x^k
     num, den = xf.numerator, xf.denominator
-    wal_num, wal_den = 1, 1          # S_n = wal_num / wal_den
-    binom, xpow = 1, 1
-    n = 0
-    while n < cap:
-        n += 1
+    wal = scale = binom = xpow = 1   # S_n = wal / scale
+    n = 0                            # n_terms = 0 sums b_0 alone
+    for n in range(1, cap + 1):
         binom = _next(C_REC, n - 1, (binom,))
         xpow *= num
-        wal_num = wal_num * 4 * den + binom * xpow
-        wal_den *= 4 * den
+        wal = wal * 4 * den + binom * xpow
+        scale *= 4 * den
         if n % 32 == 0 or xf == 0:
-            # stop on the lower end of sup: sup is itself a few ulps
-            # wide, so a test on its upper end would never pass; the
-            # tail below still uses the upper end (the gap is 0 at x = 0)
-            gap = sup.lo_fraction() - Fraction(wal_num, wal_den)
-            if ehp_hi * gap <= tol:
+            # stop once e^(pi/2) (sup - S_n) <= 4 ulps on the lower end of
+            # sup, itself a few ulps wide (its upper end would never pass);
+            # the tail below uses the upper end (the gap is 0 at x = 0)
+            gap = sup.lo * scale - (wal << work)
+            if ehp.hi * gap <= scale << (ehp.prec + 2):
                 break
-    terms = n
-    tail_hi = ehp_hi * (sup.hi_fraction() - Fraction(wal_num, wal_den))
-    tail = Interval.hull_of_fractions(Fraction(0), max(tail_hi, Fraction(0)),
-                                      work)
-    _, blo, bhi = shared_coefficients()._rows(0, terms, precision)
-    lo, hi = blo[terms], bhi[terms]
-    for k in range(terms - 1, -1, -1):
-        lo = lo * num // den + blo[k]
-        hi = -(-hi * num // den) + bhi[k]
-    partial = Interval(lo, hi, precision + _VALUE_GUARD) * ehp
-    return SeriesEval(terms_used=terms + 1, partial=partial.round_to(precision),
+    gap = max(0, sup.hi * scale - (wal << work))
+    tail = Interval(0, -(-ehp.hi * gap // (scale << ehp.prec)), work)
+    partial = shared_coefficients().exp_partial_sum(xf, n, precision)
+    return SeriesEval(terms_used=n + 1, partial=partial,
                       tail_bound=tail.round_to(precision))
 
 

@@ -100,12 +100,6 @@ class Interval:
     def from_int(cls, k: int, prec: int) -> "Interval":
         return cls(k << prec, k << prec, prec)
 
-    @classmethod
-    def hull_of_fractions(cls, a: _Rat, b: _Rat, prec: int) -> "Interval":
-        ia = cls.from_fraction(a, prec)
-        ib = cls.from_fraction(b, prec)
-        return ia.hull(ib)
-
     # ------------------------------------------------------------------
     # inspection
 

@@ -157,13 +157,12 @@ class PiExpression:
         enclosure of pi (and of e^(pi/2)) carries error, and the one
         division by the common denominator comes last.  A degree-d
         polynomial multiplies the error of pi at most d times, which the
-        ``len(nums).bit_length()`` extra working bits absorb.
+        ``len(nums).bit_length()`` extra working bits absorb.  A constant
+        gets the bits of ``Interval.from_fraction``: nested floors compose.
         """
         if self.is_zero:
             return Interval(0, 0, precision)
         nums, den = self.nums, self.den
-        if len(nums) == 1 and not self.exp_scale:
-            return Interval.from_fraction(Fraction(nums[0], den), precision)
         work = precision + 16 + len(nums).bit_length()
         pi = enclose_constant("pi", work)
         acc = Interval.from_int(nums[-1], work)

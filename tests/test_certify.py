@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -198,6 +199,34 @@ def test_a_domain_error_at_the_cap_still_raises():
                     precision=2, max_precision=8)
 
 
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_a_grid_point_outside_the_unit_interval_raises_first(family,
+                                                             monkeypatch):
+    # a margin outside its domain can refute a true bound (RMK4_QI at
+    # x = -1) or certify one (at x = 2), so the point is rejected before
+    # the spec is resolved (which grows the exact table) or any point runs
+    monkeypatch.setattr(certify, "resolve_spec", None)
+    pair = FAMILIES[family].grid is default_pair_grid
+    good = (F(1, 8), F(1, 4)) if pair else F(1, 4)
+    for bad in (-1, 0, 1, F(3, 2)):
+        pt = (F(1, 4), bad) if pair else bad
+        with pytest.raises(DomainError, match=re.escape(
+                f"grid point {certify._pt_str(pt)} lies outside (0, 1)")):
+            grid_verify(BoundSpec(family), [good, pt])
+
+
+@pytest.mark.parametrize("family",
+                         ["RMK4_QI", "RMK4_YI", "CP3_upper", "P3_upper"])
+def test_margins_finer_than_the_cap_fold(family):
+    # these margins read enclose_constant, which answers at P + 3 bits,
+    # finer than a cap of P, so the fold orders values finer than its
+    # integer scale
+    at_cap = grid_verify(BoundSpec(family), precision=128, max_precision=128)
+    assert at_cap.status is CertStatus.CERTIFIED
+    assert at_cap.witnesses == grid_verify(BoundSpec(family),
+                                           precision=128).witnesses
+
+
 def _fold_witness(values):
     """The witness location of a fold over items whose margins are
     ``values``, (name, Interval) pairs, each decided at once."""
@@ -210,7 +239,9 @@ def _fold_witness(values):
 
 
 def test_fold_orders_witnesses_across_precisions():
-    bits = (7, 64, 333)
+    # 336 bits is finer than the fold's max_precision, as a margin on
+    # enclose_constant (P + 3 bits) is at the cap
+    bits = (7, 64, 333, 336)
     # equal values at three precisions: the first item is the witness
     for order in itertools.permutations(bits):
         items = [(f"at {b}", Interval.from_fraction(F(3, 4), b))

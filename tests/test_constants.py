@@ -130,7 +130,7 @@ def test_threaded_queries_stay_nested():
 # ----------------------------------------------------------------------
 # one computation per (name, precision): answers do not depend on history
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(st.tuples(st.sampled_from(CONSTANT_NAMES),
                           st.integers(2, 400)), min_size=1, max_size=10))
 def test_answers_do_not_depend_on_the_order_of_requests(requests):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -164,7 +165,7 @@ def test_agm_matches_interval_loop(precision):
                 loop_agm_K_m, iv, precision), (m, prec)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(m=st.fractions(0, 1, max_denominator=1 << 24).filter(lambda m: m < 1),
        precision=st.integers(24, 320))
 def test_agm_matches_interval_loop_at_random_rationals(m, precision):
@@ -172,7 +173,7 @@ def test_agm_matches_interval_loop_at_random_rationals(m, precision):
         loop_agm_K_m, m, precision)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(prec=st.integers(1, 320), data=st.data(),
        precision=st.integers(1, 320))
 def test_agm_matches_interval_loop_on_intervals(prec, data, precision):
@@ -335,8 +336,9 @@ def loop_hyp_series(kind, x, precision, max_terms=None):
         if q < 1 and (n >= cap or (n % 16 == 0 or n < 16)):
             tail_hi = nxt.hi_fraction() / (1 - q)
             if n >= cap or tail_hi <= F(4, 1 << work):
-                tail = Interval.hull_of_fractions(
-                    max(nxt.lo_fraction(), F(0)), tail_hi, work)
+                tail = Interval.from_fraction(
+                    max(nxt.lo_fraction(), F(0)), work).hull(
+                    Interval.from_fraction(tail_hi, work))
                 break
         if q >= 1 and n >= cap:
             raise DomainError(
@@ -361,7 +363,7 @@ def test_hyp_matches_interval_loop(kind, precision):
                 loop_hyp_series, kind, x, precision, cap), (x, cap)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(kind=st.sampled_from(sorted(HYP_KINDS)),
        x=st.fractions(0, 1, max_denominator=1 << 12).filter(lambda x: x < 1),
        precision=st.integers(1, 160),
@@ -458,8 +460,8 @@ def exp_K_summed_to(x, precision, terms):
         pn *= p
     wal = F(num, q ** terms)
     ehp_hi = enclose_constant("exp_half_pi", work).hi_fraction()
-    tail = Interval.hull_of_fractions(
-        F(0), max(ehp_hi * (sup.hi_fraction() - wal), F(0)), work)
+    tail = Interval.from_fraction(0, work).hull(Interval.from_fraction(
+        max(ehp_hi * (sup.hi_fraction() - wal), F(0)), work))
     horner = Interval.from_int(0, work)
     table = shared_coefficients()
     for k in range(terms, -1, -1):
@@ -472,13 +474,56 @@ def exp_K_summed_to(x, precision, terms):
                                F(9, 10)])
 def test_exp_K_stops_early_with_the_capped_enclosure(r):
     # the criterion-05 points at 280 bits: stopping once the Wallis tail
-    # is below tolerance gives the enclosure of the full 8*280-term sum
+    # is below tolerance gives the enclosure of the full 8*280-term sum,
+    # at 1669 terms in all (the sequence workload's exp_K terms)
     x = r * r
     ev = exp_K(x, 280)
     full = exp_K_summed_to(x, 280, 8 * 280)
-    assert ev.terms_used < 8 * 280 + 1
+    assert ev.terms_used == {F(1, 10): 65, F(3, 10): 97, F(1, 2): 161,
+                             F(7, 10): 321, F(9, 10): 1025}[r]
     assert (ev.enclosure.lo, ev.enclosure.hi, ev.enclosure.prec) == (
         full.lo, full.hi, full.prec)
+
+
+@pytest.mark.parametrize("x", [F(0), F(1, 100), F(1, 3), F(1, 2),
+                               F(81, 100), 1 - F(1, 1 << 10)])
+def test_exp_K_stop_test_on_integers_is_the_fraction_test(monkeypatch, x):
+    # exp_K's former test on Fractions, at each n <= 4096 that the loop
+    # tests (multiples of 32; every n at x = 0): stop once e^(pi/2) (sup -
+    # S_n) <= 4 ulps at the work scale, on the upper end of e^(pi/2) and
+    # the lower end s of sup = 1/sqrt(1-x), S_n = sum_{k<=n} W_k x^k.
+    # exp_K must stop where it first stops: at sup's own s, and, with sup
+    # replaced, at the largest s that stops at n and at the one above it,
+    # where a test one shift too strict or too loose would not.
+    p, q = x.numerator, 4 * x.denominator  # W_k x^k = C(2k,k) (p/q)^k
+    sums, wal, binom, pn = {}, 1, 1, 1
+    for n in range(1, 4097):
+        binom = binom * 2 * (2 * n - 1) // n
+        pn *= p
+        wal = wal * q + binom * pn
+        if n % 32 == 0 or x == 0:
+            sums[n] = F(wal, q ** n)
+    # the partial sum plays no part in where the sum stops
+    monkeypatch.setattr(type(shared_coefficients()), "exp_partial_sum",
+                        lambda self, x, terms, precision:
+                        Interval(0, 0, precision))
+    rprime = elliptic._rprime
+    for precision in (1, 64, 280):
+        work = precision + 32
+        e = enclose_constant("exp_half_pi", work).hi_fraction()
+        tol = F(4, 1 << work)
+        sup = rprime(x, work).recip()
+        runs = [(sup, 4096)]
+        for n in (32, 64, 1024):
+            edge = (tol / e + sums[n]) * (1 << work)
+            edge = edge.numerator // edge.denominator
+            runs += [(Interval(s, s, work), n + 32) for s in (edge, edge + 1)]
+        for sup, cap in runs:
+            monkeypatch.setattr(elliptic, "_rprime", lambda x, prec, sup=sup:
+                                SimpleNamespace(recip=lambda: sup))
+            first = next((n for n, S in sums.items() if n <= cap and
+                          e * (F(sup.lo, 1 << work) - S) <= tol), cap)
+            assert exp_K(x, precision, n_terms=cap).terms_used - 1 == first
 
 
 @pytest.mark.parametrize("terms", [0, 1, 2, 3, 8, 32])

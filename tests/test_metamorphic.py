@@ -109,7 +109,7 @@ def test_range_splitting_at_block_boundaries(name):
         check_split(name, a, b, N)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20)
 @given(name=st.sampled_from(sorted(SCANS)), cut=st.floats(0, 1),
        a=st.integers(0, 40))
 def test_range_splitting_anywhere(name, cut, a):
@@ -117,7 +117,7 @@ def test_range_splitting_anywhere(name, cut, a):
     check_split(name, a, a + int(cut * (N - 1 - a)), N)
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
+@settings(max_examples=12)
 @given(below=st.fractions(0, 10, max_denominator=1000).filter(bool))
 def test_certified_c_claims_are_monotone_in_p(below):
     # c_nonneg at threshold(1) holds with the one zero n = 1
@@ -155,7 +155,7 @@ def rad(witness):
     return Decimal(witness.value.split(" ± ")[1])
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(name=st.sampled_from(GRID_FAMILIES), data=st.data())
 def test_a_certified_grid_stays_certified_on_its_subsets(name, data):
     grid = small_grid(name)
