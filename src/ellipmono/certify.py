@@ -319,10 +319,11 @@ def _vs_weighted_margin(spec: BoundSpec, x: Fraction,
     ehp = enclose_constant("exp_half_pi", precision)
     rprime = elliptic._rprime(x, precision)
     inv = rprime.recip()
-    a_yi = ((pi + 4) * ehp).mul_scalar(Fraction(1, 8)) * inv \
+    four = Interval.from_int(4, precision)
+    a_yi = ((pi + four) * ehp).mul_scalar(Fraction(1, 8)) * inv \
         + (Interval.from_fraction(Fraction(1, 2), precision)
            - pi.mul_scalar(Fraction(1, 8))) * ehp * rprime
-    a_new = inv.mul_scalar(4) + ehp - Interval.from_int(4, precision) \
+    a_new = inv.mul_scalar(4) + ehp - four \
         - _linear_refinement_margin(spec, x, precision)
     return a_yi - a_new
 

@@ -197,27 +197,19 @@ def _hyp_params(kind) -> tuple[Fraction, Fraction, Fraction]:
     return triple
 
 
-def _sup_tail_ratio(a: Fraction, b: Fraction, c: Fraction, n: int) -> Fraction:
-    """An upper bound max(r_n, 1) of sup_{k>=n} r_k for the supported
-    triples, r_k = (a+k)(b+k)/((c+k)(1+k)).
-
-    It holds because r_k - 1 = (alpha k + beta)/((c+k)(1+k)) with
-    alpha = a+b-c-1 and beta = ab-c, and for each triple in HYP_KINDS
-    alpha and beta share a sign.  So r_k stays on one side of 1, and
-    |r_k - 1| decreases in k: the derivative of (|alpha| k + |beta|)
-    / ((c+k)(1+k)) has the numerator |alpha|(c - k^2) - |beta|(c+1+2k),
-    negative for k^2 > c.  r_k therefore falls towards 1 from above or
-    rises towards it from below; the tests check both facts exactly for
-    k <= 4096.
-    """
-    here = (a + n) * (b + n) / ((c + n) * (1 + n))
-    return max(here, Fraction(1))
-
-
 def _tail_ratio_ints(A: int, B: int, C: int, L: int, n: int,
                      xn: int, xd: int) -> tuple[int, int]:
-    """(qn, qd) with qn/qd = _sup_tail_ratio(A/L, B/L, C/L, n) * xn/xd:
-    the L^2 of r_n cancels, and max(r_n, 1) is max(num, den)/den."""
+    """(qn, qd) with qn/qd = max(r_n, 1) * xn/xd, r_k = (a+k)(b+k) /
+    ((c+k)(1+k)) the term ratio at (a, b, c) = (A, B, C)/L; the L^2 of
+    r_n cancels, and max(r_n, 1) is max(num, den)/den.
+
+    max(r_n, 1) bounds sup_{k>=n} r_k for the triples in HYP_KINDS:
+    r_k - 1 = (alpha k + beta)/((c+k)(1+k)) with alpha = a+b-c-1 and
+    beta = ab-c sharing a sign, so r_k - 1 keeps one sign, and |r_k - 1|
+    decreases for k^2 > c (the derivative's numerator is
+    |alpha|(c - k^2) - |beta|(c+1+2k)).  The tests check both facts
+    exactly for k <= 4096.
+    """
     Ln = L * n
     num, den = (A + Ln) * (B + Ln), (C + Ln) * (L + Ln)
     return max(num, den) * xn, den * xd
@@ -438,8 +430,5 @@ def lt_check(a, b, c, x, precision: int) -> Interval:
     lhs = hyp_series((af, bf, cf), x, work).enclosure  # checks the triple
     xf = _as_fraction(x)
     rhs = hyp_series((ta, tb, cf), xf, work).enclosure
-    k = cf - af - bf
-    if k.denominator != 1:
-        raise DomainError("only integer transformation exponents occur")
-    factor = Interval.from_fraction((1 - xf) ** int(k), work)
+    factor = Interval.from_fraction((1 - xf) ** int(cf - af - bf), work)
     return (lhs - factor * rhs).round_to(precision)

@@ -193,6 +193,10 @@ def test_a_domain_error_at_the_cap_still_raises():
     for family in ("EKDIFF_upper", "EKDIFF_lower"):
         with pytest.raises(DomainError, match="degenerates at x = 1/2"):
             grid_verify(BoundSpec(family), [F(1, 4), F(1, 2)], precision=2)
+    for spec, pt in ((BoundSpec("CP3_upper"), (F(1, 2), F(3, 4))),
+                     (BoundSpec("P3_upper", 2), (F(1, 2), F(1, 2)))):
+        with pytest.raises(DomainError, match=r"needs x \+ y < 1"):
+            grid_verify(spec, [pt], precision=2)
     # and a cap too low to evaluate the point gives the kernel's error
     with pytest.raises(DomainError, match="interval containing zero"):
         grid_verify(BoundSpec("P1_lower"), [1 - F(1, 1 << 12)],

@@ -135,6 +135,13 @@ def test_eval_lt_residual(capsys):
     assert "±" in out or "e-" in out  # a "mid ± rad" enclosure string
 
 
+def test_eval_lt_short_triple_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "eval", "--what", "lt", "--triple", "1/2,1/2",
+                       "--x", "1/2")
+    assert rc == 2 and not out
+    assert err == "error: --triple expects a,b,c\n"
+
+
 def test_eval_domain_error_exit_code(capsys):
     rc, _, err = run(capsys, "eval", "--what", "K", "--m", "2")
     assert rc == 2
@@ -221,10 +228,14 @@ def test_sharpness_undecided_exit_code(capsys):
     assert json.loads(out)["status"] == "Undecided"
 
 
-def test_bad_param_is_usage_error(capsys):
+@pytest.mark.parametrize("argv", [
+    ("certify", "--claim", "c_nonneg", "--n-end", "5", "--p", "sqrt(2)"),
+    ("certify", "--claim", "c_nonneg", "--n-end", "3", "--p", "threshold(x)"),
+    ("sharpness", "--family", "P1_lower", "--epsilon", "abc"),
+])
+def test_bad_param_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["certify", "--claim", "c_nonneg", "--n-end", "5",
-              "--p", "sqrt(2)"])
+        main(list(argv))
     assert exc.value.code == 2
 
 

@@ -16,7 +16,6 @@ from ellipmono.coefficients import (shared_coefficients, u_coeff, v_coeff,
 from ellipmono.constants import enclose_constant
 from ellipmono import elliptic
 from ellipmono.elliptic import (
-    _sup_tail_ratio,
     _tail_ratio_ints,
     HYP_KINDS,
     G4_eval,
@@ -107,6 +106,18 @@ def test_agm_domain_errors():
         agm_K_m(F(1), 64)
     with pytest.raises(DomainError):
         agm_K_m(F(11, 10), 64)
+    with pytest.raises(DomainError, match="modulus r must lie in"):
+        agm_K(F(-1, 2), 64)
+
+
+@pytest.mark.parametrize("fn, x, message", [
+    (exp_K, F(1), "series argument must lie in"),
+    (ekd_eval, F(0), r"x = r\^2 must lie in"),
+    (asymptotic_defect, F(1), "parameter m must lie in"),
+])
+def test_domain_errors_at_the_interval_ends(fn, x, message):
+    with pytest.raises(DomainError, match=message):
+        fn(x, 64)
 
 
 def loop_agm_K_m(m, precision, work=None):
@@ -309,7 +320,7 @@ def test_euler_relation_between_kinds():
     # F(3/2,3/2;2;x) = (1-x)^(-1) F(1/2,1/2;2;x)
     x = F(1, 2)
     lhs = hyp_series("3h3h2", x, 128).enclosure
-    rhs = hyp_series("hh2", x, 128).enclosure / (1 - x)
+    rhs = hyp_series("hh2", x, 128).enclosure.mul_scalar(1 / (1 - x))
     assert lhs.overlaps(rhs)
 
 
@@ -383,6 +394,12 @@ def test_hyp_series_at_zero_is_one_term_with_no_tail(kind):
                 1 << precision, 1 << precision, precision)
             assert (ev.tail_bound.lo, ev.tail_bound.hi,
                     ev.tail_bound.prec) == (0, 0, precision)
+
+
+def _sup_tail_ratio(a, b, c, n):
+    """max(r_n, 1), r_k = (a+k)(b+k)/((c+k)(1+k)): the oracle for the
+    tail-ratio bound that ``hyp_series`` takes on integers."""
+    return max((a + n) * (b + n) / ((c + n) * (1 + n)), F(1))
 
 
 @pytest.mark.parametrize("kind", sorted(HYP_KINDS))

@@ -26,6 +26,13 @@ def assert_contains_mp(iv, oracle):
     assert lo <= oracle <= hi, (lo, oracle, hi)
 
 
+def test_constructor_rejects_empty_and_zero_precision():
+    with pytest.raises(ValueError, match="empty interval"):
+        Interval(1, 0, 5)
+    with pytest.raises(ValueError, match="positive bit count"):
+        Interval(0, 0, 0)
+
+
 def test_from_fraction_outward_and_tight():
     iv = Interval.from_fraction(Fraction(1, 3), 16)
     assert iv.lo_fraction() <= Fraction(1, 3) <= iv.hi_fraction()
@@ -60,6 +67,21 @@ def test_arithmetic_containment_random():
             assert (ia / ib).contains(a / b)
 
 
+def test_square_straddling_zero_starts_at_zero():
+    sq = Interval(-3, 5, 2).square()  # [-3/4, 5/4]^2 = [0, 25/16]
+    assert (sq.lo, sq.hi, sq.prec) == (0, 7, 2)
+
+
+def test_operators_take_only_intervals():
+    # a rational enters through from_int, from_fraction or mul_scalar
+    iv = Interval.from_fraction(Fraction(1, 3), 32)
+    for op in (lambda: iv + 1, lambda: iv - Fraction(1, 2),
+               lambda: iv * 2, lambda: 2 * iv, lambda: iv / 3,
+               lambda: 1 / iv):
+        with pytest.raises((AttributeError, TypeError)):
+            op()
+
+
 def test_mul_scalar_exact_rational():
     iv = Interval.from_fraction(Fraction(1, 3), 64)
     scaled = iv.mul_scalar(Fraction(-7, 5))
@@ -77,6 +99,15 @@ def test_division_by_zero_spanning_interval():
 def test_recip():
     iv = Interval.from_fraction(Fraction(4, 7), 64)
     assert iv.recip().contains(Fraction(7, 4))
+    # the bits of 1 / iv with 1 taken at the interval's own precision
+    rng = random.Random(20261020)
+    for _ in range(200):
+        prec = rng.choice((2, 24, 53, 96))
+        lo = rng.randint(1, 1 << (prec + 4))
+        iv = Interval(lo, lo + rng.randint(0, 1 << prec), prec)
+        for x in (iv, -iv):
+            r, q = x.recip(), Interval.from_fraction(1, prec) / x
+            assert (r.lo, r.hi, r.prec) == (q.lo, q.hi, q.prec)
 
 
 def test_sqrt_contains_and_domain():
@@ -197,6 +228,7 @@ def test_to_decimal_format():
     assert "±" in s
     point = Interval.from_int(2, 32).to_decimal(4)
     assert point.startswith("2.0000")
+    assert Interval(0, 40, 2).to_decimal(0) == "5 ± 5.0e+0"
 
 
 def test_to_decimal_rejects_negative_digits():

@@ -90,6 +90,7 @@ def test_render():
     assert e.render() == "(pi^3 + 27*pi^2 + 150*pi)/3072 * exp(pi/2)"
     assert PiExpression((F(1),), exp_scale=True).render() == "1 * exp(pi/2)"
     assert PiExpression((F(-3), F(1))).render() == "pi - 3"
+    assert PiExpression((1, 1), True).render() == "(pi + 1) * exp(pi/2)"
     assert PiExpression().render() == "0"
     assert str(PiExpression((F(1, 4),))) == "1/4"
 
