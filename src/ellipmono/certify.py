@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .intervals import Interval, DomainError, check_precision
+from .intervals import Interval, DomainError, _exact, check_precision
 from .constants import enclose_constant
 from .coefficients import shared_coefficients
 from .pi_expr import PiExpression
@@ -351,7 +351,7 @@ def _first_order_identity_residual(spec: BoundSpec, x: Fraction,
     lhs = dp * rp.recip() + dc0 + c1.mul_scalar(x)
     den = rp * (Interval.from_int(2, precision)
                 + rp.mul_scalar(x + 2))
-    num = scale.mul_scalar(Fraction(x * x * (x + 3), 96))
+    num = scale.mul_scalar(x * x * (x + 3) / 96)
     rhs = num * den.recip()
     return lhs - rhs
 
@@ -505,7 +505,8 @@ def grid_verify(spec: BoundSpec,
     check_precision(precision)
     grid = None if grid is None else list(grid)
     for pt in grid or ():
-        if not all(0 < t < 1 for t in (pt if isinstance(pt, tuple) else [pt])):
+        if not all(0 < _exact(t) < 1
+                   for t in (pt if isinstance(pt, tuple) else [pt])):
             raise DomainError(f"grid point {_pt_str(pt)} lies outside (0, 1)")
     spec = resolve_spec(spec)
     family = FAMILIES[spec.family]
@@ -658,7 +659,7 @@ def sharpness_probe(family: str, epsilon: Fraction,
     """
     t0 = time.perf_counter()
     check_precision(precision)
-    eps = Fraction(epsilon)
+    eps = _exact(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
     if family not in SHARPNESS_FAMILIES:
@@ -693,7 +694,7 @@ def h_monotonicity(xs: Sequence[Fraction],
     t0 = time.perf_counter()
     check_precision(precision)
     half = Fraction(1, 2)
-    pts = sorted(Fraction(x) for x in xs)
+    pts = sorted(_exact(x) for x in xs)
     if any(x <= 0 or x >= 1 or x == half for x in pts):
         raise DomainError("points must lie in (0,1) away from 1/2")
     if len(set(pts)) < len(pts):

@@ -607,10 +607,10 @@ class CoefficientTable:
     def c_coeffs(self, n0: int, n1: int, p, precision: int):
         """c_n(p) for a rational or :class:`PiExpression` p, enclosed once a
         call; p C(2n,n) / 4^n floors and ceils once (``mul_scalar(W_n)``)."""
+        pe = PiExpression.of(p).evaluate(precision + _VALUE_GUARD)
         ns, blo, bhi = self._rows(n0, n1, precision)
         self._central(n1)
         C = self._C
-        pe = PiExpression.of(p).evaluate(precision + _VALUE_GUARD)
         return _times_ehp((blo[n] for n in ns), (bhi[n] for n in ns),
                           precision,
                           (((pe.lo * C[n]) >> 2 * n for n in ns),
@@ -632,7 +632,7 @@ class CoefficientTable:
 
     def threshold(self, k: int) -> PiExpression:
         """Exact ratio b_k / W_k (the sharp parameter thresholds)."""
-        return self.b_coeff(k) / self.wallis(k)
+        return self.b_coeff(k).scale(1 / self.wallis(k))
 
 
 _shared = CoefficientTable()

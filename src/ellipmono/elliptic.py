@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import isqrt, lcm
 from typing import Optional
 
-from .intervals import Interval, DomainError, _isqrt_ceil
+from .intervals import Interval, DomainError, _exact, _isqrt_ceil
 from .constants import enclose_constant
 from .coefficients import C_REC, _next, shared_coefficients
 
@@ -77,14 +77,6 @@ class SeriesEval:
         return self.partial + self.tail_bound
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
 def _rprime(x: Fraction, precision: int) -> Interval:
     """Enclosure of r' = sqrt(1 - x) at ``precision`` bits."""
     return Interval.from_fraction(1 - x, precision).sqrt()
@@ -121,7 +113,7 @@ def agm_K_m(m, precision: int) -> Interval:
     """
     if isinstance(m, Interval):
         return _agm_K.__wrapped__(m, precision)
-    return _agm_K(_as_fraction(m), precision)
+    return _agm_K(_exact(m), precision)
 
 
 # K at a rational m; the cached Interval is shared by every caller
@@ -155,7 +147,7 @@ def _agm_K(m, precision: int) -> Interval:
 
 def agm_K(r, precision: int) -> Interval:
     """Enclosure of K at modulus r in [0, 1)."""
-    rf = _as_fraction(r)
+    rf = _exact(r)
     if rf < 0:
         raise DomainError("modulus r must lie in [0, 1)")
     return agm_K_m(rf * rf, precision)
@@ -165,7 +157,7 @@ def exp_K_agm(m, precision: int) -> Interval:
     """Enclosure of exp(K) at parameter m, via AGM plus interval exp."""
     if isinstance(m, Interval):
         return _exp_K.__wrapped__(m, precision)
-    return _exp_K(_as_fraction(m), precision)
+    return _exp_K(_exact(m), precision)
 
 
 @lru_cache(maxsize=2048)
@@ -191,7 +183,7 @@ def _hyp_params(kind) -> tuple[Fraction, Fraction, Fraction]:
             return HYP_KINDS[kind]
         except KeyError:
             raise DomainError(f"unsupported series kind {kind!r}") from None
-    triple = tuple(Fraction(t) for t in kind)
+    triple = tuple(_exact(t) for t in kind)
     if triple not in HYP_KINDS.values():
         raise DomainError(f"unsupported parameter triple {kind!r}")
     return triple
@@ -230,7 +222,7 @@ def hyp_series(kind, x, precision: int,
     merely caps the work.
     """
     a, b, c = _hyp_params(kind)
-    xf = _as_fraction(x)
+    xf = _exact(x)
     if not 0 <= xf < 1:
         raise DomainError("series argument must lie in [0, 1)")
     if max_terms is not None and max_terms < 0:
@@ -281,7 +273,7 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
     scale = (4 x_den)^n, so the stop test and the tail run on integers.
     The partial sum is the coefficient table's ``exp_partial_sum``.
     """
-    xf = _as_fraction(x)
+    xf = _exact(x)
     if not 0 <= xf < 1:
         raise DomainError("series argument must lie in [0, 1)")
     if n_terms is not None and n_terms < 0:
@@ -331,7 +323,7 @@ def g0_eval(x, precision: int) -> Interval:
     """Enclosure of g0 = (1-x) F(3/2,3/2;3;x) + pi F(1/2,1/2;2;x)^2
     - 4 F(1/2,1/2;2;x), the generating function of the u-sequence."""
     work = precision + 16
-    xf = _as_fraction(x)
+    xf = _exact(x)
     A = hyp_series("3h3h3", xf, work).enclosure
     C = hyp_series("hh2", xf, work).enclosure
     pi = enclose_constant("pi", work)
@@ -343,7 +335,7 @@ def G_eval(x, precision: int) -> Interval:
     """Enclosure of G = (pi/8 F(1/2,1/2;2;x) - 1/2) exp(K(sqrt(x)));
     its derivative is (pi/64) exp(K(sqrt(x))) g(x)."""
     work = precision + 16
-    xf = _as_fraction(x)
+    xf = _exact(x)
     C = hyp_series("hh2", xf, work).enclosure
     pi = enclose_constant("pi", work)
     factor = pi.mul_scalar(Fraction(1, 8)) * C - Interval.from_fraction(
@@ -358,12 +350,12 @@ def _g4(x: Fraction, work: int) -> Interval:
 
 def G4_eval(x, precision: int) -> Interval:
     """Enclosure of exp(K(sqrt(x))) - 4/sqrt(1-x)."""
-    return _g4(_as_fraction(x), precision + 16).round_to(precision)
+    return _g4(_exact(x), precision + 16).round_to(precision)
 
 
 def H_eval(x, precision: int) -> Interval:
     """Enclosure of H(x) = (G4(x) - G4(1-x)) / (1 - 2x) = ekd / (1 - 2x)."""
-    xf = _as_fraction(x)
+    xf = _exact(x)
     if xf == Fraction(1, 2):
         raise DomainError("H is evaluated away from the symmetry point 1/2")
     work = precision + 16
@@ -374,7 +366,7 @@ def ekd_eval(x, precision: int) -> Interval:
     """Enclosure of exp(K(r)) - exp(K(r')) + 4/r - 4/r' at x = r^2,
     = G4(x) - G4(1 - x); r = sqrt(x) is r' at 1 - x."""
     work = precision + 16
-    xf = _as_fraction(x)
+    xf = _exact(x)
     if not 0 < xf < 1:
         raise DomainError("x = r^2 must lie in (0, 1)")
     return (_g4(xf, work) - _g4(1 - xf, work)).round_to(precision)
@@ -385,7 +377,7 @@ def asymptotic_defect(m, precision: int) -> Interval:
     pi/2 - ln 4 as m -> 0 and to 0 as m -> 1); ln(1 - m) is taken at the
     AGM's widened work scale, so the defect keeps ``precision`` bits."""
     work = precision + 16
-    mf = _as_fraction(m)
+    mf = _exact(m)
     if not 0 <= mf < 1:
         raise DomainError("parameter m must lie in [0, 1)")
     K = agm_K_m(mf, work)
@@ -424,11 +416,10 @@ def beta_enclosure(precision: int) -> Interval:
 def lt_check(a, b, c, x, precision: int) -> Interval:
     """Residual F(a,b;c;x) - (1-x)^(c-a-b) F(c-a,c-b;c;x) for supported
     triples; a correct implementation encloses zero."""
-    af, bf, cf = Fraction(a), Fraction(b), Fraction(c)
-    ta, tb = cf - af, cf - bf
+    a, b, c = _hyp_params((a, b, c))
+    xf = _exact(x)
     work = precision + 16
-    lhs = hyp_series((af, bf, cf), x, work).enclosure  # checks the triple
-    xf = _as_fraction(x)
-    rhs = hyp_series((ta, tb, cf), xf, work).enclosure
-    factor = Interval.from_fraction((1 - xf) ** int(cf - af - bf), work)
+    lhs = hyp_series((a, b, c), xf, work).enclosure
+    rhs = hyp_series((c - a, c - b, c), xf, work).enclosure
+    factor = Interval.from_fraction((1 - xf) ** int(c - a - b), work)
     return (lhs - factor * rhs).round_to(precision)

@@ -69,13 +69,24 @@ def _isqrt_ceil(a: int) -> int:
 _Rat = Union[int, Fraction]
 
 
+def _exact(x) -> Fraction:
+    """The one gate for a caller's rational: an int becomes a Fraction, a
+    Fraction passes, and a float, string or Decimal raises TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
 class Interval:
     """A closed real interval with dyadic endpoints ``[lo, hi] * 2**-prec``;
     never mutated, so the library's memos share one instance among callers.
 
     ``+ - * /`` combine two ``Interval``s at the finer precision; a
     rational enters through ``from_int``, ``from_fraction`` or
-    ``mul_scalar``."""
+    ``mul_scalar`` as an int or ``Fraction`` (a float, string or
+    ``Decimal`` raises TypeError)."""
 
     __slots__ = ("lo", "hi", "prec")
 
@@ -94,11 +105,9 @@ class Interval:
     @classmethod
     def from_fraction(cls, x: _Rat, prec: int) -> "Interval":
         """Tightest dyadic enclosure of an exact rational at ``prec`` bits."""
-        x = Fraction(x)
-        scaled = x * (1 << prec)
-        lo = scaled.numerator // scaled.denominator
-        hi = _div_ceil(scaled.numerator, scaled.denominator)
-        return cls(lo, hi, prec)
+        x = _exact(x)
+        n, d = x.numerator << prec, x.denominator
+        return cls(n // d, _div_ceil(n, d), prec)
 
     @classmethod
     def from_int(cls, k: int, prec: int) -> "Interval":
@@ -123,8 +132,7 @@ class Interval:
         return Fraction(self.hi - self.lo, 2 << self.prec)
 
     def contains(self, x: _Rat) -> bool:
-        x = Fraction(x)
-        return self.lo_fraction() <= x <= self.hi_fraction()
+        return self.lo_fraction() <= _exact(x) <= self.hi_fraction()
 
     def encloses(self, other: "Interval") -> bool:
         return (self.lo_fraction() <= other.lo_fraction()
@@ -192,7 +200,7 @@ class Interval:
 
     def mul_scalar(self, q: _Rat) -> "Interval":
         """Multiply by an exact rational with one directed rounding."""
-        q = Fraction(q)
+        q = _exact(q)
         n, d = q.numerator, q.denominator
         if n >= 0:
             lo, hi = self.lo * n, self.hi * n

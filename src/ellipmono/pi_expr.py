@@ -22,14 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
 
-from .intervals import Interval
+from .intervals import Interval, _Rat, _exact
 from .constants import enclose_constant
 
 __all__ = ["PiExpression"]
-
-_Rat = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -40,7 +37,9 @@ class PiExpression:
     and keeps the canonical form: integer ``nums`` with no trailing
     zeros and a positive ``den`` with gcd(den, *nums) = 1, so ``den`` is
     the least common denominator of the coefficients.  Zero is
-    ``nums=()``, ``den=1`` and unscaled.
+    ``nums=()``, ``den=1`` and unscaled.  A rational, here or in ``of``
+    and ``scale`` (the one rational product), is an int or a
+    ``Fraction``; a float, string or ``Decimal`` raises TypeError.
     """
 
     nums: tuple[int, ...] = ()
@@ -52,7 +51,7 @@ class PiExpression:
         if den <= 0:
             raise ValueError("den must be a positive integer")
         if not all(isinstance(c, int) for c in nums):
-            cs = [Fraction(c) for c in nums]
+            cs = [_exact(c) for c in nums]
             common = lcm(*(c.denominator for c in cs))
             nums = [c.numerator * (common // c.denominator) for c in cs]
             den *= common
@@ -68,7 +67,7 @@ class PiExpression:
 
     # ------------------------------------------------------------------
     @classmethod
-    def of(cls, p: Union[_Rat, "PiExpression"]) -> "PiExpression":
+    def of(cls, p: "_Rat | PiExpression") -> "PiExpression":
         """p itself if it is an expression, else the rational p lifted
         to an unscaled constant."""
         return p if isinstance(p, PiExpression) else cls((p,))
@@ -119,33 +118,24 @@ class PiExpression:
         return self + (-other)
 
     def scale(self, q: _Rat) -> "PiExpression":
-        q = Fraction(q)
+        q = _exact(q)
         return PiExpression(tuple(c * q.numerator for c in self.nums),
                             self.exp_scale, self.den * q.denominator)
 
-    def __mul__(self, q):
-        if isinstance(q, (int, Fraction)):
-            return self.scale(q)
-        if isinstance(q, PiExpression):
-            if self.is_zero or q.is_zero:
-                return PiExpression()
-            if self.exp_scale and q.exp_scale:
-                raise ValueError(
-                    "product would carry exp(pi); outside the coefficient ring")
-            prod = [0] * (len(self.nums) + len(q.nums) - 1)
-            for i, a in enumerate(self.nums):
-                if a == 0:
-                    continue
-                for j, b in enumerate(q.nums):
-                    prod[i + j] += a * b
-            return PiExpression(prod, self.exp_scale or q.exp_scale,
-                                self.den * q.den)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, q: _Rat) -> "PiExpression":
-        return self.scale(Fraction(1, 1) / Fraction(q))
+    def __mul__(self, other: "PiExpression") -> "PiExpression":
+        if self.is_zero or other.is_zero:
+            return PiExpression()
+        if self.exp_scale and other.exp_scale:
+            raise ValueError(
+                "product would carry exp(pi); outside the coefficient ring")
+        prod = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.nums):
+                prod[i + j] += a * b
+        return PiExpression(prod, self.exp_scale or other.exp_scale,
+                            self.den * other.den)
 
     # ------------------------------------------------------------------
     # evaluation

@@ -5,6 +5,7 @@ import math
 import random
 import re
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -217,6 +218,13 @@ def test_a_grid_point_outside_the_unit_interval_raises_first(family,
         with pytest.raises(DomainError, match=re.escape(
                 f"grid point {certify._pt_str(pt)} lies outside (0, 1)")):
             grid_verify(BoundSpec(family), [good, pt])
+    # so is a point that is not an int or Fraction: RMK4_QI at the float
+    # 0.1 certified its margin at 0.1000000000000000055..., and P1_lower
+    # raised mid-scan
+    for bad in (0.1, "1/3", Decimal("0.1")):
+        pt = (F(1, 4), bad) if pair else bad
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            grid_verify(BoundSpec(family), [good, pt])
 
 
 @pytest.mark.parametrize("family",
@@ -400,7 +408,7 @@ def long_division_quotient(count):
         acc = b_coeff(k + 1)
         for j, qj in enumerate(qs):
             acc = acc - qj.scale(wallis(k + 1 - j))
-        qs.append(acc / w1)
+        qs.append(acc.scale(1 / w1))
     return qs
 
 
@@ -488,7 +496,7 @@ def test_j_quotient_reconstructs_b():
     for k in list(range(9)) + [37, 64, 99]:
         acc = PiExpression()
         for j in range(k + 1):
-            acc = acc + qs[j] * wallis(k + 1 - j)
+            acc = acc + qs[j].scale(wallis(k + 1 - j))
         assert acc == b_coeff(k + 1), k
 
 

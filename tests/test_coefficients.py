@@ -84,8 +84,9 @@ def direct_b_recurrence(n_max):
         conv = PiExpression()
         for k in range(n + 1):
             w = wallis(k)
-            conv = conv + bs[n - k] * (w * w / (k + 1))
-        nxt = bs[n] * F(n, n + 1) + conv * PiExpression((0, 1)) / (8 * (n + 1))
+            conv = conv + bs[n - k].scale(w * w / (k + 1))
+        nxt = (bs[n].scale(F(n, n + 1))
+               + (conv * PiExpression((0, 1))).scale(F(1, 8 * (n + 1))))
         bs.append(nxt)
     return bs
 
@@ -280,7 +281,7 @@ def test_gap_identity_exact(n):
     conv = PiExpression()
     for j in range(n):
         conv = conv + b_coeff(j) * v_coeff(n - 1 - j)
-    rhs = conv * PiExpression((0, 1)) / (64 * n)
+    rhs = (conv * PiExpression((0, 1))).scale(F(1, 64 * n))
     assert table.gap_exact(n) == rhs
 
 

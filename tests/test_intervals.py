@@ -4,10 +4,12 @@ mpmath (at a much higher working precision than the intervals under
 test) serves as the independent oracle for the transcendental kernels.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from ellipmono import intervals
@@ -80,6 +82,32 @@ def test_operators_take_only_intervals():
                lambda: 1 / iv):
         with pytest.raises((AttributeError, TypeError)):
             op()
+
+
+# ints and Fractions of both signs, the two kinds of rational a caller passes
+RATIONALS = st.one_of(st.integers(-(1 << 200), 1 << 200),
+                      st.fractions(max_denominator=1 << 100))
+
+
+@settings(max_examples=300)
+@given(q=RATIONALS, prec=st.integers(1, 300))
+def test_from_fraction_is_the_floor_and_ceil_of_the_scaled_rational(q, prec):
+    iv = Interval.from_fraction(q, prec)
+    scaled = Fraction(q) * (1 << prec)
+    assert (iv.lo, iv.hi, iv.prec) == (math.floor(scaled),
+                                       math.ceil(scaled), prec)
+
+
+@settings(max_examples=300)
+@given(q=RATIONALS, prec=st.integers(1, 300), data=st.data())
+def test_mul_scalar_is_the_floor_and_ceil_of_the_endpoint_products(q, prec,
+                                                                   data):
+    ends = st.integers(-(1 << (prec + 8)), 1 << (prec + 8))
+    lo, hi = sorted((data.draw(ends), data.draw(ends)))
+    iv = Interval(lo, hi, prec).mul_scalar(q)
+    prods = sorted((lo * Fraction(q), hi * Fraction(q)))
+    assert (iv.lo, iv.hi, iv.prec) == (math.floor(prods[0]),
+                                       math.ceil(prods[1]), prec)
 
 
 def test_mul_scalar_exact_rational():

@@ -54,11 +54,14 @@ def test_addition_mixed_scale_raises():
 
 def test_scalar_ops():
     a = PiExpression((F(1), F(2)), exp_scale=True)
-    assert (a * F(1, 2)).coeffs == (F(1, 2), F(1))
-    assert (2 * a).coeffs == (F(2), F(4))
-    assert (a / 2).coeffs == (F(1, 2), F(1))
+    assert a.scale(F(1, 2)).coeffs == (F(1, 2), F(1))
+    assert a.scale(2).coeffs == (F(2), F(4))
     assert (-a).coeffs == (F(-1), F(-2))
     assert (a - a).is_zero
+    # a rational factor goes through scale: * and / take no rational
+    for op in (lambda: a * F(1, 2), lambda: 2 * a, lambda: a / 2):
+        with pytest.raises((AttributeError, TypeError)):
+            op()
 
 
 def test_product_of_expressions():
