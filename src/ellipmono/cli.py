@@ -11,13 +11,16 @@ Subcommands
 Exit codes: 0 on success (for ``certify``/``verify`` that means
 ``Certified``; for ``sharpness`` it means the perturbed bound was
 ``Refuted``), 1 when a certificate fails to reach the expected status,
-2 on usage or domain errors.
+2 on usage or domain errors.  Output is written as it is read, one csv
+row at a time; a reader that closes it early (``| head -1``) ends the
+command quietly, with the exit code it would have returned.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -83,15 +86,19 @@ def parse_param(text: str):
 
 
 def _emit_certificate(cert: Certificate, args,
-                      want: CertStatus = CertStatus.CERTIFIED) -> int:
-    """Print the certificate; exit 0 if it has the status ``want``."""
+                      want: CertStatus = CertStatus.CERTIFIED):
+    """The certificate as JSON; exit 0 if it has the status ``want``."""
     d = cert.to_json_dict()
     if args.no_timestamp:
         d["runtime_ms"] = 0.0
     else:
         d["generated_at"] = datetime.now(timezone.utc).isoformat()
-    print(json.dumps(d, indent=2))
-    return 0 if cert.status is want else 1
+    return 0 if cert.status is want else 1, [json.dumps(d, indent=2)]
+
+
+def _csv(header: str, pairs):
+    """The csv lines: the header, then one row per (key, text) pair."""
+    return chain([header], (f'{k},"{s}"' for k, s in pairs))
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +136,7 @@ def _reader(args, table: dict, chosen: str, option: str):
     return read
 
 
-def _cmd_coeffs(args) -> int:
+def _cmd_coeffs(args):
     if args.n_max < 0:
         raise DomainError(f"n_max={args.n_max} is negative")
     read = _reader(args, _COEFF_ROWS, args.kind, "coeffs --kind")
@@ -152,32 +159,26 @@ def _cmd_coeffs(args) -> int:
             value = value.evaluate(args.precision)
         return value.to_decimal(args.digits)
 
-    rows = [text(v) for v in chain([first], values)]
+    # the first row renders here, so a bad --precision fails before output
+    rows = chain([text(first)], map(text, values))
     col = "expression" if exact else "enclosure"
-    if args.format == "json":
-        payload = {
-            "kind": args.kind,
-            "column": col,
-            "rows": [{"n": n, col: s} for n, s in enumerate(rows)],
-        }
-        if args.p is not None:
-            payload["p"] = str(args.p)
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"n,{col}")
-        for n, s in enumerate(rows):
-            print(f'{n},"{s}"')
-    return 0
+    if args.format == "csv":
+        return 0, _csv(f"n,{col}", enumerate(rows))
+    payload = {"kind": args.kind, "column": col,
+               "rows": [{"n": n, col: s} for n, s in enumerate(rows)]}
+    if args.p is not None:
+        payload["p"] = str(args.p)
+    return 0, [json.dumps(payload, indent=2)]
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args):
     cert = certify_sequence(args.claim, args.n_start, args.n_end,
                             p=args.p, precision=args.precision,
                             max_precision=args.max_precision)
     return _emit_certificate(cert, args)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     spec = BoundSpec(args.family, args.order, args.p)
     grid = (None if args.density is None
             else FAMILIES[args.family].grid(args.density))
@@ -186,7 +187,7 @@ def _cmd_verify(args) -> int:
     return _emit_certificate(cert, args)
 
 
-def _cmd_sharpness(args) -> int:
+def _cmd_sharpness(args):
     cert = sharpness_probe(args.family, args.epsilon, order=args.order,
                            max_steps=args.max_steps,
                            precision=args.precision,
@@ -246,30 +247,19 @@ _EVAL = {
 }
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     read = _reader(args, _EVAL, args.what, "eval --what")
-    print(read(args, args.precision).to_decimal(args.digits))
-    return 0
+    return 0, [read(args, args.precision).to_decimal(args.digits)]
 
 
-def _cmd_constants(args) -> int:
-    names = (args.names.split(",") if args.names
-             else list(CONSTANT_NAMES))
-    rows = []
-    for name in names:
-        name = name.strip()
-        if name not in CONSTANT_NAMES:
-            raise DomainError(f"unknown constant {name!r}; "
-                              f"known: {', '.join(CONSTANT_NAMES)}")
-        rows.append((name, enclose_constant(name, args.precision)
-                     .to_decimal(args.digits)))
-    if args.format == "json":
-        print(json.dumps({n: s for n, s in rows}, indent=2))
-    else:
-        print("name,enclosure")
-        for n, s in rows:
-            print(f'{n},"{s}"')
-    return 0
+def _cmd_constants(args):
+    names = (map(str.strip, args.names.split(",")) if args.names
+             else CONSTANT_NAMES)
+    rows = [(n, enclose_constant(n, args.precision).to_decimal(args.digits))
+            for n in names]
+    if args.format == "csv":
+        return 0, _csv("name,enclosure", rows)
+    return 0, [json.dumps(dict(rows), indent=2)]
 
 
 # ----------------------------------------------------------------------
@@ -369,10 +359,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.precision is not None:  # None: coeffs without --precision
             check_precision(args.precision)
-        return args.func(args)
+        code, lines = args.func(args)
+        for line in lines:  # flushed, so a closed pipe raises here
+            print(line, flush=True)
     except (DomainError, BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader stopped: what is left, and the flush at exit, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -602,7 +602,8 @@ class CoefficientTable:
     def c_exact(self, n: int, p) -> PiExpression:
         """Exact c_n(p) for p in the e^(pi/2)-scaled ring; an unscaled
         nonzero p raises the ring's mixed-scale ValueError."""
-        return self.b_coeff(n) - PiExpression.of(p).scale(self.wallis(n))
+        p = PiExpression.of(p)  # first, so a float p raises before table work
+        return self.b_coeff(n) - p.scale(self.wallis(n))
 
     def c_coeffs(self, n0: int, n1: int, p, precision: int):
         """c_n(p) for a rational or :class:`PiExpression` p, enclosed once a

@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .intervals import Interval, _ln2_fp, check_precision
+from .intervals import DomainError, Interval, _ln2_fp, check_precision
 
 __all__ = ["ConstantTable", "enclose_constant", "CONSTANT_NAMES", "shared_table"]
 
@@ -128,7 +128,8 @@ class ConstantTable:
 
     def enclose(self, name: str, precision: int) -> Interval:
         if name not in _GENERATORS:
-            raise KeyError(f"unknown constant {name!r}; have {CONSTANT_NAMES}")
+            raise DomainError(f"unknown constant {name!r}; "
+                              f"known: {', '.join(CONSTANT_NAMES)}")
         check_precision(precision)
         key = (name, precision)
         with self._lock:

@@ -247,7 +247,7 @@ class Interval:
         p = self.prec
         # magnitude guard: |result| ~ 2^(x*log2(e))
         top = max(abs(self.lo), abs(self.hi)) >> p
-        if int(top * 1.5) + p > BIT_BUDGET:
+        if 3 * top // 2 + p > BIT_BUDGET:
             raise BudgetError("exp argument too large for bit budget")
         lo, _ = _exp_dyadic(self.lo, p)
         _, hi = _exp_dyadic(self.hi, p)
@@ -393,9 +393,8 @@ def _fraction_to_decimal(x: Fraction, digits: int) -> str:
 
 
 def _fraction_to_decimal_up(x: Fraction, sig: int) -> str:
-    """Upper bound of |x| with ``sig`` significant digits, scientific form."""
-    if x == 0:
-        return "0"
+    """Upper bound of |x| != 0 with ``sig`` significant digits, scientific
+    form (``to_decimal`` renders a zero radius itself)."""
     x = abs(x)
     # find decimal exponent: 10^e <= x < 10^(e+1)
     e = 0

@@ -1,14 +1,21 @@
 """Command-line interface, driven in-process through main(argv)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ellipmono.certify import default_grid
 from ellipmono.cli import main, parse_param
-from ellipmono.coefficients import threshold
+from ellipmono.coefficients import CoefficientTable, threshold
+from ellipmono.constants import CONSTANT_NAMES
 from ellipmono.pi_expr import PiExpression
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -33,6 +40,8 @@ def test_constants_json(capsys):
     data = json.loads(out)
     assert set(data) == {"sqrt_two"}
     assert data["sqrt_two"].startswith("1.4142135623730950488")
+    rc, out, _ = run(capsys, "constants", "--format", "json", "--digits", "5")
+    assert rc == 0 and tuple(json.loads(out)) == CONSTANT_NAMES
 
 
 def test_constants_unknown_name(capsys):
@@ -106,6 +115,66 @@ def test_coeffs_c_encloses_p_once_for_all_its_rows(capsys, monkeypatch):
     assert len(lines) == 302
     # c_40 vanishes at p = threshold(40); its enclosure holds 0
     assert re.fullmatch(r'40,"-?0\.0+ ± [0-9.e+-]+"', lines[41]), lines[41]
+
+
+def test_coeffs_rows_reach_stdout_as_they_are_read(monkeypatch):
+    calls = []
+    real = CoefficientTable.b_coeff
+
+    def counting(self, n):
+        calls.append(n)
+        return real(self, n)
+
+    class Out:  # notes how many b_n were read when each row is written
+        def write(self, text):
+            if text[:1].isdigit():
+                written.append((int(text.split(",")[0]), len(calls)))
+            return len(text)
+
+        def flush(self):
+            pass
+
+    written = []
+    monkeypatch.setattr(CoefficientTable, "b_coeff", counting)
+    monkeypatch.setattr(sys, "stdout", Out())
+    assert main(["coeffs", "--kind", "b", "--n-max", "30"]) == 0
+    assert [n for n, _ in written] == list(range(31))
+    assert all(read <= n + 2 for n, read in written), written
+
+
+def test_a_reader_that_stops_early_ends_the_command_quietly():
+    # ``coeffs --kind b --n-max 200 | head -1``: megabytes of exact forms,
+    # and the reader closes the pipe after the header
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ellipmono.cli", "coeffs", "--kind", "b",
+         "--n-max", "200"], cwd=ROOT, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"n,expression\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
+def test_a_closed_pipe_keeps_the_exit_code(capsys, monkeypatch, tmp_path):
+    class Closed:  # stdout whose reader has gone
+        def __init__(self, file):
+            self.fileno = file.fileno
+
+        def write(self, text):
+            raise BrokenPipeError
+
+        def flush(self):
+            pass
+
+    with open(tmp_path / "out", "w") as file:
+        monkeypatch.setattr(sys, "stdout", Closed(file))
+        rc = main(["certify", "--claim", "c_nonneg", "--n-start", "1",
+                   "--n-end", "5", "--p", "4", "--no-timestamp"])
+    assert rc == 1  # Refuted, as with an open pipe
+    assert capsys.readouterr().err == ""
 
 
 def test_coeffs_q_exact(capsys):

@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from ellipmono.constants import (_GENERATORS, _PAD, CONSTANT_NAMES,
-                                 ConstantTable, enclose_constant)
-from ellipmono.intervals import Interval
+                                 ConstantTable, enclose_constant,
+                                 shared_table)
+from ellipmono.intervals import DomainError, Interval
 
 # 30-digit pins (mpmath, dps=45, truncated)
 PINS = {
@@ -109,8 +110,15 @@ def test_sqrt_constants_square_back():
 
 
 def test_unknown_name_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(DomainError, match="unknown constant 'feigenbaum'; "
+                       "known: exp_half_pi, gamma_quarter"):
         enclose_constant("feigenbaum", 64)
+
+
+def test_enclose_constant_reads_the_shared_table():
+    table = shared_table()
+    assert table is shared_table() and isinstance(table, ConstantTable)
+    assert enclose_constant("pi", 88) is table.enclose("pi", 88)
 
 
 def test_threaded_queries_stay_nested():

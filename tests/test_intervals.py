@@ -153,6 +153,12 @@ def test_exp_budget_guard():
         Interval.from_int(1 << 21, 64).exp()
 
 
+def test_exp_budget_guard_past_the_float_range():
+    # 1.5 * 2^1100 overflows a float; the guard stays in integers
+    with pytest.raises(BudgetError):
+        Interval.from_int(1 << 1100, 1).exp()
+
+
 @pytest.mark.parametrize("x", [Fraction(-3), Fraction(-1, 4), Fraction(0),
                                Fraction(1, 3), Fraction(2), Fraction(7, 2)])
 def test_exp_contains_mpmath(x):
@@ -257,6 +263,15 @@ def test_to_decimal_format():
     point = Interval.from_int(2, 32).to_decimal(4)
     assert point.startswith("2.0000")
     assert Interval(0, 40, 2).to_decimal(0) == "5 ± 5.0e+0"
+    assert Interval(0, 400, 1).to_decimal(0) == "100 ± 1.0e+2"
+    # radius 317/32 = 9.90625 rounds up to 10: the mantissa moves a decade
+    assert Interval(0, 317, 4).to_decimal(2) == "9.91 ± 1.0e+1"
+
+
+def test_equality_and_hash_follow_the_endpoints():
+    assert (Interval.from_int(1, 8) == 1) is False
+    assert Interval(2, 2, 1) == Interval(4, 4, 2)
+    assert hash(Interval(2, 2, 1)) == hash(Interval(4, 4, 2))
 
 
 def test_to_decimal_rejects_negative_digits():

@@ -54,6 +54,7 @@ RATIONAL_ENTRIES = {
     "PiExpression.of": lambda v: PiExpression.of(v),
     "scale": lambda v: _PI.scale(v),
     "c_coeffs p": lambda v: shared_coefficients().c_coeffs(1, 5, v, 64),
+    "c_exact p": lambda v: shared_coefficients().c_exact(30, v),
     "certify_sequence p": lambda v: certify_sequence("c_nonpos", 1, 5, p=v),
     "BoundSpec param": lambda v: grid_verify(BoundSpec("P1_upper", 0, v),
                                              [F(1, 4)]),
