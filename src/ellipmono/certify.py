@@ -499,17 +499,23 @@ def grid_verify(spec: BoundSpec,
 
     Inequality families must show a positive margin at every point;
     the identity family must enclose zero tightly at every point.  A point
-    with a coordinate outside (0, 1) raises DomainError before any work.
+    of the wrong shape (a pair (x, y) for a family on ``default_pair_grid``,
+    one x otherwise) or outside (0, 1) raises DomainError before any work.
     """
     t0 = time.perf_counter()
     check_precision(precision)
     grid = None if grid is None else list(grid)
+    family = FAMILIES.get(spec.family)
+    pairs = family is not None and family.grid is default_pair_grid
     for pt in grid or ():
+        if family and (isinstance(pt, tuple) != pairs
+                       or pairs and len(pt) != 2):
+            shape = "a pair (x, y)" if pairs else "one x"
+            raise DomainError(f"{spec.family} takes {shape}, not {pt!r}")
         if not all(0 < _exact(t) < 1
                    for t in (pt if isinstance(pt, tuple) else [pt])):
             raise DomainError(f"grid point {_pt_str(pt)} lies outside (0, 1)")
     spec = resolve_spec(spec)
-    family = FAMILIES[spec.family]
     grid = family.grid() if grid is None else grid
     scope = spec.describe()
     scope["points"] = len(grid)

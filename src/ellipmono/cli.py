@@ -213,7 +213,7 @@ def _eval_K(args, prec: int):
 
 
 def _eval_lt(args, prec: int):
-    parts = [Fraction(t) for t in _need(args, "triple").split(",")]
+    parts = _need(args, "triple")
     if len(parts) != 3:
         raise DomainError("--triple expects a,b,c")
     return elliptic.lt_check(*parts, _need(args, "x"), prec)
@@ -338,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=parse_fraction, default=None)
     p.add_argument("--kind", choices=sorted(elliptic.HYP_KINDS), default=None)
     p.add_argument("--triple", default=None,
+                   type=lambda s: [parse_fraction(t) for t in s.split(",")],
                    help="a,b,c parameters for --what lt")
     p.add_argument("--terms", type=int, default=None,
                    help="series term cap")

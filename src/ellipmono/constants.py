@@ -31,7 +31,8 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .intervals import DomainError, Interval, _ln2_fp, check_precision
+from .intervals import (DomainError, Interval, _atan_inv_fp, _ln2_fp,
+                        check_precision)
 
 __all__ = ["ConstantTable", "enclose_constant", "CONSTANT_NAMES", "shared_table"]
 
@@ -40,30 +41,12 @@ _PAD = 16  # guard bits above the requested precision
 
 def _machin_pi(prec: int) -> Interval:
     W = prec + _PAD
-
-    def atan_inv(q: int) -> tuple[int, int]:
-        # atan(1/q) = sum (-1)^k / ((2k+1) q^(2k+1)); floor each term.
-        # p = floor(2^W / q^(2k+1)) steps by floor division by q^2, and
-        # floor(floor(a)/n) = floor(a/n) for an integer n, so each term
-        # p // (2k+1) is the floor of the exact term.
-        s = 0
-        k = 0
-        p = (1 << W) // q
-        q2 = q * q
-        while True:
-            t = p // (2 * k + 1)
-            if t == 0:
-                break
-            s += -t if (k & 1) else t
-            p //= q2
-            k += 1
-        # |rounding| <= k ulps, |tail| <= first omitted term + 1 <= 1 ulp
-        return s, k + 1
-
-    a5, e5 = atan_inv(5)
-    a239, e239 = atan_inv(239)
+    a5, k5 = _atan_inv_fp(5, W, True)
+    a239, k239 = _atan_inv_fp(239, W, True)
     s = 16 * a5 - 4 * a239
-    err = 16 * e5 + 4 * e239
+    # per arctangent: |rounding| <= k ulps, and |tail| < 1 ulp, since the
+    # first omitted term floors to 0
+    err = 16 * (k5 + 1) + 4 * (k239 + 1)
     return Interval(s - err, s + err, W).round_to(prec)
 
 

@@ -25,8 +25,9 @@ That bound needs no sign claim about the b_n: it follows from
 and W_k^2 < 1/(pi k), so the inner series is dominated coefficientwise by
 sum x^k/(2k) = -ln(1-x)/2, and b_n <= e^(pi/2) W_n.
 
-K and exp(K) at a rational m are memoized by (m, precision) in bounded LRU
-caches, alpha and beta once per precision; an ``Interval`` m is not.
+K and exp(K) are memoized by the type and value of (m, precision) in
+bounded typed LRU caches, so a float never meets an equal Fraction's entry;
+an ``Interval`` m is memoized by value.  alpha and beta once per precision.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ def _near_one_bits(m: Fraction, precision: int) -> int:
     return bits
 
 
+@lru_cache(maxsize=4096, typed=True)
 def agm_K_m(m, precision: int) -> Interval:
     """Enclosure of K as a function of the parameter m in [0, 1).
 
@@ -112,17 +114,10 @@ def agm_K_m(m, precision: int) -> Interval:
     ``precision`` bits whether or not 1 - m is exact there.
     """
     if isinstance(m, Interval):
-        return _agm_K.__wrapped__(m, precision)
-    return _agm_K(_exact(m), precision)
-
-
-# K at a rational m; the cached Interval is shared by every caller
-@lru_cache(maxsize=4096)
-def _agm_K(m, precision: int) -> Interval:
-    if isinstance(m, Interval):
         work = precision + _GUARD
         mi = m.round_to(work)
     else:
+        m = _exact(m)
         work = precision + _GUARD + _near_one_bits(m, precision)
         mi = Interval.from_fraction(m, work)
     one = 1 << work
@@ -153,15 +148,9 @@ def agm_K(r, precision: int) -> Interval:
     return agm_K_m(rf * rf, precision)
 
 
+@lru_cache(maxsize=2048, typed=True)
 def exp_K_agm(m, precision: int) -> Interval:
     """Enclosure of exp(K) at parameter m, via AGM plus interval exp."""
-    if isinstance(m, Interval):
-        return _exp_K.__wrapped__(m, precision)
-    return _exp_K(_exact(m), precision)
-
-
-@lru_cache(maxsize=2048)
-def _exp_K(m, precision: int) -> Interval:
     return agm_K_m(m, precision + 8).exp().round_to(precision)
 
 

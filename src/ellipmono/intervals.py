@@ -329,23 +329,27 @@ def _atanh_series_fp(U: int, W: int) -> tuple[int, int]:
     return (-S if neg else S), k
 
 
+def _atan_inv_fp(q: int, W: int, alternating: bool) -> tuple[int, int]:
+    """(sum, k): atan(1/q) (``alternating``) or atanh(1/q) at scale 2^W
+    to the first zero term, k the terms summed.  p = floor(2^W/q^(2k+1))
+    steps by floor division by q^2, and floor(floor(a)/n) = floor(a/n) for
+    an integer n, so each p // (2k+1) is the floor of the exact term."""
+    s = k = 0
+    p = (1 << W) // q
+    while t := p // (2 * k + 1):
+        s += -t if alternating and k & 1 else t
+        p //= q * q
+        k += 1
+    return s, k
+
+
 @lru_cache(maxsize=64)
 def _ln2_fp(W: int) -> tuple[int, int]:
     """Enclosure of ln 2 at scale 2^W via 2*atanh(1/3); a pure function of
     W, so ``ln`` reuses it for every argument at one working scale."""
-    s = 0
-    k = 0
-    q = 3
-    while True:
-        t = (1 << W) // ((2 * k + 1) * q)
-        if t == 0:
-            break
-        s += t
-        q *= 9
-        k += 1
-    s *= 2
+    s, k = _atan_inv_fp(3, W, False)
     err = 2 * k + 4
-    return s - err, s + err
+    return 2 * s - err, 2 * s + err
 
 
 def _ln_dyadic(m: int, p: int) -> tuple[int, int]:
@@ -395,17 +399,16 @@ def _fraction_to_decimal(x: Fraction, digits: int) -> str:
 def _fraction_to_decimal_up(x: Fraction, sig: int) -> str:
     """Upper bound of |x| != 0 with ``sig`` significant digits, scientific
     form (``to_decimal`` renders a zero radius itself)."""
-    x = abs(x)
-    # find decimal exponent: 10^e <= x < 10^(e+1)
-    e = 0
-    if x >= 1:
-        while x >= 10**(e + 1):
-            e += 1
-    else:
-        while x < 10**e:
-            e -= 1
-    shift = sig - 1 - e
-    scaled = x * 10**shift if shift >= 0 else x / 10**(-shift)
+    x, ten = abs(x), Fraction(10)
+    # 10^e <= x < 10^(e+1): estimated from the bit lengths (log10 2 is
+    # about 0.30103), then settled by exact comparisons
+    bits = x.numerator.bit_length() - x.denominator.bit_length()
+    e = bits * 30103 // 100000
+    while x < ten**e:
+        e -= 1
+    while x >= ten**(e + 1):
+        e += 1
+    scaled = x * ten**(sig - 1 - e)
     mant = _div_ceil(scaled.numerator, scaled.denominator)
     if mant >= 10**sig:  # rounding bumped the mantissa a decade up
         mant = _div_ceil(mant, 10)

@@ -44,6 +44,12 @@ SMALL_GRID = [F(k, 17) for k in range(1, 17)] + [F(1, 64), 1 - F(1, 64)]
 SMALL_PAIRS = default_pair_grid(8)
 
 
+def small_grid(family):
+    """A small grid of the family's point shape."""
+    pairs = FAMILIES[family].grid is default_pair_grid
+    return SMALL_PAIRS if pairs else SMALL_GRID
+
+
 def test_cert_status_strings():
     assert CertStatus.CERTIFIED.value == "Certified"
     assert CertStatus.REFUTED.value == "Refuted"
@@ -227,6 +233,21 @@ def test_a_grid_point_outside_the_unit_interval_raises_first(family,
             grid_verify(BoundSpec(family), [good, pt])
 
 
+@pytest.mark.parametrize("family,pt", [
+    ("P3_lower", F(1, 3)),
+    ("P1_lower", (F(1, 4), F(1, 3))),
+    ("RMK4_QI", (F(1, 4), F(1, 3))),
+    ("CP3_upper", (F(1, 4),)),
+    ("CP3_lower", (F(1, 8), F(1, 4), F(1, 3))),
+])
+def test_a_grid_point_of_the_wrong_shape_raises_first(family, pt,
+                                                      monkeypatch):
+    # each failed inside a margin, with a different error each time
+    monkeypatch.setattr(certify, "resolve_spec", None)
+    with pytest.raises(DomainError, match=f"{family} takes (a pair|one x)"):
+        grid_verify(BoundSpec(family), [pt])
+
+
 @pytest.mark.parametrize("family",
                          ["RMK4_QI", "RMK4_YI", "CP3_upper", "P3_upper"])
 def test_margins_finer_than_the_cap_fold(family):
@@ -294,7 +315,7 @@ def test_unknown_family_rejected():
 @pytest.mark.parametrize("family", ["P1_lower", "P2_upper", "CP3_lower"])
 def test_negative_order_rejected(family):
     with pytest.raises(DomainError, match="order=-1 is negative"):
-        grid_verify(BoundSpec(family, -1), SMALL_GRID)
+        grid_verify(BoundSpec(family, -1), small_grid(family))
 
 
 def test_sharpness_probe_rejects_negative_order():
@@ -706,7 +727,7 @@ def test_a_field_the_margin_never_reads_is_rejected(family, field):
     with pytest.raises(DomainError, match="takes no"):
         resolve_spec(spec)
     with pytest.raises(DomainError, match="takes no"):
-        grid_verify(spec, SMALL_GRID)
+        grid_verify(spec, small_grid(family))
 
 
 def _margin_at_one_point(spec):
@@ -758,11 +779,11 @@ def test_the_agm_core_runs_once_per_distinct_parameter(monkeypatch):
         return public(m, precision)
 
     monkeypatch.setattr(elliptic, "agm_K_m", recording)
-    elliptic._agm_K.cache_clear()
+    public.cache_clear()
     cert = grid_verify(BoundSpec("P3_lower"), SMALL_PAIRS)
     assert cert.status is CertStatus.CERTIFIED
     # the pairs share their x, y and midpoints
-    assert elliptic._agm_K.cache_info().misses == len(set(calls))
+    assert public.cache_info().misses == len(set(calls))
     assert len(set(calls)) < len(calls) // 2
 
 

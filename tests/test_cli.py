@@ -301,6 +301,7 @@ def test_sharpness_undecided_exit_code(capsys):
     ("certify", "--claim", "c_nonneg", "--n-end", "5", "--p", "sqrt(2)"),
     ("certify", "--claim", "c_nonneg", "--n-end", "3", "--p", "threshold(x)"),
     ("sharpness", "--family", "P1_lower", "--epsilon", "abc"),
+    ("eval", "--what", "lt", "--triple", "1/2,1/2,2/0", "--x", "1/2"),
 ])
 def test_bad_param_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from ellipmono import constants, intervals
 from ellipmono.constants import (_GENERATORS, _PAD, CONSTANT_NAMES,
                                  ConstantTable, enclose_constant,
                                  shared_table)
@@ -167,3 +168,68 @@ def test_generator_width_premise_and_adjacent_nesting(name):
         answer = table.enclose(name, precision)
         assert previous.encloses(answer)
         previous = answer
+
+
+# ----------------------------------------------------------------------
+# one arctangent kernel for pi and ln 2, against the loops it replaced
+
+def machin_pi_oracle(prec):
+    """The former ``_machin_pi``, with its nested ``atan_inv``."""
+    W = prec + _PAD
+
+    def atan_inv(q):
+        s = 0
+        k = 0
+        p = (1 << W) // q
+        q2 = q * q
+        while True:
+            t = p // (2 * k + 1)
+            if t == 0:
+                break
+            s += -t if (k & 1) else t
+            p //= q2
+            k += 1
+        return s, k + 1
+
+    a5, e5 = atan_inv(5)
+    a239, e239 = atan_inv(239)
+    s = 16 * a5 - 4 * a239
+    err = 16 * e5 + 4 * e239
+    return Interval(s - err, s + err, W).round_to(prec)
+
+
+def ln2_oracle(W):
+    """The former body of ``intervals._ln2_fp``."""
+    s = 0
+    k = 0
+    q = 3
+    while True:
+        t = (1 << W) // ((2 * k + 1) * q)
+        if t == 0:
+            break
+        s += t
+        q *= 9
+        k += 1
+    s *= 2
+    err = 2 * k + 4
+    return s - err, s + err
+
+
+@pytest.mark.parametrize("P", [1, 2, 7, 64, 128, 333, 1024, 4096])
+def test_arctangent_kernel_keeps_the_bits_of_pi_and_ln2(P):
+    got, want = constants._machin_pi(P), machin_pi_oracle(P)
+    assert (got.lo, got.hi, got.prec) == (want.lo, want.hi, want.prec)
+    assert intervals._ln2_fp.__wrapped__(P) == ln2_oracle(P)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 3000))
+def test_arctangent_kernel_encloses_pi_and_ln2(W):
+    pi = constants._machin_pi(W)
+    lo, hi = intervals._ln2_fp(W)
+    with mp.workprec(W + 200):
+        pi_man, pi_exp = (+mp.pi).man_exp
+        ln2_man, ln2_exp = (+mp.ln2).man_exp
+    assert pi.lo_fraction() <= pi_man * Fraction(2) ** pi_exp \
+        <= pi.hi_fraction()
+    assert lo <= ln2_man * Fraction(2) ** (ln2_exp + W) <= hi

@@ -711,13 +711,12 @@ def ends(iv):
 
 @pytest.mark.parametrize("precision", MEMO_PRECISIONS)
 def test_memoized_point_functions_equal_their_uncached_cores(precision):
-    for memo, public in ((elliptic._agm_K, agm_K_m),
-                         (elliptic._exp_K, exp_K_agm)):
+    for memo in (agm_K_m, exp_K_agm):
         memo.cache_clear()
         for m in MEMO_MS:
             want = ends(memo.__wrapped__(m, precision))
-            assert ends(public(m, precision)) == want, m  # a miss
-            assert ends(public(m, precision)) == want, m  # a hit
+            assert ends(memo(m, precision)) == want, m  # a miss
+            assert ends(memo(m, precision)) == want, m  # a hit
         assert memo.cache_info().hits == len(MEMO_MS)
     for fn in (alpha_enclosure, beta_enclosure):
         fn.cache_clear()
@@ -725,27 +724,34 @@ def test_memoized_point_functions_equal_their_uncached_cores(precision):
         assert ends(fn(precision)) == ends(fn(precision)) == want
 
 
-def test_memo_keys_by_exact_value():
-    # int and Fraction m share an entry; a float is still refused, even
-    # where an equal Fraction is cached
-    assert agm_K_m(0, 64) is agm_K_m(F(0), 64)
-    assert exp_K_agm(0, 64) is exp_K_agm(F(0), 64)
-    with pytest.raises(TypeError):
-        agm_K_m(0.5, 64)
-    with pytest.raises(TypeError):
-        exp_K_agm(0.5, 64)
+def test_memo_keys_by_type_and_value():
+    # an int and an equal Fraction hold separate entries with equal bits
+    for memo in (agm_K_m, exp_K_agm):
+        k_int, k_frac = memo(0, 64), memo(F(0), 64)
+        assert k_int is not k_frac and ends(k_int) == ends(k_frac)
+        assert memo(0, 64) is k_int and memo(F(0), 64) is k_frac
     # a domain error is raised at every call, never cached
     for _ in range(2):
         with pytest.raises(DomainError):
             agm_K_m(F(1), 64)
 
 
-def test_an_interval_parameter_is_not_memoized():
-    m = Interval.from_fraction(F(1, 3), 128)
-    before = (elliptic._agm_K.cache_info(),
-              elliptic._exp_K.cache_info())
-    k1, k2 = agm_K_m(m, 96), agm_K_m(m, 96)
-    assert k1 is not k2 and ends(k1) == ends(k2)
-    assert exp_K_agm(m, 96) is not exp_K_agm(m, 96)
-    assert (elliptic._agm_K.cache_info(),
-            elliptic._exp_K.cache_info()) == before
+def test_a_float_is_refused_where_an_equal_fraction_is_cached():
+    # 0.5 == F(1, 2) and they hash alike, so only a typed key keeps the
+    # float from being served the Fraction's entry
+    agm_K_m(F(1, 2), 64)
+    exp_K_agm(F(1, 2), 64)
+    with pytest.raises(TypeError):
+        agm_K_m(0.5, 64)
+    with pytest.raises(TypeError):
+        exp_K_agm(0.5, 64)
+
+
+def test_an_interval_parameter_is_memoized_by_value():
+    coarse = Interval.from_fraction(F(1, 3), 64)
+    fine = coarse.round_to(200)
+    assert coarse == fine and coarse.prec != fine.prec
+    for memo in (agm_K_m, exp_K_agm):
+        k = memo(coarse, 96)
+        assert memo(fine, 96) is k
+        assert ends(k) == ends(memo.__wrapped__(fine, 96))

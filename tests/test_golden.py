@@ -128,7 +128,7 @@ def test_certificate_bytes_do_not_depend_on_earlier_constants(monkeypatch):
 # cases whose certificates read the memos of elliptic and certify
 MEMO_CASES = ["grid/P1_lower/0", "grid/P3_lower/0", "grid/EKDIFF_upper/0",
               "grid/M1_identity/0", "probe/EKDIFF_lower", "h/96"]
-MEMOS = (elliptic._agm_K, elliptic._exp_K, elliptic.alpha_enclosure,
+MEMOS = (elliptic.agm_K_m, elliptic.exp_K_agm, elliptic.alpha_enclosure,
          elliptic.beta_enclosure, certify._spec_values,
          certify._identity_values)
 

@@ -6,6 +6,7 @@ test) serves as the independent oracle for the transcendental kernels.
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -268,6 +269,32 @@ def test_to_decimal_format():
     assert Interval(0, 317, 4).to_decimal(2) == "9.91 ± 1.0e+1"
 
 
+RADIUS = re.compile(r"^[1-9]\.[0-9]e[+-][0-9]+$")
+
+
+@settings(max_examples=200)
+@given(prec=st.integers(1, 8192), lo=st.integers(-(1 << 80), 1 << 80),
+       width=st.integers(1, 1 << 80))
+def test_radius_is_a_tight_upper_bound_at_any_precision(prec, lo, width):
+    iv = Interval(lo, lo + width, prec)
+    text = iv.to_decimal(3).split(" ± ")[1]
+    assert RADIUS.match(text), text
+    assert iv.rad() <= Fraction(text) < Fraction(11, 10) * iv.rad()
+
+
+def test_radius_exponent_at_each_power_of_ten():
+    up = intervals._fraction_to_decimal_up
+    for e in range(-700, 701):
+        ten = Fraction(10) ** e
+        nudge = Fraction(10) ** (e - 40)
+        assert up(ten, 2) == f"1.0e{e:+d}"
+        assert up(ten + nudge, 2) == f"1.1e{e:+d}"
+        # 9.99...e(e-1) rounds up to 10e(e-1) and moves a decade
+        assert up(ten - nudge, 2) == f"1.0e{e:+d}"
+        assert up(ten - nudge, 3) == f"1.00e{e:+d}"
+        assert up(ten * 99 / 100, 2) == f"9.9e{e - 1:+d}"
+
+
 def test_equality_and_hash_follow_the_endpoints():
     assert (Interval.from_int(1, 8) == 1) is False
     assert Interval(2, 2, 1) == Interval(4, 4, 2)
@@ -285,3 +312,52 @@ def test_pad_ulp_grows_both_sides():
     assert padded.encloses(iv)
     assert padded.width() == Fraction(4, 1 << 32)
 
+
+
+# ----------------------------------------------------------------------
+# exp, ln and sqrt on random dyadic intervals against mpmath
+
+
+@st.composite
+def dyadic_intervals(draw, top, low):
+    """Interval [lo, hi] * 2^-prec, prec in 1..400, with integer ends of
+    varied bit length in [low, 2^(prec+top)] (low None: its negative)."""
+    prec = draw(st.integers(1, 400))
+    ends = []
+    for _ in range(2):
+        bits = draw(st.integers(0, prec + top))
+        least = -(1 << bits) if low is None else low
+        ends.append(draw(st.integers(least, 1 << bits)))
+    return Interval(min(ends), max(ends), prec)
+
+
+def mp_fraction(v):
+    """The exact value of an mpf (``man_exp`` drops the sign)."""
+    man, exp = v.man_exp
+    return (-1 if v < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+def assert_image_contains_mp(iv, image, fn):
+    # fn is monotone, so its values at the two ends span the image
+    for end in (iv.lo_fraction(), iv.hi_fraction()):
+        with mp.workprec(iv.prec + 200):
+            want = mp_fraction(fn(mpf(end.numerator) / end.denominator))
+        assert image.lo_fraction() <= want <= image.hi_fraction(), end
+
+
+@settings(max_examples=200)
+@given(dyadic_intervals(top=6, low=None))
+def test_exp_contains_mpmath_on_random_intervals(iv):
+    assert_image_contains_mp(iv, iv.exp(), mp.exp)
+
+
+@settings(max_examples=200)
+@given(dyadic_intervals(top=64, low=1))
+def test_ln_contains_mpmath_on_random_intervals(iv):
+    assert_image_contains_mp(iv, iv.ln(), mp.ln)
+
+
+@settings(max_examples=200)
+@given(dyadic_intervals(top=64, low=0))
+def test_sqrt_contains_mpmath_on_random_intervals(iv):
+    assert_image_contains_mp(iv, iv.sqrt(), mp.sqrt)
