@@ -171,27 +171,31 @@ def _cmd_coeffs(args):
     return 0, [json.dumps(payload, indent=2)]
 
 
+def _given(args, *flags: str) -> dict:
+    """Those of the flags that were given, as keyword arguments; the
+    driver's own defaults stand for the rest."""
+    return {f: getattr(args, f) for f in flags
+            if getattr(args, f) is not None}
+
+
 def _cmd_certify(args):
-    cert = certify_sequence(args.claim, args.n_start, args.n_end,
-                            p=args.p, precision=args.precision,
-                            max_precision=args.max_precision)
+    cert = certify_sequence(args.claim, args.n_start, args.n_end, p=args.p,
+                            **_given(args, "precision", "max_precision"))
     return _emit_certificate(cert, args)
 
 
 def _cmd_verify(args):
-    spec = BoundSpec(args.family, args.order, args.p)
+    spec = BoundSpec(args.family, param=args.p, **_given(args, "order"))
     grid = (None if args.density is None
             else FAMILIES[args.family].grid(args.density))
-    cert = grid_verify(spec, grid, precision=args.precision,
-                       max_precision=args.max_precision)
+    cert = grid_verify(spec, grid,
+                       **_given(args, "precision", "max_precision"))
     return _emit_certificate(cert, args)
 
 
 def _cmd_sharpness(args):
-    cert = sharpness_probe(args.family, args.epsilon, order=args.order,
-                           max_steps=args.max_steps,
-                           precision=args.precision,
-                           max_precision=args.max_precision)
+    cert = sharpness_probe(args.family, args.epsilon, **_given(
+        args, "order", "max_steps", "precision", "max_precision"))
     return _emit_certificate(cert, args, CertStatus.REFUTED)
 
 
@@ -265,24 +269,24 @@ def _cmd_constants(args):
 # ----------------------------------------------------------------------
 # parser
 
-def _add_common(p: argparse.ArgumentParser, *, max_prec: bool = False,
-                digits: bool = False, fmt: bool = False,
-                timestamp: bool = False) -> None:
-    p.add_argument("--precision", type=int, default=128,
-                   help="working precision in bits (default 128)")
-    if max_prec:
-        p.add_argument("--max-precision", type=int, default=2048,
-                       help="precision cap for escalation (default 2048)")
+def _add_common(p: argparse.ArgumentParser, *, certificate: bool = False,
+                digits: bool = False, fmt: bool = False) -> None:
+    # a certificate subcommand passes its driver only the flags given
+    default = "default: the driver's" if certificate else "default 128"
+    p.add_argument("--precision", type=int, default=None if certificate
+                   else 128, help=f"working precision in bits ({default})")
+    if certificate:
+        p.add_argument("--max-precision", type=int, default=None,
+                       help=f"precision cap for escalation ({default})")
+        p.add_argument("--no-timestamp", action="store_true",
+                       help="omit the timestamp and zero the runtime so "
+                            "output is byte-reproducible")
     if digits:
         p.add_argument("--digits", type=int, default=30,
                        help="decimal digits to display (default 30)")
     if fmt:
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="output format (default csv)")
-    if timestamp:
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit the timestamp and zero the runtime so "
-                            "output is byte-reproducible")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,27 +312,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-start", type=int, default=0)
     p.add_argument("--n-end", type=int, required=True)
     p.add_argument("--p", type=parse_param, default=None)
-    _add_common(p, max_prec=True, timestamp=True)
+    _add_common(p, certificate=True)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("verify", help="certify an inequality family on a grid")
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
-    p.add_argument("--order", type=int, default=0,
+    p.add_argument("--order", type=int, default=None,
                    help="truncation order m of the correction sum")
     p.add_argument("--p", type=parse_param, default=None,
                    help="series parameter (defaults to the sharp constant)")
     p.add_argument("--density", type=int, default=None,
                    help="grid density (default: the family's own grid)")
-    _add_common(p, max_prec=True, timestamp=True)
+    _add_common(p, certificate=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sharpness",
                        help="refute an epsilon-perturbed bound")
     p.add_argument("--family", choices=SHARPNESS_FAMILIES, required=True)
     p.add_argument("--epsilon", type=parse_fraction, required=True)
-    p.add_argument("--order", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=40)
-    _add_common(p, max_prec=True, timestamp=True)
+    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--max-steps", type=int, default=None)
+    _add_common(p, certificate=True)
     p.set_defaults(func=_cmd_sharpness)
 
     p = sub.add_parser("eval", help="enclose one function value")
@@ -358,7 +362,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.precision is not None:  # None: coeffs without --precision
+        if args.precision is not None:  # None: not given, and no default
             check_precision(args.precision)
         code, lines = args.func(args)
         for line in lines:  # flushed, so a closed pipe raises here

@@ -28,8 +28,8 @@ evaluation of the elliptic integral at modulus 1/sqrt(2).
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import lru_cache
 
 from .intervals import (DomainError, Interval, _atan_inv_fp, _ln2_fp,
                         check_precision)
@@ -102,29 +102,20 @@ CONSTANT_NAMES = tuple(sorted(_GENERATORS))
 
 
 class ConstantTable:
-    """Thread-safe cache of constant enclosures, one computation per
-    (name, precision); see the module docstring for why they nest."""
+    """Cache of constant enclosures, one computation per (table, name,
+    precision); see the module docstring for why they nest.  A typed,
+    thread-safe ``lru_cache``: a float precision never reads an int's
+    entry, an error is never cached, and two threads that miss at once
+    may both compute an answer, with equal bits."""
 
-    def __init__(self):
-        self._answers: dict[tuple[str, int], Interval] = {}
-        self._lock = threading.Lock()
-
+    @lru_cache(maxsize=None, typed=True)
     def enclose(self, name: str, precision: int) -> Interval:
         if name not in _GENERATORS:
             raise DomainError(f"unknown constant {name!r}; "
                               f"known: {', '.join(CONSTANT_NAMES)}")
         check_precision(precision)
-        key = (name, precision)
-        with self._lock:
-            cached = self._answers.get(key)
-        if cached is not None:
-            return cached
-        # computed outside the lock: generators may recurse into this
-        # table (gamma via AGM via pi)
-        out = _GENERATORS[name](precision + _PAD).round_to(
+        return _GENERATORS[name](precision + _PAD).round_to(
             precision + 3).pad_ulp(1)
-        with self._lock:
-            return self._answers.setdefault(key, out)
 
 
 _shared = ConstantTable()

@@ -91,8 +91,8 @@ class Interval:
     __slots__ = ("lo", "hi", "prec")
 
     def __init__(self, lo: int, hi: int, prec: int):
-        if prec <= 0:
-            raise ValueError("prec must be a positive bit count")
+        if prec <= 0:  # the valid path pays one comparison and no call
+            check_precision(prec)
         if lo > hi:
             raise ValueError("empty interval: lo > hi")
         self.lo = lo

@@ -89,19 +89,11 @@ class PiExpression:
     # ------------------------------------------------------------------
     # ring operations
 
-    def _check_scale(self, other: "PiExpression") -> bool:
-        if self.is_zero:
-            return other.exp_scale
-        if other.is_zero:
-            return self.exp_scale
-        if self.exp_scale != other.exp_scale:
+    def __add__(self, other: "PiExpression") -> "PiExpression":
+        if self.nums and other.nums and self.exp_scale != other.exp_scale:
             raise ValueError(
                 "cannot add expressions with different exp_scale; "
                 "evaluate to intervals instead")
-        return self.exp_scale
-
-    def __add__(self, other: "PiExpression") -> "PiExpression":
-        scale = self._check_scale(other)
         den = lcm(self.den, other.den)
         a = [c * (den // self.den) for c in self.nums]
         b = [c * (den // other.den) for c in other.nums]
@@ -109,7 +101,7 @@ class PiExpression:
             a, b = b, a
         for j, c in enumerate(b):
             a[j] += c
-        return PiExpression(a, scale, den)
+        return PiExpression(a, self.exp_scale or other.exp_scale, den)
 
     def __neg__(self) -> "PiExpression":
         return self.scale(-1)
@@ -123,15 +115,11 @@ class PiExpression:
                             self.exp_scale, self.den * q.denominator)
 
     def __mul__(self, other: "PiExpression") -> "PiExpression":
-        if self.is_zero or other.is_zero:
-            return PiExpression()
         if self.exp_scale and other.exp_scale:
             raise ValueError(
                 "product would carry exp(pi); outside the coefficient ring")
         prod = [0] * (len(self.nums) + len(other.nums) - 1)
         for i, a in enumerate(self.nums):
-            if a == 0:
-                continue
             for j, b in enumerate(other.nums):
                 prod[i + j] += a * b
         return PiExpression(prod, self.exp_scale or other.exp_scale,
@@ -171,33 +159,19 @@ class PiExpression:
 
         ``(pi^3 + 27*pi^2 + 150*pi)/3072 * exp(pi/2)``
         """
-        if self.is_zero:
+        terms = [str(n) if j == 0 else
+                 ("" if n == 1 else "-" if n == -1 else f"{n}*")
+                 + ("pi" if j == 1 else f"pi^{j}")
+                 for j, n in reversed(list(enumerate(self.nums))) if n]
+        if not terms:
             return "0"
-        nums, den = self.nums, self.den
-        terms = []
-        for j in range(len(nums) - 1, -1, -1):
-            n = nums[j]
-            if n == 0:
-                continue
-            if j == 0:
-                mono = ""
-            elif j == 1:
-                mono = "pi"
-            else:
-                mono = f"pi^{j}"
-            if mono:
-                coeff = "" if n == 1 else ("-" if n == -1 else f"{n}*")
-                terms.append(f"{coeff}{mono}")
-            else:
-                terms.append(f"{n}")
         body = " + ".join(terms).replace("+ -", "- ")
-        if len(terms) > 1 and den != 1:
+        # a sum is bracketed exactly when a factor follows it
+        if len(terms) > 1 and (self.den != 1 or self.exp_scale):
             body = f"({body})"
-        if den != 1:
-            body = f"{body}/{den}"
+        if self.den != 1:
+            body = f"{body}/{self.den}"
         if self.exp_scale:
-            if len(terms) > 1 and den == 1:
-                body = f"({body})"
             body = f"{body} * exp(pi/2)"
         return body
 

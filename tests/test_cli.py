@@ -5,11 +5,13 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ellipmono.certify import default_grid
+from ellipmono.certify import (BoundSpec, certify_sequence, default_grid,
+                               grid_verify, sharpness_probe)
 from ellipmono.cli import main, parse_param
 from ellipmono.coefficients import CoefficientTable, threshold
 from ellipmono.constants import CONSTANT_NAMES
@@ -520,3 +522,36 @@ def test_precision_below_one_bit_is_one_usage_error(capsys, argv, precision):
     rc, out, err = run(capsys, *argv, "--precision", precision, *stamp)
     assert rc == 2 and not out
     assert err == f"error: precision {precision} is below one bit\n"
+
+
+@pytest.mark.parametrize("argv, driver", [
+    (("verify", "--family", "RMK4_YI"),
+     lambda: grid_verify(BoundSpec("RMK4_YI"))),
+    (("verify", "--family", "P1_lower", "--order", "1", "--density", "20"),
+     lambda: grid_verify(BoundSpec("P1_lower", 1), default_grid(20))),
+    (("verify", "--family", "RMK4_QI", "--precision", "128",
+      "--max-precision", "128", "--density", "5"),
+     lambda: grid_verify(BoundSpec("RMK4_QI"), default_grid(5),
+                         precision=128, max_precision=128)),
+    (("sharpness", "--family", "P1_lower", "--epsilon", "1/100"),
+     lambda: sharpness_probe("P1_lower", Fraction(1, 100))),
+    (("sharpness", "--family", "EKDIFF_upper", "--epsilon", "1/1000",
+      "--max-steps", "3"),
+     lambda: sharpness_probe("EKDIFF_upper", Fraction(1, 1000), max_steps=3)),
+    (("certify", "--claim", "u_signs", "--n-end", "50"),
+     lambda: certify_sequence("u_signs", 0, 50)),
+    (("certify", "--claim", "c_nonneg", "--n-start", "65", "--n-end", "70",
+      "--p", "threshold(65)"),
+     lambda: certify_sequence("c_nonneg", 65, 70, p=threshold(65))),
+], ids=["verify_RMK4_YI", "verify_P1_lower_order_1", "verify_RMK4_QI_capped",
+        "sharpness_P1_lower", "sharpness_EKDIFF_upper", "certify_u_signs",
+        "certify_threshold_65"])
+def test_a_certificate_subcommand_issues_its_drivers_certificate(
+        capsys, argv, driver):
+    # a flag not given leaves the driver's own default, so one request
+    # gives one certificate
+    rc, out, err = run(capsys, *argv, "--no-timestamp")
+    want = driver().to_json_dict()
+    want["runtime_ms"] = 0.0
+    assert rc in (0, 1) and not err
+    assert out == json.dumps(want, indent=2) + "\n"

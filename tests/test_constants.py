@@ -139,6 +139,17 @@ def test_threaded_queries_stay_nested():
 # ----------------------------------------------------------------------
 # one computation per (name, precision): answers do not depend on history
 
+def test_a_float_precision_never_reads_an_int_answer():
+    # (name, 64.0) and (name, 64) are equal keys; the typed cache keeps
+    # them apart, so the float raises whatever was asked before
+    table = ConstantTable()
+    with pytest.raises(TypeError):
+        table.enclose("pi", 64.0)
+    table.enclose("pi", 64)
+    with pytest.raises(TypeError):
+        table.enclose("pi", 64.0)
+
+
 @settings(max_examples=100)
 @given(st.lists(st.tuples(st.sampled_from(CONSTANT_NAMES),
                           st.integers(2, 400)), min_size=1, max_size=10))

@@ -755,3 +755,23 @@ def test_an_interval_parameter_is_memoized_by_value():
         k = memo(coarse, 96)
         assert memo(fine, 96) is k
         assert ends(k) == ends(memo.__wrapped__(fine, 96))
+
+
+# ----------------------------------------------------------------------
+# one error for a precision below one bit, wherever it is read
+
+@pytest.mark.parametrize("call", [
+    lambda: agm_K_m(F(1, 2), 0),
+    lambda: agm_K_m(F(1, 2), -5),
+    lambda: hyp_series("hh1", F(1, 2), 0),
+    lambda: g_eval(F(1, 3), 0),
+    lambda: asymptotic_defect(F(1, 2), 0),
+    lambda: alpha_enclosure(0),
+    lambda: beta_enclosure(0),
+    lambda: shared_coefficients().threshold(3).evaluate(0),
+], ids=["agm_K_m", "agm_K_m_negative", "hyp_series", "g_eval",
+        "asymptotic_defect", "alpha", "beta", "threshold_evaluate"])
+def test_a_precision_below_one_bit_is_one_domain_error(call):
+    # each of these meets the precision first in the Interval constructor
+    with pytest.raises(DomainError, match="below one bit"):
+        call()

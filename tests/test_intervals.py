@@ -5,6 +5,7 @@ test) serves as the independent oracle for the transcendental kernels.
 """
 
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -32,7 +33,7 @@ def assert_contains_mp(iv, oracle):
 def test_constructor_rejects_empty_and_zero_precision():
     with pytest.raises(ValueError, match="empty interval"):
         Interval(1, 0, 5)
-    with pytest.raises(ValueError, match="positive bit count"):
+    with pytest.raises(DomainError, match="precision 0 is below one bit"):
         Interval(0, 0, 0)
 
 
@@ -319,10 +320,10 @@ def test_pad_ulp_grows_both_sides():
 
 
 @st.composite
-def dyadic_intervals(draw, top, low):
-    """Interval [lo, hi] * 2^-prec, prec in 1..400, with integer ends of
-    varied bit length in [low, 2^(prec+top)] (low None: its negative)."""
-    prec = draw(st.integers(1, 400))
+def dyadic_intervals(draw, top, low, max_prec=400):
+    """Interval [lo, hi] * 2^-prec, prec in 1..max_prec, with integer ends
+    of varied bit length in [low, 2^(prec+top)] (low None: its negative)."""
+    prec = draw(st.integers(1, max_prec))
     ends = []
     for _ in range(2):
         bits = draw(st.integers(0, prec + top))
@@ -361,3 +362,64 @@ def test_ln_contains_mpmath_on_random_intervals(iv):
 @given(dyadic_intervals(top=64, low=0))
 def test_sqrt_contains_mpmath_on_random_intervals(iv):
     assert_image_contains_mp(iv, iv.sqrt(), mp.sqrt)
+
+
+# ----------------------------------------------------------------------
+# the exact operators on random dyadic intervals: each end is the floor or
+# the ceiling of the exact extreme, which is containment and tightness
+
+OPERANDS = dyadic_intervals(top=8, low=None, max_prec=300)
+
+
+def assert_tight(result, extremes, prec):
+    scale = 1 << prec
+    assert (result.lo, result.hi, result.prec) == (
+        math.floor(min(extremes) * scale), math.ceil(max(extremes) * scale),
+        prec)
+
+
+def ends(iv):
+    return iv.lo_fraction(), iv.hi_fraction()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+@settings(max_examples=200)
+@given(x=OPERANDS, y=OPERANDS)
+def test_binary_operators_are_the_floor_and_ceil_of_the_exact_extremes(
+        op, x, y):
+    # each operator is monotone in each operand, so the corners span it
+    if op is operator.truediv and y.lo <= 0 <= y.hi:
+        return  # a divisor holding 0 raises; see the test above
+    extremes = [op(a, b) for a in ends(x) for b in ends(y)]
+    assert_tight(op(x, y), extremes, max(x.prec, y.prec))
+
+
+@pytest.mark.parametrize("name", ["neg", "recip", "square"])
+@settings(max_examples=200)
+@given(x=OPERANDS)
+def test_unary_operators_are_the_floor_and_ceil_of_the_exact_extremes(
+        name, x):
+    a, b = ends(x)
+    if name == "neg":
+        result, extremes = -x, [-a, -b]
+    elif name == "recip":
+        if a <= 0 <= b:
+            return
+        result, extremes = x.recip(), [1 / a, 1 / b]
+    else:  # x^2 falls to 0 inside an interval straddling 0
+        result, extremes = x.square(), [a * a, b * b] + [0] * (a < 0 < b)
+    assert_tight(result, extremes, x.prec)
+
+
+@settings(max_examples=200)
+@given(x=OPERANDS, prec=st.integers(1, 300))
+def test_round_to_is_the_floor_and_ceil_of_the_ends(x, prec):
+    # coarser rounds outward; finer (and equal) is exact
+    assert_tight(x.round_to(prec), ends(x), prec)
+
+
+@settings(max_examples=200)
+@given(x=OPERANDS, y=OPERANDS)
+def test_hull_is_the_floor_and_ceil_of_the_outer_ends(x, y):
+    assert_tight(x.hull(y), ends(x) + ends(y), max(x.prec, y.prec))

@@ -1,6 +1,7 @@
 """Exact pi-polynomial values: ring laws, canonical form, evaluation."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -242,3 +243,106 @@ def test_den_and_rational_construction_agree():
 def test_nonpositive_den_raises(den):
     with pytest.raises(ValueError):
         PiExpression((1, 2), den=den)
+
+
+# ----------------------------------------------------------------------
+# the ring operations and the renderer against their former forms, which
+# stated the zero rule twice and bracketed a sum by two conditions
+
+def check_scale_reference(x, y):
+    if x.is_zero:
+        return y.exp_scale
+    if y.is_zero:
+        return x.exp_scale
+    if x.exp_scale != y.exp_scale:
+        raise ValueError("cannot add expressions with different exp_scale")
+    return x.exp_scale
+
+
+def add_reference(x, y):
+    scale = check_scale_reference(x, y)
+    den = math.lcm(x.den, y.den)
+    a = [c * (den // x.den) for c in x.nums]
+    b = [c * (den // y.den) for c in y.nums]
+    if len(a) < len(b):
+        a, b = b, a
+    for j, c in enumerate(b):
+        a[j] += c
+    return PiExpression(a, scale, den)
+
+
+def mul_reference(x, y):
+    if x.is_zero or y.is_zero:
+        return PiExpression()
+    if x.exp_scale and y.exp_scale:
+        raise ValueError("product would carry exp(pi)")
+    prod = [0] * (len(x.nums) + len(y.nums) - 1)
+    for i, a in enumerate(x.nums):
+        if a == 0:
+            continue
+        for j, b in enumerate(y.nums):
+            prod[i + j] += a * b
+    return PiExpression(prod, x.exp_scale or y.exp_scale, x.den * y.den)
+
+
+def render_reference(e):
+    if e.is_zero:
+        return "0"
+    nums, den = e.nums, e.den
+    terms = []
+    for j in range(len(nums) - 1, -1, -1):
+        n = nums[j]
+        if n == 0:
+            continue
+        if j == 0:
+            mono = ""
+        elif j == 1:
+            mono = "pi"
+        else:
+            mono = f"pi^{j}"
+        if mono:
+            coeff = "" if n == 1 else ("-" if n == -1 else f"{n}*")
+            terms.append(f"{coeff}{mono}")
+        else:
+            terms.append(f"{n}")
+    body = " + ".join(terms).replace("+ -", "- ")
+    if len(terms) > 1 and den != 1:
+        body = f"({body})"
+    if den != 1:
+        body = f"{body}/{den}"
+    if e.exp_scale:
+        if len(terms) > 1 and den == 1:
+            body = f"({body})"
+        body = f"{body} * exp(pi/2)"
+    return body
+
+
+def outcome(f, *args):
+    """f(*args), or ValueError if it raises one."""
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+# degree <= 8; unit and zero coefficients render specially, wide ones do not
+EXPRESSIONS = st.builds(
+    PiExpression,
+    st.lists(st.one_of(st.sampled_from([0, 1, -1]),
+                       st.integers(-2 ** 200, 2 ** 200)), max_size=9),
+    st.booleans(), st.sampled_from([1, 2, 3, 48, 3072]))
+
+
+@settings(max_examples=300)
+@given(EXPRESSIONS)
+def test_render_is_the_former_render(e):
+    assert e.render() == render_reference(e)
+
+
+@pytest.mark.parametrize("op, reference", [(operator.add, add_reference),
+                                           (operator.mul, mul_reference)])
+@settings(max_examples=300)
+@given(x=EXPRESSIONS, y=EXPRESSIONS)
+def test_sum_and_product_are_the_former_ones(op, reference, x, y):
+    # equal results, and the same mixed-scale sums and exp(pi) products raise
+    assert outcome(op, x, y) == outcome(reference, x, y)
