@@ -363,7 +363,9 @@ def default_grid(density: int = 200) -> list[Fraction]:
     pts = {Fraction(k, density + 1) for k in range(1, density + 1)}
     pts |= {Fraction(1, 1 << j) for j in range(2, 13)}
     pts |= {1 - Fraction(1, 1 << j) for j in range(2, 13)}
-    return sorted(pts)
+    # every denominator divides D, so q * D is an exact integer key
+    D = (density + 1) << 12
+    return sorted(pts, key=lambda q: q.numerator * (D // q.denominator))
 
 
 def _grid_off_half(density: int = 200) -> list[Fraction]:

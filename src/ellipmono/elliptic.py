@@ -7,7 +7,9 @@ arithmetic-geometric mean,
     K(m) = pi / (2 * AGM(1, sqrt(1-m)))      (m the parameter, m = r^2),
 
 whose iterates bracket the limit from both sides, so outward-rounded
-iteration gives a rigorous enclosure at any m in [0, 1).
+iteration gives a rigorous enclosure at any m in [0, 1).  The same loop
+gives the integral of the second kind, E = K (1 - sum_{n>=0} 2^(n-1) c_n^2)
+with c_0^2 = m and c_{n+1} = (a_n - b_n)/2 (Gauss-Legendre).
 
 Gauss series F(a,b;c;x) for the four parameter triples that occur in the
 coefficient work are summed term by term, each term the previous one
@@ -15,9 +17,16 @@ times the exact rational term ratio, with an explicit geometric tail
 bound (:class:`SeriesEval`).  Both loops, the AGM and the series, run on
 the bare integer endpoints at the work scale with the directed rounding
 of :class:`Interval` arithmetic, so they give the enclosures the same
-loops over ``Interval`` objects would, bit for bit.  The exponential
-series exp(K(sqrt(x))) = sum b_n x^n is the table's ``exp_partial_sum``
-plus a tail below e^(pi/2) sum_{n>N} W_n x^n, summed on integers.
+loops over ``Interval`` objects would, bit for bit.  The series slow down
+and lose bits as x -> 1, so g, g0 and G read them only below the
+crossover x = 1/2; from it on they read the closed forms of the three
+triples in K and E (:func:`_gauss`), which cancel as x -> 0 but not as
+x -> 1, at ceil(log2(1/(1-x))) more work bits.  ``hyp_series`` and
+``lt_check`` stay series-only, so ``lt_check`` cross-checks them.
+
+The exponential series exp(K(sqrt(x))) = sum b_n x^n is the table's
+``exp_partial_sum`` plus a tail below e^(pi/2) sum_{n>N} W_n x^n, summed
+on integers.
 That bound needs no sign claim about the b_n: it follows from
 
     exp(K(sqrt(x))) = e^(pi/2) exp((pi/2) sum_{k>=1} W_k^2 x^k)
@@ -25,9 +34,10 @@ That bound needs no sign claim about the b_n: it follows from
 and W_k^2 < 1/(pi k), so the inner series is dominated coefficientwise by
 sum x^k/(2k) = -ln(1-x)/2, and b_n <= e^(pi/2) W_n.
 
-K and exp(K) are memoized by the type and value of (m, precision) in
-bounded typed LRU caches, so a float never meets an equal Fraction's entry;
-an ``Interval`` m is memoized by value.  alpha and beta once per precision.
+K, the pair (K, E), exp(K) and r' = sqrt(1 - x) are memoized by the
+type and value of (m, precision) in bounded typed LRU caches, so a float
+never meets an equal Fraction's entry; an ``Interval`` m is memoized by
+value.  alpha and beta once per precision.
 """
 
 from __future__ import annotations
@@ -78,6 +88,7 @@ class SeriesEval:
         return self.partial + self.tail_bound
 
 
+@lru_cache(maxsize=4096, typed=True)
 def _rprime(x: Fraction, precision: int) -> Interval:
     """Enclosure of r' = sqrt(1 - x) at ``precision`` bits."""
     return Interval.from_fraction(1 - x, precision).sqrt()
@@ -85,6 +96,12 @@ def _rprime(x: Fraction, precision: int) -> Interval:
 
 # ----------------------------------------------------------------------
 # AGM
+
+def _log2_inv(d: Fraction) -> int:
+    """ceil(log2(1/d)) for a rational d in (0, 1]."""
+    inv_ceil = -(-d.denominator // d.numerator)  # 2^k >= 1/d iff 2^k >= this
+    return (inv_ceil - 1).bit_length()
+
 
 def _near_one_bits(m: Fraction, precision: int) -> int:
     """Bits that widen the AGM's work scale precision + _GUARD at m near 1,
@@ -94,50 +111,103 @@ def _near_one_bits(m: Fraction, precision: int) -> int:
     if m >= 1:
         return 0
     d = 1 - m
-    inv_ceil = -(-d.denominator // d.numerator)  # 2^k >= 1/d iff 2^k >= this
-    L = (inv_ceil - 1).bit_length()
+    L = _log2_inv(d)
     bits = max(0, L - precision)
     if (d * (1 << (precision + _GUARD))).denominator != 1:
         bits = max(bits, L - (_GUARD - 8))
     return bits
 
 
-@lru_cache(maxsize=4096, typed=True)
-def agm_K_m(m, precision: int) -> Interval:
-    """Enclosure of K as a function of the parameter m in [0, 1).
-
-    The iterates run on the integer endpoints at the work scale: the
-    arithmetic mean is a floor/ceil shift and the geometric mean takes
-    floor/ceil square roots of the shifted endpoint products, the same
-    directed rounding as ``Interval`` arithmetic.  A rational m near 1
-    widens the work scale (:func:`_near_one_bits`) so that K keeps
-    ``precision`` bits whether or not 1 - m is exact there.
-    """
+def _agm_arg(m, precision: int) -> Interval:
+    """m at the AGM's work scale: precision + _GUARD, widened near 1 for a
+    rational m (:func:`_near_one_bits`); an ``Interval`` m is rounded."""
     if isinstance(m, Interval):
-        work = precision + _GUARD
-        mi = m.round_to(work)
+        mi = m.round_to(precision + _GUARD)
     else:
         m = _exact(m)
-        work = precision + _GUARD + _near_one_bits(m, precision)
-        mi = Interval.from_fraction(m, work)
-    one = 1 << work
-    if mi.lo < 0 or mi.hi >= one:
+        mi = Interval.from_fraction(
+            m, precision + _GUARD + _near_one_bits(m, precision))
+    if mi.lo < 0 or mi.hi >= 1 << mi.prec:
         raise DomainError("parameter m must lie in [0, 1)")
+    return mi
+
+
+def _agm(mi: Interval) -> tuple[Interval, list[tuple[int, int]]]:
+    """Enclosure of AGM(1, sqrt(1 - m)) at the scale of ``mi``, and the
+    integer bounds (lo, hi) of each gap a_n - b_n the loop read.
+
+    The iterates run on the integer endpoints at that scale: the
+    arithmetic mean is a floor/ceil shift and the geometric mean takes
+    floor/ceil square roots of the shifted endpoint products, the same
+    directed rounding as ``Interval`` arithmetic.  The loop stops once
+    a_n - b_n is below 2^-(work-24), or after 64 means; the gap of the
+    last pair is recorded too.
+    """
+    work = mi.prec
+    one = 1 << work
     # sqrt(t * 2^-work) = sqrt(t * 2^work) * 2^-work; endpoints stay >= 0
     a_lo = a_hi = one
     b_lo = isqrt((one - mi.hi) << work)
     b_hi = _isqrt_ceil((one - mi.lo) << work)
     target = 1 << (_GUARD - 8)  # gap below 2^-(work-24), in work ulps
+    gaps = [(a_lo - b_hi, a_hi - b_lo)]
     for _ in range(64):
-        if a_hi - b_lo <= target:
+        if gaps[-1][1] <= target:
             break
         p_lo = (a_lo * b_lo) >> work
         p_hi = -((-(a_hi * b_hi)) >> work)
         a_lo, a_hi = (a_lo + b_lo) >> 1, -((-(a_hi + b_hi)) >> 1)
         b_lo, b_hi = isqrt(p_lo << work), _isqrt_ceil(p_hi << work)
-    agm = Interval(min(b_lo, a_lo), max(a_hi, b_hi), work)
-    pi = enclose_constant("pi", work)
-    return (pi * agm.recip()).mul_scalar(Fraction(1, 2)).round_to(precision)
+        gaps.append((a_lo - b_hi, a_hi - b_lo))
+    return Interval(min(b_lo, a_lo), max(a_hi, b_hi), work), gaps
+
+
+def _legendre_sum(mi: Interval, gaps: list[tuple[int, int]]) -> Interval:
+    """Enclosure of S = sum_{n>=0} 2^(n-1) c_n^2, c_0^2 = m and
+    c_{n+1} = (a_n - b_n)/2, at the scale of ``mi``, from the AGM's gaps:
+    E = K (1 - S).  The terms 2^(n-2) (a_n - b_n)^2 are summed exactly at
+    scale 2^(2 work + 2) from the gap bounds, a_n - b_n >= 0 on the lower
+    end.  The tail after the last gap N is at most term N: b_{n+1} >= b_n
+    gives a_{n+1} - b_{n+1} <= (a_n - b_n)/2, so each later term is at
+    most half the one before it."""
+    work = mi.prec
+    s_lo, s_hi = mi.lo << (work + 1), mi.hi << (work + 1)   # m/2
+    for n, (lo, hi) in enumerate(gaps):
+        s_lo += max(0, lo) ** 2 << n
+        s_hi += hi ** 2 << n
+    s_hi += gaps[-1][1] ** 2 << (len(gaps) - 1)             # the tail
+    return Interval(s_lo >> (work + 2), -(-s_hi >> (work + 2)), work)
+
+
+def _K_of(agm: Interval) -> Interval:
+    """pi / (2 AGM) at the scale of ``agm``."""
+    pi = enclose_constant("pi", agm.prec)
+    return (pi * agm.recip()).mul_scalar(Fraction(1, 2))
+
+
+@lru_cache(maxsize=4096, typed=True)
+def agm_K_m(m, precision: int) -> Interval:
+    """Enclosure of K as a function of the parameter m in [0, 1).
+
+    The AGM runs on integer endpoints (:func:`_agm`); a rational m near 1
+    widens the work scale (:func:`_near_one_bits`) so that K keeps
+    ``precision`` bits whether or not 1 - m is exact there.
+    """
+    agm, _ = _agm(_agm_arg(m, precision))
+    return _K_of(agm).round_to(precision)
+
+
+@lru_cache(maxsize=4096, typed=True)
+def _agm_KE(m, precision: int) -> tuple[Interval, Interval]:
+    """Enclosures of K and of the complete integral of the second kind E
+    at the parameter m in [0, 1), both from one AGM loop at the work scale
+    of :func:`agm_K_m` (so K has its bits): E = K (1 - S) (Borwein &
+    Borwein, *Pi and the AGM*, ch. 1)."""
+    mi = _agm_arg(m, precision)
+    agm, gaps = _agm(mi)
+    K = _K_of(agm)
+    E = K * (Interval.from_int(1, mi.prec) - _legendre_sum(mi, gaps))
+    return K.round_to(precision), E.round_to(precision)
 
 
 def agm_K(r, precision: int) -> Interval:
@@ -208,7 +278,10 @@ def hyp_series(kind, x, precision: int,
     term ratio.  The tail after the last summed term is bounded
     geometrically by the supremum of the term ratio, so the returned
     enclosure is rigorous however early the sum stops; ``max_terms``
-    merely caps the work.
+    merely caps the work.  Near 1 the cap shows: at x = 99/100 and 128
+    bits the default cap of 2048 terms keeps 37, 47, 29.7 and 35.9 bits
+    of the value (hh1, hh2, 3h3h2, 3h3h3).  g, g0 and G do not read it
+    there (:func:`_gauss`).
     """
     a, b, c = _hyp_params(kind)
     xf = _exact(x)
@@ -297,13 +370,51 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
 # ----------------------------------------------------------------------
 # derived functionals
 
+# the functionals read the Gauss series below this x, the closed forms
+# in K and E from it on.  The closed forms would keep their bits down to
+# about x = 1/32 and cost less there too; 1/2 keeps the series' bits, and
+# so the certificates, below it as they were
+_CROSSOVER = Fraction(1, 2)
+
+
+def _gauss(kind: str, x: Fraction, work: int) -> Interval:
+    """F(a,b;c;x) at ``work`` bits for a triple the functionals read: the
+    series below the crossover, and from it on the closed forms in K and E
+    (DLMF 15.4, 19.8), which cancel as x -> 0 but not as x -> 1:
+
+        F(1/2,1/2;2;x) = 4 (E - (1-x) K) / (pi x)
+        F(3/2,3/2;2;x) = F(1/2,1/2;2;x) / (1-x)
+        F(3/2,3/2;3;x) = 16 ((2-x) K - 2 E) / (pi x^2)
+    """
+    if x < _CROSSOVER:
+        return hyp_series(kind, x, work).enclosure
+    K, E = _agm_KE(x, work)
+    pi = enclose_constant("pi", work)
+    if kind == "3h3h3":
+        return (K.mul_scalar(2 - x) - E.mul_scalar(2)).mul_scalar(
+            16 / x ** 2) / pi
+    hh2 = (E - K.mul_scalar(1 - x)).mul_scalar(4 / x) / pi
+    return hh2 if kind == "hh2" else hh2.mul_scalar(1 / (1 - x))
+
+
+def _functional_work(x, precision: int) -> tuple[Fraction, int]:
+    """x, checked to lie in [0, 1), and the work scale of g, g0 and G:
+    precision + 16, and from the crossover on ceil(log2(1/(1-x))) bits
+    more, since pi F(1/2,1/2;2;x) - 4 tends to 0 as x -> 1."""
+    xf = _exact(x)
+    if not 0 <= xf < 1:
+        raise DomainError("series argument must lie in [0, 1)")
+    work = precision + 16
+    return xf, work if xf < _CROSSOVER else work + _log2_inv(1 - xf)
+
+
 def g_eval(x, precision: int) -> Interval:
     """Enclosure of g = F(3/2,3/2;3;x) + pi F(3/2,3/2;2;x) F(1/2,1/2;2;x)
     - 4 F(3/2,3/2;2;x), the generating function of the v-sequence."""
-    work = precision + 16
-    A = hyp_series("3h3h3", x, work).enclosure
-    B = hyp_series("3h3h2", x, work).enclosure
-    C = hyp_series("hh2", x, work).enclosure
+    xf, work = _functional_work(x, precision)
+    A = _gauss("3h3h3", xf, work)
+    B = _gauss("3h3h2", xf, work)
+    C = _gauss("hh2", xf, work)
     pi = enclose_constant("pi", work)
     return (A + pi * B * C - B.mul_scalar(4)).round_to(precision)
 
@@ -311,10 +422,9 @@ def g_eval(x, precision: int) -> Interval:
 def g0_eval(x, precision: int) -> Interval:
     """Enclosure of g0 = (1-x) F(3/2,3/2;3;x) + pi F(1/2,1/2;2;x)^2
     - 4 F(1/2,1/2;2;x), the generating function of the u-sequence."""
-    work = precision + 16
-    xf = _exact(x)
-    A = hyp_series("3h3h3", xf, work).enclosure
-    C = hyp_series("hh2", xf, work).enclosure
+    xf, work = _functional_work(x, precision)
+    A = _gauss("3h3h3", xf, work)
+    C = _gauss("hh2", xf, work)
     pi = enclose_constant("pi", work)
     return (A.mul_scalar(1 - xf) + pi * C.square()
             - C.mul_scalar(4)).round_to(precision)
@@ -323,9 +433,8 @@ def g0_eval(x, precision: int) -> Interval:
 def G_eval(x, precision: int) -> Interval:
     """Enclosure of G = (pi/8 F(1/2,1/2;2;x) - 1/2) exp(K(sqrt(x)));
     its derivative is (pi/64) exp(K(sqrt(x))) g(x)."""
-    work = precision + 16
-    xf = _exact(x)
-    C = hyp_series("hh2", xf, work).enclosure
+    xf, work = _functional_work(x, precision)
+    C = _gauss("hh2", xf, work)
     pi = enclose_constant("pi", work)
     factor = pi.mul_scalar(Fraction(1, 8)) * C - Interval.from_fraction(
         Fraction(1, 2), work)

@@ -334,6 +334,15 @@ def test_default_grid_shape():
     assert grid == sorted(grid)
 
 
+@pytest.mark.parametrize("density", list(range(65)) + [400, 1000])
+def test_default_grid_integer_key_is_the_fraction_order(density):
+    # the same points as a set, and the order sorted() gives the Fractions
+    pts = {F(k, density + 1) for k in range(1, density + 1)}
+    pts |= {F(1, 1 << j) for j in range(2, 13)}
+    pts |= {1 - F(1, 1 << j) for j in range(2, 13)}
+    assert default_grid(density) == sorted(pts)
+
+
 def test_default_pair_grid_shape():
     pairs = default_pair_grid()
     assert len(pairs) >= 200

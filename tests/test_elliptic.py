@@ -775,3 +775,159 @@ def test_a_precision_below_one_bit_is_one_domain_error(call):
     # each of these meets the precision first in the Interval constructor
     with pytest.raises(DomainError, match="below one bit"):
         call()
+
+
+# ----------------------------------------------------------------------
+# E from the AGM, and the closed forms of g, g0 and G from x = 1/2 on
+
+E_POINTS = [F(0), F(1, 3), F(1, 2), F(9, 10), F(99, 100), 1 - F(1, 1 << 10),
+            1 - F(1, 1 << 20), 1 - F(1, 1 << 200)]
+CLOSED_POINTS = [F(1, 2), F(5, 8), F(3, 4), F(9, 10), F(99, 100),
+                 F(1023, 1024), 1 - F(1, 1 << 20)]
+
+
+def mp_of(x: F) -> mp.mpf:
+    return mp.mpf(x.numerator) / x.denominator
+
+
+def kept_bits(iv: Interval) -> float:
+    """-log2 of the width: the bits after the binary point the enclosure
+    keeps, the library's fixed-point reading of a precision."""
+    w = iv.width()
+    return float("inf") if w == 0 else -mp.log(mp_of(w), 2)
+
+
+def series_functionals(x: F, precision: int) -> dict:
+    """g, g0 and G built from the Gauss series alone, as the functionals
+    read them below x = 1/2 (the oracle for that path, bit for bit)."""
+    work = precision + 16
+    A, B, C = (hyp_series(kind, x, work).enclosure
+               for kind in ("3h3h3", "3h3h2", "hh2"))
+    pi = enclose_constant("pi", work)
+    factor = pi.mul_scalar(F(1, 8)) * C - Interval.from_fraction(F(1, 2),
+                                                                 work)
+    return {
+        g_eval: A + pi * B * C - B.mul_scalar(4),
+        g0_eval: A.mul_scalar(1 - x) + pi * C.square() - C.mul_scalar(4),
+        G_eval: factor * exp_K_agm(x, work),
+    }
+
+
+def mp_functionals(x: F) -> dict:
+    """g, g0 and G from mpmath's hypergeometric series at the current
+    working precision."""
+    xm = mp_of(x)
+    A = mp.hyp2f1(1.5, 1.5, 3, xm)
+    B = mp.hyp2f1(1.5, 1.5, 2, xm)
+    C = mp.hyp2f1(0.5, 0.5, 2, xm)
+    return {
+        g_eval: A + mp.pi * B * C - 4 * B,
+        g0_eval: (1 - xm) * A + mp.pi * C * C - 4 * C,
+        G_eval: (mp.pi / 8 * C - mp.mpf(1) / 2) * mp.exp(mp.ellipk(xm)),
+    }
+
+
+@pytest.mark.parametrize("precision", [64, 256, 1000])
+def test_agm_E_contains_mpmath_and_keeps_its_bits(precision):
+    # mpmath's ellipe cancels about 2 log2(1/(1-m)) bits near m = 1
+    mp.mp.prec = precision + 1024
+    for m in E_POINTS:
+        E = elliptic._agm_KE(m, precision)[1]
+        assert mp_contains(E, mp.ellipe(mp_of(m))), m
+        assert kept_bits(E) >= precision - 2, m
+
+
+@pytest.mark.parametrize("m", [F(1, 3), F(1, 2), F(9, 10), F(99, 100)])
+def test_legendre_sum_tail_holds_at_every_stop(m):
+    # stopping the AGM after 0, 1, 2, ... means leaves a tail of the sum
+    # S = 1 - E/K that only its bound covers
+    mp.mp.prec = 400
+    S = 1 - mp.ellipe(mp_of(m)) / mp.ellipk(mp_of(m))
+    mi = elliptic._agm_arg(m, 128)
+    full = elliptic._agm(mi)[1]
+    for steps in range(8):
+        gaps = full[:steps + 1]
+        assert mp_contains(elliptic._legendre_sum(mi, gaps), S), steps
+
+
+def test_legendre_relation_at_the_lemniscate():
+    # E K' + E' K - K K' = pi/2, and at m = 1/2 K' = K and E' = E
+    K, E = elliptic._agm_KE(F(1, 2), 200)
+    assert ((E * K).mul_scalar(2) - K.square()).overlaps(
+        enclose_constant("pi", 200).mul_scalar(F(1, 2)))
+
+
+def test_agm_KE_memo_and_domain():
+    # one memo gives K and E from one loop; its K has agm_K_m's bits
+    memo = elliptic._agm_KE
+    ke_int, ke_frac = memo(0, 64), memo(F(0), 64)
+    assert ke_int is not ke_frac
+    assert [ends(v) for v in ke_int] == [ends(v) for v in ke_frac]
+    for m in (F(1, 3), F(1, 2), 1 - F(1, 1 << 20)):
+        K, E = memo(m, 96)
+        assert ends(K) == ends(agm_K_m(m, 96))
+        assert ends(E) == ends(memo.__wrapped__(m, 96)[1])
+    with pytest.raises(TypeError):
+        memo(0.5, 64)
+    for m in (F(1), F(-1, 10)):
+        with pytest.raises(DomainError, match="parameter m must lie in"):
+            memo(m, 64)
+
+
+def test_g_g0_G_closed_forms_contain_mpmath():
+    mp.mp.dps = 120
+    for x in CLOSED_POINTS:
+        for fn, value in mp_functionals(x).items():
+            iv = fn(x, 256)
+            assert mp_contains(iv, value), (fn.__name__, x)
+            assert kept_bits(iv) >= 250, (fn.__name__, x)
+
+
+@pytest.mark.parametrize("x", [F(5, 8), F(9, 10)])
+def test_closed_forms_overlap_the_series(x):
+    # where the series are tight, each triple and each functional agrees
+    for kind in ("hh2", "3h3h2", "3h3h3"):
+        assert elliptic._gauss(kind, x, 256).overlaps(
+            hyp_series(kind, x, 256).enclosure), kind
+    for fn, series in series_functionals(x, 256).items():
+        assert fn(x, 256).overlaps(series), fn.__name__
+
+
+@pytest.mark.parametrize("x", [F(0), F(1, 10), F(1, 3), F(1, 2) - F(1, 1024)])
+def test_below_the_crossover_the_series_path_is_kept(x):
+    for precision in (8, 128):
+        for fn, series in series_functionals(x, precision).items():
+            assert ends(fn(x, precision)) == ends(series.round_to(precision))
+
+
+def test_closed_forms_need_no_series(monkeypatch):
+    # from x = 1/2 on, no Gauss series runs for g, g0 or G
+    calls = []
+    real = elliptic.hyp_series
+    monkeypatch.setattr(elliptic, "hyp_series",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    for fn in (g_eval, g0_eval, G_eval):
+        fn(F(3, 4), 64)
+    assert calls == []
+    g_eval(F(1, 4), 64)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("fn", [g_eval, g0_eval, G_eval])
+def test_functional_domain_errors(fn):
+    for x in (F(1, 3), F(3, 4)):
+        with pytest.raises(DomainError, match="below one bit"):
+            fn(x, 0)
+    for x in (F(1), F(-1, 10)):
+        with pytest.raises(DomainError, match="series argument must lie in"):
+            fn(x, 64)
+
+
+def test_rprime_memo_is_typed_and_equals_its_formula():
+    for x in (F(0), F(1, 3), 1 - F(1, 1 << 40)):
+        for precision in (8, 96):
+            want = Interval.from_fraction(1 - x, precision).sqrt()
+            assert ends(elliptic._rprime(x, precision)) == ends(want)
+            assert elliptic._rprime(x, precision) is elliptic._rprime(
+                x, precision)
+    assert elliptic._rprime(0, 64) is not elliptic._rprime(F(0), 64)
