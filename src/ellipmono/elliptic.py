@@ -20,9 +20,10 @@ of :class:`Interval` arithmetic, so they give the enclosures the same
 loops over ``Interval`` objects would, bit for bit.  The series slow down
 and lose bits as x -> 1, so g, g0 and G read them only below the
 crossover x = 1/2; from it on they read the closed forms of the three
-triples in K and E (:func:`_gauss`), which cancel as x -> 0 but not as
-x -> 1, at ceil(log2(1/(1-x))) more work bits.  ``hyp_series`` and
-``lt_check`` stay series-only, so ``lt_check`` cross-checks them.
+triples in K and E, which cancel as x -> 0 but not as x -> 1, at
+ceil(log2(1/(1-x))) more work bits.  One reader, :func:`_gauss`, makes
+that choice for all three.  ``hyp_series`` and ``lt_check`` stay
+series-only, so ``lt_check`` cross-checks them.
 
 The exponential series exp(K(sqrt(x))) = sum b_n x^n is the table's
 ``exp_partial_sum`` plus a tail below e^(pi/2) sum_{n>N} W_n x^n, summed
@@ -213,7 +214,7 @@ def _agm_KE(m, precision: int) -> tuple[Interval, Interval]:
 def agm_K(r, precision: int) -> Interval:
     """Enclosure of K at modulus r in [0, 1)."""
     rf = _exact(r)
-    if rf < 0:
+    if not 0 <= rf < 1:
         raise DomainError("modulus r must lie in [0, 1)")
     return agm_K_m(rf * rf, precision)
 
@@ -377,44 +378,42 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
 _CROSSOVER = Fraction(1, 2)
 
 
-def _gauss(kind: str, x: Fraction, work: int) -> Interval:
-    """F(a,b;c;x) at ``work`` bits for a triple the functionals read: the
-    series below the crossover, and from it on the closed forms in K and E
+def _gauss(x, precision: int, *kinds: str
+           ) -> tuple[Fraction, int, list[Interval]]:
+    """x, checked to lie in [0, 1), the work scale of g, g0 and G, and
+    F(a,b;c;x) at that scale for each named triple.  The scale is
+    precision + 16, and from the crossover on ceil(log2(1/(1-x))) bits
+    more, since pi F(1/2,1/2;2;x) - 4 tends to 0 as x -> 1.  Below it the
+    triples are the series, from it on the closed forms in K and E
     (DLMF 15.4, 19.8), which cancel as x -> 0 but not as x -> 1:
 
         F(1/2,1/2;2;x) = 4 (E - (1-x) K) / (pi x)
         F(3/2,3/2;2;x) = F(1/2,1/2;2;x) / (1-x)
         F(3/2,3/2;3;x) = 16 ((2-x) K - 2 E) / (pi x^2)
     """
-    if x < _CROSSOVER:
-        return hyp_series(kind, x, work).enclosure
-    K, E = _agm_KE(x, work)
-    pi = enclose_constant("pi", work)
-    if kind == "3h3h3":
-        return (K.mul_scalar(2 - x) - E.mul_scalar(2)).mul_scalar(
-            16 / x ** 2) / pi
-    hh2 = (E - K.mul_scalar(1 - x)).mul_scalar(4 / x) / pi
-    return hh2 if kind == "hh2" else hh2.mul_scalar(1 / (1 - x))
-
-
-def _functional_work(x, precision: int) -> tuple[Fraction, int]:
-    """x, checked to lie in [0, 1), and the work scale of g, g0 and G:
-    precision + 16, and from the crossover on ceil(log2(1/(1-x))) bits
-    more, since pi F(1/2,1/2;2;x) - 4 tends to 0 as x -> 1."""
     xf = _exact(x)
     if not 0 <= xf < 1:
         raise DomainError("series argument must lie in [0, 1)")
     work = precision + 16
-    return xf, work if xf < _CROSSOVER else work + _log2_inv(1 - xf)
+    if xf < _CROSSOVER:
+        return xf, work, [hyp_series(k, xf, work).enclosure for k in kinds]
+    work += _log2_inv(1 - xf)
+    K, E = _agm_KE(xf, work)
+    pi = enclose_constant("pi", work)
+
+    def form(kind: str) -> Interval:
+        if kind == "3h3h3":
+            return (K.mul_scalar(2 - xf) - E.mul_scalar(2)).mul_scalar(
+                16 / xf ** 2) / pi
+        hh2 = (E - K.mul_scalar(1 - xf)).mul_scalar(4 / xf) / pi
+        return hh2 if kind == "hh2" else hh2.mul_scalar(1 / (1 - xf))
+    return xf, work, [form(kind) for kind in kinds]
 
 
 def g_eval(x, precision: int) -> Interval:
     """Enclosure of g = F(3/2,3/2;3;x) + pi F(3/2,3/2;2;x) F(1/2,1/2;2;x)
     - 4 F(3/2,3/2;2;x), the generating function of the v-sequence."""
-    xf, work = _functional_work(x, precision)
-    A = _gauss("3h3h3", xf, work)
-    B = _gauss("3h3h2", xf, work)
-    C = _gauss("hh2", xf, work)
+    xf, work, (A, B, C) = _gauss(x, precision, "3h3h3", "3h3h2", "hh2")
     pi = enclose_constant("pi", work)
     return (A + pi * B * C - B.mul_scalar(4)).round_to(precision)
 
@@ -422,9 +421,7 @@ def g_eval(x, precision: int) -> Interval:
 def g0_eval(x, precision: int) -> Interval:
     """Enclosure of g0 = (1-x) F(3/2,3/2;3;x) + pi F(1/2,1/2;2;x)^2
     - 4 F(1/2,1/2;2;x), the generating function of the u-sequence."""
-    xf, work = _functional_work(x, precision)
-    A = _gauss("3h3h3", xf, work)
-    C = _gauss("hh2", xf, work)
+    xf, work, (A, C) = _gauss(x, precision, "3h3h3", "hh2")
     pi = enclose_constant("pi", work)
     return (A.mul_scalar(1 - xf) + pi * C.square()
             - C.mul_scalar(4)).round_to(precision)
@@ -433,8 +430,7 @@ def g0_eval(x, precision: int) -> Interval:
 def G_eval(x, precision: int) -> Interval:
     """Enclosure of G = (pi/8 F(1/2,1/2;2;x) - 1/2) exp(K(sqrt(x)));
     its derivative is (pi/64) exp(K(sqrt(x))) g(x)."""
-    xf, work = _functional_work(x, precision)
-    C = _gauss("hh2", xf, work)
+    xf, work, (C,) = _gauss(x, precision, "hh2")
     pi = enclose_constant("pi", work)
     factor = pi.mul_scalar(Fraction(1, 8)) * C - Interval.from_fraction(
         Fraction(1, 2), work)
@@ -472,16 +468,15 @@ def ekd_eval(x, precision: int) -> Interval:
 
 def asymptotic_defect(m, precision: int) -> Interval:
     """Enclosure of K - ln(4/sqrt(1-m)) at parameter m (tends to
-    pi/2 - ln 4 as m -> 0 and to 0 as m -> 1); ln(1 - m) is taken at the
-    AGM's widened work scale, so the defect keeps ``precision`` bits."""
+    pi/2 - ln 4 as m -> 0 and to 0 as m -> 1); ln(1 - m) is taken from the
+    AGM's own argument at its widened work scale (:func:`_agm_arg`), so the
+    defect keeps ``precision`` bits."""
     work = precision + 16
     mf = _exact(m)
-    if not 0 <= mf < 1:
-        raise DomainError("parameter m must lie in [0, 1)")
     K = agm_K_m(mf, work)
     ln2 = enclose_constant("ln2", work)
-    lnc = Interval.from_fraction(
-        1 - mf, work + _GUARD + _near_one_bits(mf, work)).ln().round_to(work)
+    mi = _agm_arg(mf, work)
+    lnc = (Interval.from_int(1, mi.prec) - mi).ln().round_to(work)
     return (K - ln2.mul_scalar(2) + lnc.mul_scalar(Fraction(1, 2))
             ).round_to(precision)
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from ellipmono import certify, coefficients, elliptic
@@ -159,6 +160,23 @@ def test_scalar_families_certify(family, order):
 def test_pair_families_certify(family, order):
     cert = grid_verify(BoundSpec(family, order), SMALL_PAIRS)
     assert cert.status is CertStatus.CERTIFIED, cert.to_json_dict()
+
+
+@pytest.mark.parametrize("x", [F(1, 1 << 12), F(1, 10), F(1, 3), F(1, 2),
+                               F(9, 10), 1 - F(1, 1 << 12)])
+def test_rmk4_yi_margin_contains_its_factored_form(x):
+    # the margin is (1 - r')^2 L(r') / (8 r') with L = (pi e + 4e - 32)
+    # + (pi e - 16) r' and e = e^(pi/2), derived by hand from the two bounds
+    spec = resolve_spec(BoundSpec("RMK4_YI"))
+    margin = FAMILIES["RMK4_YI"].margin(spec, x, 128)
+    with mp.workdps(60):
+        r = mp.sqrt(1 - mp.mpf(x.numerator) / x.denominator)
+        e = mp.exp(mp.pi / 2)
+        L = (mp.pi * e + 4 * e - 32) + (mp.pi * e - 16) * r
+        want = (1 - r) ** 2 * L / (8 * r)
+        lo, hi = margin.lo_fraction(), margin.hi_fraction()
+        assert (mp.mpf(lo.numerator) / lo.denominator <= want
+                <= mp.mpf(hi.numerator) / hi.denominator), x
 
 
 def test_identity_family_certifies():

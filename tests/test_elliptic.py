@@ -1,4 +1,4 @@
-"""Elliptic integral enclosures and series against mpmath/scipy oracles."""
+"""Elliptic integral enclosures and series against mpmath oracles."""
 
 import random
 from fractions import Fraction
@@ -6,9 +6,7 @@ from math import lcm
 from types import SimpleNamespace
 
 import mpmath as mp
-import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from ellipmono.coefficients import (shared_coefficients, u_coeff, v_coeff,
@@ -59,11 +57,12 @@ def mp_contains(iv: Interval, value: mp.mpf) -> bool:
             / iv.hi_fraction().denominator)
 
 
-def test_agm_matches_scipy_ellipk():
-    ms = np.linspace(0.01, 0.97, 25)
-    ours = np.array([float(agm_K_m(F(m).limit_denominator(10 ** 12), 64)
-                           .mid()) for m in ms])
-    np.testing.assert_allclose(ours, scipy.special.ellipk(ms), rtol=1e-12)
+def test_agm_contains_the_hypergeometric_series():
+    # K = pi/2 F(1/2,1/2;1;m), summed by mpmath's series rather than an AGM
+    with mp.workprec(300):
+        for m in (F(1 + 4 * k, 100) for k in range(25)):   # 0.01 .. 0.97
+            k_series = mp.pi / 2 * mp.hyp2f1(0.5, 0.5, 1, mp_of(m))
+            assert mp_contains(agm_K_m(m, 192), k_series), m
 
 
 @pytest.mark.parametrize("m, pin", [
@@ -106,8 +105,9 @@ def test_agm_domain_errors():
         agm_K_m(F(1), 64)
     with pytest.raises(DomainError):
         agm_K_m(F(11, 10), 64)
-    with pytest.raises(DomainError, match="modulus r must lie in"):
-        agm_K(F(-1, 2), 64)
+    for r in (F(-1, 2), F(1), F(3, 2)):
+        with pytest.raises(DomainError, match="modulus r must lie in"):
+            agm_K(r, 64)
 
 
 @pytest.mark.parametrize("fn, x, message", [
@@ -660,6 +660,18 @@ def test_alpha_beta_pins():
     assert abs(beta_enclosure(160).mid() - BETA) < TOL
 
 
+def test_beta_is_the_slope_of_ekd_at_one_half():
+    # H(1/2) = -ekd'(1/2)/2, by mpmath's numerical derivative of ekd
+    def ekd(x):
+        return (mp.exp(mp.ellipk(x)) - mp.exp(mp.ellipk(1 - x))
+                + 4 / mp.sqrt(x) - 4 / mp.sqrt(1 - x))
+    with mp.workdps(80):
+        slope = mp.diff(ekd, mp.mpf(1) / 2)
+        mid = beta_enclosure(128).mid()
+        assert abs(-slope / 2 - mp.mpf(mid.numerator) / mid.denominator) \
+            < mp.mpf(10) ** -30
+
+
 def test_asymptotic_defect_limit_and_decay():
     near0 = asymptotic_defect(F(1, 1 << 40), 160)
     assert abs(near0.mid() - DEFECT_LIMIT) < F(1, 1 << 35)
@@ -886,9 +898,9 @@ def test_g_g0_G_closed_forms_contain_mpmath():
 @pytest.mark.parametrize("x", [F(5, 8), F(9, 10)])
 def test_closed_forms_overlap_the_series(x):
     # where the series are tight, each triple and each functional agrees
-    for kind in ("hh2", "3h3h2", "3h3h3"):
-        assert elliptic._gauss(kind, x, 256).overlaps(
-            hyp_series(kind, x, 256).enclosure), kind
+    kinds = ("hh2", "3h3h2", "3h3h3")
+    for kind, form in zip(kinds, elliptic._gauss(x, 256, *kinds)[2]):
+        assert form.overlaps(hyp_series(kind, x, 256).enclosure), kind
     for fn, series in series_functionals(x, 256).items():
         assert fn(x, 256).overlaps(series), fn.__name__
 

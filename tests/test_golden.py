@@ -128,9 +128,11 @@ def test_certificate_bytes_do_not_depend_on_earlier_constants(monkeypatch):
 # cases whose certificates read the memos of elliptic and certify
 MEMO_CASES = ["grid/P1_lower/0", "grid/P3_lower/0", "grid/EKDIFF_upper/0",
               "grid/M1_identity/0", "probe/EKDIFF_lower", "h/96"]
-MEMOS = (elliptic.agm_K_m, elliptic.exp_K_agm, elliptic.alpha_enclosure,
-         elliptic.beta_enclosure, certify._spec_values,
-         certify._identity_values)
+# every memo of the two modules, read from them so that a new one is
+# cleared too
+MEMOS = tuple({id(obj): obj for module in (elliptic, certify)
+               for obj in vars(module).values()
+               if hasattr(obj, "cache_clear")}.values())
 
 
 def _warm_memos(name):
