@@ -18,12 +18,11 @@ bound (:class:`SeriesEval`).  Both loops, the AGM and the series, run on
 the bare integer endpoints at the work scale with the directed rounding
 of :class:`Interval` arithmetic, so they give the enclosures the same
 loops over ``Interval`` objects would, bit for bit.  The series slow down
-and lose bits as x -> 1, so g, g0 and G read them only below the
-crossover x = 1/2; from it on they read the closed forms of the three
-triples in K and E, which cancel as x -> 0 but not as x -> 1, at
-ceil(log2(1/(1-x))) more work bits.  One reader, :func:`_gauss`, makes
-that choice for all three.  ``hyp_series`` and ``lt_check`` stay
-series-only, so ``lt_check`` cross-checks them.
+and lose bits as x -> 1, so g, g0 and G do not read them: one reader,
+:func:`_gauss`, gives all three the closed forms of their triples in K
+and E from one AGM run per point, with more work bits near both ends of
+[0, 1).  ``hyp_series`` and ``lt_check`` stay series-only, so
+``lt_check`` cross-checks the closed forms.
 
 The exponential series exp(K(sqrt(x))) = sum b_n x^n is the table's
 ``exp_partial_sum`` plus a tail below e^(pi/2) sum_{n>N} W_n x^n, summed
@@ -281,8 +280,8 @@ def hyp_series(kind, x, precision: int,
     enclosure is rigorous however early the sum stops; ``max_terms``
     merely caps the work.  Near 1 the cap shows: at x = 99/100 and 128
     bits the default cap of 2048 terms keeps 37, 47, 29.7 and 35.9 bits
-    of the value (hh1, hh2, 3h3h2, 3h3h3).  g, g0 and G do not read it
-    there (:func:`_gauss`).
+    of the value (hh1, hh2, 3h3h2, 3h3h3).  g, g0 and G read the closed
+    forms instead (:func:`_gauss`).
     """
     a, b, c = _hyp_params(kind)
     xf = _exact(x)
@@ -371,33 +370,27 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
 # ----------------------------------------------------------------------
 # derived functionals
 
-# the functionals read the Gauss series below this x, the closed forms
-# in K and E from it on.  The closed forms would keep their bits down to
-# about x = 1/32 and cost less there too; 1/2 keeps the series' bits, and
-# so the certificates, below it as they were
-_CROSSOVER = Fraction(1, 2)
-
-
 def _gauss(x, precision: int, *kinds: str
            ) -> tuple[Fraction, int, list[Interval]]:
     """x, checked to lie in [0, 1), the work scale of g, g0 and G, and
-    F(a,b;c;x) at that scale for each named triple.  The scale is
-    precision + 16, and from the crossover on ceil(log2(1/(1-x))) bits
-    more, since pi F(1/2,1/2;2;x) - 4 tends to 0 as x -> 1.  Below it the
-    triples are the series, from it on the closed forms in K and E
-    (DLMF 15.4, 19.8), which cancel as x -> 0 but not as x -> 1:
+    F(a,b;c;x) at that scale for each named triple: 1 at x = 0, else the
+    closed forms in K and E (DLMF 15.4, 19.8),
 
         F(1/2,1/2;2;x) = 4 (E - (1-x) K) / (pi x)
         F(3/2,3/2;2;x) = F(1/2,1/2;2;x) / (1-x)
         F(3/2,3/2;3;x) = 16 ((2-x) K - 2 E) / (pi x^2)
+
+    at precision + 16 + ceil(log2(1/(1-x))) + 2 ceil(log2(1/x)) bits:
+    pi F(1/2,1/2;2;x) - 4 tends to 0 as x -> 1, and as x -> 0 the forms
+    divide by x and x^2 differences that vanish with them.
     """
     xf = _exact(x)
     if not 0 <= xf < 1:
         raise DomainError("series argument must lie in [0, 1)")
     work = precision + 16
-    if xf < _CROSSOVER:
-        return xf, work, [hyp_series(k, xf, work).enclosure for k in kinds]
-    work += _log2_inv(1 - xf)
+    if xf == 0:
+        return xf, work, [Interval.from_int(1, work) for _ in kinds]
+    work += _log2_inv(1 - xf) + 2 * _log2_inv(xf)
     K, E = _agm_KE(xf, work)
     pi = enclose_constant("pi", work)
 
@@ -434,11 +427,16 @@ def G_eval(x, precision: int) -> Interval:
     pi = enclose_constant("pi", work)
     factor = pi.mul_scalar(Fraction(1, 8)) * C - Interval.from_fraction(
         Fraction(1, 2), work)
-    return (factor * exp_K_agm(xf, work)).round_to(precision)
+    return (factor * _agm_KE(xf, work)[0].exp()).round_to(precision)
 
 
 def _g4(x: Fraction, work: int) -> Interval:
-    """exp(K(sqrt(x))) - 4/sqrt(1-x) at ``work`` bits, not yet rounded."""
+    """exp(K(sqrt(x))) - 4/sqrt(1-x) from ``work`` bits, not yet rounded;
+    4/sqrt(1-x) magnifies the rounding of 1 - x about 2^(3L/2) times,
+    L = ceil(log2(1/(1-x))), so both terms take ceil(3L/2) more bits."""
+    if not 0 <= x < 1:
+        raise DomainError("x = r^2 must lie in [0, 1)")
+    work += (3 * _log2_inv(1 - x) + 1) // 2
     return exp_K_agm(x, work) - _rprime(x, work).recip().mul_scalar(4)
 
 

@@ -179,6 +179,76 @@ def test_rmk4_yi_margin_contains_its_factored_form(x):
                 <= mp.mpf(hi.numerator) / hi.denominator), x
 
 
+# ----------------------------------------------------------------------
+# mpmath oracles: each margin transcribed from its family's stated
+# inequality, with no call into the library.  K(sqrt(x)) is mp.ellipk(x)
+
+def mp_q(q: Fraction) -> mp.mpf:
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def mp_c(n: int, p) -> mp.mpf:
+    """c_n(p) = b_n - p W_n, with b_n the coefficients of exp(K(sqrt(x)))
+    = exp(sum_k a_k x^k), a_0 = pi/2 and a_k = (pi/2) W_k^2, by the
+    power-series exponential k b_k = sum_{j=1}^k j a_j b_{k-j}."""
+    W = [mp.binomial(2 * k, k) / mp.mpf(4) ** k for k in range(n + 1)]
+    a = [mp.pi / 2 * w * w for w in W]
+    b = [mp.exp(mp.pi / 2)]
+    for k in range(1, n + 1):
+        b.append(mp.fsum(j * a[j] * b[k - j] for j in range(1, k + 1)) / k)
+    return b[n] - p * W[n]
+
+
+def mp_ekd(x):
+    """e^K(x) - e^K(1-x) + 4/sqrt(x) - 4/sqrt(1-x), K(x) = K(sqrt(x))."""
+    return (mp.exp(mp.ellipk(x)) - mp.exp(mp.ellipk(1 - x))
+            + 4 / mp.sqrt(x) - 4 / mp.sqrt(1 - x))
+
+
+def mp_margin(family: str, order: int, pt):
+    """The margin by which the family's inequality holds at ``pt``."""
+    K, e = mp.ellipk, mp.exp(mp.pi / 2)
+    if family in ("CP3_lower", "CP3_upper"):
+        x, y = map(mp_q, pt)
+        if family == "CP3_lower":   # K(x) + K(y) > 2 K((x+y)/2)
+            return K(x) + K(y) - 2 * K((x + y) / 2)
+        return mp.pi / 2 - (K(x) + K(y) - K(x + y))  # ... - K(x+y) < pi/2
+    x = mp_q(pt)
+    if family == "RMK4_QI":         # alpha - (2 - pi e/8) x < alpha
+        return (2 - mp.pi * e / 8) * x
+    if family == "P1_upper":        # K < ln(4/r' + sum_{n<=m} c_n(4) x^n)
+        arg = 4 / mp.sqrt(1 - x) + mp.fsum(mp_c(n, 4) * x ** n
+                                           for n in range(order + 1))
+        return mp.ln(arg) - K(x)
+    s = 1 - 2 * x                   # beta < H = ekd/(1 - 2x) < alpha
+    H = mp_ekd(x) / s
+    if family == "EKDIFF_upper":
+        return abs(s) * (e - 4 - H)
+    beta = -mp.diff(mp_ekd, mp.mpf(1) / 2) / 2
+    return abs(s) * (H - beta)
+
+
+ORACLE_POINTS = [F(1, 1 << 12), F(1, 10), F(1, 3), F(3, 5), F(9, 10),
+                 1 - F(1, 1 << 12)]
+ORACLE_PAIRS = [(F(1, 64), F(1, 32)), (F(1, 10), F(1, 5)), (F(1, 4), F(1, 3)),
+                (F(1, 3), F(1, 2)), (F(1, 100), F(9, 10)),
+                (F(2, 5), F(59, 100))]
+
+
+@pytest.mark.parametrize("family, order", [
+    ("CP3_lower", 0), ("CP3_upper", 0), ("RMK4_QI", 0), ("P1_upper", 0),
+    ("P1_upper", 1), ("EKDIFF_upper", 0), ("EKDIFF_lower", 0)])
+def test_margin_contains_its_mpmath_transcription(family, order):
+    spec = resolve_spec(BoundSpec(family, order))
+    pairs = FAMILIES[family].grid is default_pair_grid
+    for pt in ORACLE_PAIRS if pairs else ORACLE_POINTS:
+        margin = FAMILIES[family].margin(spec, pt, 128)
+        with mp.workdps(60):
+            want = mp_margin(family, order, pt)
+            assert (mp_q(margin.lo_fraction()) <= want
+                    <= mp_q(margin.hi_fraction())), pt
+
+
 def test_identity_family_certifies():
     grid = [F(k, 23) for k in range(1, 23)]
     cert = grid_verify(BoundSpec("M1_identity", 0), grid)

@@ -790,12 +790,13 @@ def test_a_precision_below_one_bit_is_one_domain_error(call):
 
 
 # ----------------------------------------------------------------------
-# E from the AGM, and the closed forms of g, g0 and G from x = 1/2 on
+# E from the AGM, and the closed forms of g, g0 and G on all of [0, 1)
 
 E_POINTS = [F(0), F(1, 3), F(1, 2), F(9, 10), F(99, 100), 1 - F(1, 1 << 10),
             1 - F(1, 1 << 20), 1 - F(1, 1 << 200)]
-CLOSED_POINTS = [F(1, 2), F(5, 8), F(3, 4), F(9, 10), F(99, 100),
-                 F(1023, 1024), 1 - F(1, 1 << 20)]
+CLOSED_POINTS = [F(1, 1 << 20), F(1, 256), F(1, 10), F(1, 3), F(1, 2),
+                 F(5, 8), F(3, 4), F(9, 10), F(99, 100), F(1023, 1024),
+                 1 - F(1, 1 << 20)]
 
 
 def mp_of(x: F) -> mp.mpf:
@@ -810,8 +811,9 @@ def kept_bits(iv: Interval) -> float:
 
 
 def series_functionals(x: F, precision: int) -> dict:
-    """g, g0 and G built from the Gauss series alone, as the functionals
-    read them below x = 1/2 (the oracle for that path, bit for bit)."""
+    """g, g0 and G built from the Gauss series alone at precision + 16
+    work bits, and G's exp(K) from ``exp_K_agm``: the oracle that the
+    closed forms match bit for bit below x = 1/2."""
     work = precision + 16
     A, B, C = (hyp_series(kind, x, work).enclosure
                for kind in ("3h3h3", "3h3h2", "hh2"))
@@ -895,7 +897,8 @@ def test_g_g0_G_closed_forms_contain_mpmath():
             assert kept_bits(iv) >= 250, (fn.__name__, x)
 
 
-@pytest.mark.parametrize("x", [F(5, 8), F(9, 10)])
+@pytest.mark.parametrize("x", [F(1, 1 << 20), F(1, 256), F(1, 10), F(1, 3),
+                               F(5, 8), F(9, 10)])
 def test_closed_forms_overlap_the_series(x):
     # where the series are tight, each triple and each functional agrees
     kinds = ("hh2", "3h3h2", "3h3h3")
@@ -906,23 +909,56 @@ def test_closed_forms_overlap_the_series(x):
 
 
 @pytest.mark.parametrize("x", [F(0), F(1, 10), F(1, 3), F(1, 2) - F(1, 1024)])
-def test_below_the_crossover_the_series_path_is_kept(x):
+def test_below_one_half_the_closed_forms_give_the_series_bits(x):
     for precision in (8, 128):
         for fn, series in series_functionals(x, precision).items():
             assert ends(fn(x, precision)) == ends(series.round_to(precision))
 
 
-def test_closed_forms_need_no_series(monkeypatch):
-    # from x = 1/2 on, no Gauss series runs for g, g0 or G
+def spy(monkeypatch, name: str) -> list:
+    """Record the arguments of each call of ``elliptic.<name>``."""
     calls = []
-    real = elliptic.hyp_series
-    monkeypatch.setattr(elliptic, "hyp_series",
+    real = getattr(elliptic, name)
+    monkeypatch.setattr(elliptic, name,
                         lambda *a, **k: calls.append(a) or real(*a, **k))
-    for fn in (g_eval, g0_eval, G_eval):
-        fn(F(3, 4), 64)
-    assert calls == []
-    g_eval(F(1, 4), 64)
-    assert len(calls) == 3
+    return calls
+
+
+def test_g_g0_G_run_no_series_and_G_one_agm(monkeypatch):
+    # every x reads the closed forms, and G takes exp(K) from the K of the
+    # AGM run that gave the closed form's K and E
+    series, agms = spy(monkeypatch, "hyp_series"), spy(monkeypatch, "_agm")
+    for x in (F(0), F(1, 1 << 20), F(1, 4), F(1, 2) - F(1, 1024), F(3, 4)):
+        for fn in (g_eval, g0_eval, G_eval):
+            fn(x, 64)
+    assert series == []
+    for kinds in (("hh2",), ("3h3h3", "3h3h2", "hh2")):
+        assert [ends(f) for f in elliptic._gauss(0, 64, *kinds)[2]] == [
+            ends(Interval.from_int(1, 80))] * len(kinds)
+    agms.clear()
+    G_eval(F(4321, 8192), 77)           # a point and precision no test reads
+    assert len(agms) == 1
+
+
+# 1 - x is not dyadic at these points, and near 1 4/sqrt(1 - x) magnifies
+# its rounding about 2^(3L/2) times, L = ceil(log2(1/(1 - x)))
+G4_END_POINTS = [y for k in (3, 10, 20, 30, 41, 60, 100, 200)
+                 for y in (F(1, 3 << k), 1 - F(1, 3 << k))]
+
+
+@pytest.mark.parametrize("precision", [8, 64, 256])
+def test_G4_ekd_H_keep_their_bits_at_both_ends(precision):
+    def g4(t):
+        return mp.exp(mp.ellipk(t)) - 4 / mp.sqrt(1 - t)
+    with mp.workprec(912):          # 1 - x and the cancellation keep 512 bits
+        for x in G4_END_POINTS:
+            t = mp_of(x)
+            ekd = g4(t) - g4(1 - t)
+            want = {G4_eval: g4(t), ekd_eval: ekd, H_eval: ekd / (1 - 2 * t)}
+            for fn, value in want.items():
+                iv = fn(x, precision)
+                assert mp_contains(iv, value), (fn.__name__, x)
+                assert iv.hi - iv.lo <= 2, (fn.__name__, x, iv.hi - iv.lo)
 
 
 @pytest.mark.parametrize("fn", [g_eval, g0_eval, G_eval])
