@@ -25,7 +25,7 @@ print("\nexact v_n (positive, decreasing from n = 1):")
 for n in range(5):
     print(f"  v_{n} = {v_coeff(n).render()}")
 
-# b_n/W_n increases to 4; the gap shrinks roughly like 1/sqrt(n)
+# b_n/W_n increases to 4; the gap decays like H_n/(4n), H_n = 1 + ... + 1/n
 print("\nratio b_n/W_n on a doubling ladder:")
 for n in (10, 100, 1000):
     r = ratio(n, 96)

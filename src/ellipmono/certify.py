@@ -112,6 +112,13 @@ class Certificate:
 # ======================================================================
 # one escalation engine and one sign-scan fold
 
+def check_cap(max_precision: int) -> None:
+    """The one error, in every driver and in the CLI, for a precision cap
+    below one bit: no table work starts under it."""
+    if max_precision < 1:
+        raise DomainError(f"max_precision {max_precision} is below one bit")
+
+
 def _escalate(evaluate: Callable[[int], object], precision: int,
               max_precision: int, done: Callable[[object, int], bool]):
     """Evaluate at ``precision``, doubling it up to ``max_precision``
@@ -506,6 +513,7 @@ def grid_verify(spec: BoundSpec,
     """
     t0 = time.perf_counter()
     check_precision(precision)
+    check_cap(max_precision)
     grid = None if grid is None else list(grid)
     family = FAMILIES.get(spec.family)
     pairs = family is not None and family.grid is default_pair_grid
@@ -603,6 +611,7 @@ def certify_sequence(claim: str, n_start: int, n_end: int,
     """
     t0 = time.perf_counter()
     check_precision(precision)
+    check_cap(max_precision)
     record = _CLAIMS.get(claim)
     if record is None:
         raise DomainError(f"unknown sequence claim {claim!r}")
@@ -667,6 +676,7 @@ def sharpness_probe(family: str, epsilon: Fraction,
     """
     t0 = time.perf_counter()
     check_precision(precision)
+    check_cap(max_precision)
     eps = _exact(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
@@ -701,6 +711,7 @@ def h_monotonicity(xs: Sequence[Fraction],
     1/2 and increases right of it, over consecutive points of ``xs``."""
     t0 = time.perf_counter()
     check_precision(precision)
+    check_cap(max_precision)
     half = Fraction(1, 2)
     pts = sorted(_exact(x) for x in xs)
     if any(x <= 0 or x >= 1 or x == half for x in pts):
@@ -746,6 +757,7 @@ def j_truncation_check(count: int = 50,
     """Certify the first ``count`` quotient coefficients are nonnegative."""
     t0 = time.perf_counter()
     check_precision(precision)
+    check_cap(max_precision)
     qs = j_quotient_coefficients(count)
     cert = _fold("quotient-series coefficients nonnegative",
                  f"n=0..{count - 1}",

@@ -40,6 +40,7 @@ from .certify import (
     SEQUENCE_CLAIMS,
     SHARPNESS_FAMILIES,
     certify_sequence,
+    check_cap,
     grid_verify,
     sharpness_probe,
 )
@@ -364,6 +365,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.precision is not None:  # None: not given, and no default
             check_precision(args.precision)
+        if getattr(args, "max_precision", None) is not None:
+            check_cap(args.max_precision)
         code, lines = args.func(args)
         for line in lines:  # flushed, so a closed pipe raises here
             print(line, flush=True)

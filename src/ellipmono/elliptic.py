@@ -21,8 +21,8 @@ loops over ``Interval`` objects would, bit for bit.  The series slow down
 and lose bits as x -> 1, so g, g0 and G do not read them: one reader,
 :func:`_gauss`, gives all three the closed forms of their triples in K
 and E from one AGM run per point, with more work bits near both ends of
-[0, 1).  ``hyp_series`` and ``lt_check`` stay series-only, so
-``lt_check`` cross-checks the closed forms.
+[0, 1).  ``hyp_series`` and ``lt_check`` stay series-only; the tests
+check the closed forms against the series and against mpmath.
 
 The exponential series exp(K(sqrt(x))) = sum b_n x^n is the table's
 ``exp_partial_sum`` plus a tail below e^(pi/2) sum_{n>N} W_n x^n, summed
@@ -34,10 +34,10 @@ That bound needs no sign claim about the b_n: it follows from
 and W_k^2 < 1/(pi k), so the inner series is dominated coefficientwise by
 sum x^k/(2k) = -ln(1-x)/2, and b_n <= e^(pi/2) W_n.
 
-K, the pair (K, E), exp(K) and r' = sqrt(1 - x) are memoized by the
-type and value of (m, precision) in bounded typed LRU caches, so a float
-never meets an equal Fraction's entry; an ``Interval`` m is memoized by
-value.  alpha and beta once per precision.
+K, exp(K) and r' = sqrt(1 - x) are memoized by the type and value of
+(m, precision) in bounded typed LRU caches, so a float never meets an
+equal Fraction's entry; an ``Interval`` m is memoized by value.  alpha
+and beta once per precision.
 """
 
 from __future__ import annotations
@@ -103,30 +103,20 @@ def _log2_inv(d: Fraction) -> int:
     return (inv_ceil - 1).bit_length()
 
 
-def _near_one_bits(m: Fraction, precision: int) -> int:
-    """Bits that widen the AGM's work scale precision + _GUARD at m near 1,
-    L = ceil(log2(1/(1-m))): L - precision, so that 1 - m keeps its leading
-    bits, and, for a 1 - m not exact at that scale, at least L - 24, since
-    K magnifies its rounding about 2^L times (8 guard bits are left)."""
-    if m >= 1:
-        return 0
-    d = 1 - m
-    L = _log2_inv(d)
-    bits = max(0, L - precision)
-    if (d * (1 << (precision + _GUARD))).denominator != 1:
-        bits = max(bits, L - (_GUARD - 8))
-    return bits
-
-
 def _agm_arg(m, precision: int) -> Interval:
-    """m at the AGM's work scale: precision + _GUARD, widened near 1 for a
-    rational m (:func:`_near_one_bits`); an ``Interval`` m is rounded."""
+    """m at the AGM's work scale precision + _GUARD; an ``Interval`` m is
+    rounded, and a rational m near 1 widens the scale by L - 24 bits,
+    L = ceil(log2(1/(1-m))): K magnifies the rounding of 1 - m, or of
+    sqrt(1 - m), at most about 2^L times, so 8 guard bits are left at
+    every m (Borwein & Borwein, *Pi and the AGM*, ch. 1)."""
+    work = precision + _GUARD
     if isinstance(m, Interval):
-        mi = m.round_to(precision + _GUARD)
+        mi = m.round_to(work)
     else:
         m = _exact(m)
-        mi = Interval.from_fraction(
-            m, precision + _GUARD + _near_one_bits(m, precision))
+        if m < 1:
+            work += max(0, _log2_inv(1 - m) - (_GUARD - 8))
+        mi = Interval.from_fraction(m, work)
     if mi.lo < 0 or mi.hi >= 1 << mi.prec:
         raise DomainError("parameter m must lie in [0, 1)")
     return mi
@@ -190,14 +180,13 @@ def agm_K_m(m, precision: int) -> Interval:
     """Enclosure of K as a function of the parameter m in [0, 1).
 
     The AGM runs on integer endpoints (:func:`_agm`); a rational m near 1
-    widens the work scale (:func:`_near_one_bits`) so that K keeps
-    ``precision`` bits whether or not 1 - m is exact there.
+    widens the work scale by ceil(log2(1/(1-m))) - 24 bits
+    (:func:`_agm_arg`), so that K keeps ``precision`` bits at every m.
     """
     agm, _ = _agm(_agm_arg(m, precision))
     return _K_of(agm).round_to(precision)
 
 
-@lru_cache(maxsize=4096, typed=True)
 def _agm_KE(m, precision: int) -> tuple[Interval, Interval]:
     """Enclosures of K and of the complete integral of the second kind E
     at the parameter m in [0, 1), both from one AGM loop at the work scale
@@ -220,8 +209,14 @@ def agm_K(r, precision: int) -> Interval:
 
 @lru_cache(maxsize=2048, typed=True)
 def exp_K_agm(m, precision: int) -> Interval:
-    """Enclosure of exp(K) at parameter m, via AGM plus interval exp."""
-    return agm_K_m(m, precision + 8).exp().round_to(precision)
+    """Enclosure of exp(K) at parameter m, via AGM plus interval exp.
+    e^K < 2^(L/2 + 2) near m = 1, L = ceil(log2(1/(1-m))), magnifies the
+    rounding of K, so a rational m reads K at max(8, ceil(L/2) + 4) more
+    bits; an ``Interval`` m at 8 more."""
+    extra = 8
+    if not isinstance(m, Interval) and _exact(m) < 1:
+        extra = max(extra, (_log2_inv(1 - m) + 1) // 2 + 4)
+    return agm_K_m(m, precision + extra).exp().round_to(precision)
 
 
 # ----------------------------------------------------------------------
@@ -371,10 +366,10 @@ def exp_K(x, precision: int, n_terms: Optional[int] = None) -> SeriesEval:
 # derived functionals
 
 def _gauss(x, precision: int, *kinds: str
-           ) -> tuple[Fraction, int, list[Interval]]:
-    """x, checked to lie in [0, 1), the work scale of g, g0 and G, and
-    F(a,b;c;x) at that scale for each named triple: 1 at x = 0, else the
-    closed forms in K and E (DLMF 15.4, 19.8),
+           ) -> tuple[Fraction, int, Interval, list[Interval]]:
+    """x, checked to lie in [0, 1), the work scale of g, g0 and G, K(sqrt(x))
+    from the one AGM run at that scale, and F(a,b;c;x) there for each named
+    triple: 1 at x = 0, else the closed forms in K and E (DLMF 15.4, 19.8),
 
         F(1/2,1/2;2;x) = 4 (E - (1-x) K) / (pi x)
         F(3/2,3/2;2;x) = F(1/2,1/2;2;x) / (1-x)
@@ -388,10 +383,11 @@ def _gauss(x, precision: int, *kinds: str
     if not 0 <= xf < 1:
         raise DomainError("series argument must lie in [0, 1)")
     work = precision + 16
-    if xf == 0:
-        return xf, work, [Interval.from_int(1, work) for _ in kinds]
-    work += _log2_inv(1 - xf) + 2 * _log2_inv(xf)
+    if xf:
+        work += _log2_inv(1 - xf) + 2 * _log2_inv(xf)
     K, E = _agm_KE(xf, work)
+    if xf == 0:
+        return xf, work, K, [Interval.from_int(1, work) for _ in kinds]
     pi = enclose_constant("pi", work)
 
     def form(kind: str) -> Interval:
@@ -400,13 +396,13 @@ def _gauss(x, precision: int, *kinds: str
                 16 / xf ** 2) / pi
         hh2 = (E - K.mul_scalar(1 - xf)).mul_scalar(4 / xf) / pi
         return hh2 if kind == "hh2" else hh2.mul_scalar(1 / (1 - xf))
-    return xf, work, [form(kind) for kind in kinds]
+    return xf, work, K, [form(kind) for kind in kinds]
 
 
 def g_eval(x, precision: int) -> Interval:
     """Enclosure of g = F(3/2,3/2;3;x) + pi F(3/2,3/2;2;x) F(1/2,1/2;2;x)
     - 4 F(3/2,3/2;2;x), the generating function of the v-sequence."""
-    xf, work, (A, B, C) = _gauss(x, precision, "3h3h3", "3h3h2", "hh2")
+    xf, work, _, (A, B, C) = _gauss(x, precision, "3h3h3", "3h3h2", "hh2")
     pi = enclose_constant("pi", work)
     return (A + pi * B * C - B.mul_scalar(4)).round_to(precision)
 
@@ -414,7 +410,7 @@ def g_eval(x, precision: int) -> Interval:
 def g0_eval(x, precision: int) -> Interval:
     """Enclosure of g0 = (1-x) F(3/2,3/2;3;x) + pi F(1/2,1/2;2;x)^2
     - 4 F(1/2,1/2;2;x), the generating function of the u-sequence."""
-    xf, work, (A, C) = _gauss(x, precision, "3h3h3", "hh2")
+    xf, work, _, (A, C) = _gauss(x, precision, "3h3h3", "hh2")
     pi = enclose_constant("pi", work)
     return (A.mul_scalar(1 - xf) + pi * C.square()
             - C.mul_scalar(4)).round_to(precision)
@@ -423,11 +419,11 @@ def g0_eval(x, precision: int) -> Interval:
 def G_eval(x, precision: int) -> Interval:
     """Enclosure of G = (pi/8 F(1/2,1/2;2;x) - 1/2) exp(K(sqrt(x)));
     its derivative is (pi/64) exp(K(sqrt(x))) g(x)."""
-    xf, work, (C,) = _gauss(x, precision, "hh2")
+    _, work, K, (C,) = _gauss(x, precision, "hh2")
     pi = enclose_constant("pi", work)
     factor = pi.mul_scalar(Fraction(1, 8)) * C - Interval.from_fraction(
         Fraction(1, 2), work)
-    return (factor * _agm_KE(xf, work)[0].exp()).round_to(precision)
+    return (factor * K.exp()).round_to(precision)
 
 
 def _g4(x: Fraction, work: int) -> Interval:
@@ -446,11 +442,13 @@ def G4_eval(x, precision: int) -> Interval:
 
 
 def H_eval(x, precision: int) -> Interval:
-    """Enclosure of H(x) = (G4(x) - G4(1-x)) / (1 - 2x) = ekd / (1 - 2x)."""
+    """Enclosure of H(x) = (G4(x) - G4(1-x)) / (1 - 2x) = ekd / (1 - 2x);
+    dividing by 1 - 2x magnifies the rounding of ekd, so ekd takes
+    ceil(log2(1/|1 - 2x|)) - 8 more bits near x = 1/2."""
     xf = _exact(x)
     if xf == Fraction(1, 2):
         raise DomainError("H is evaluated away from the symmetry point 1/2")
-    work = precision + 16
+    work = precision + 16 + max(0, _log2_inv(abs(1 - 2 * xf)) - 8)
     return ekd_eval(xf, work).mul_scalar(1 / (1 - 2 * xf)).round_to(precision)
 
 

@@ -199,6 +199,11 @@ def mp_c(n: int, p) -> mp.mpf:
     return b[n] - p * W[n]
 
 
+def mp_threshold(k: int) -> mp.mpf:
+    """The sharp parameter b_k/W_k, where c_k(p) vanishes."""
+    return mp_c(k, 0) / (mp.binomial(2 * k, k) / mp.mpf(4) ** k)
+
+
 def mp_ekd(x):
     """e^K(x) - e^K(1-x) + 4/sqrt(x) - 4/sqrt(1-x), K(x) = K(sqrt(x))."""
     return (mp.exp(mp.ellipk(x)) - mp.exp(mp.ellipk(1 - x))
@@ -208,18 +213,43 @@ def mp_ekd(x):
 def mp_margin(family: str, order: int, pt):
     """The margin by which the family's inequality holds at ``pt``."""
     K, e = mp.ellipk, mp.exp(mp.pi / 2)
-    if family in ("CP3_lower", "CP3_upper"):
+    if family in ("CP3_lower", "CP3_upper", "P3_lower", "P3_upper"):
         x, y = map(mp_q, pt)
-        if family == "CP3_lower":   # K(x) + K(y) > 2 K((x+y)/2)
-            return K(x) + K(y) - 2 * K((x + y) / 2)
-        return mp.pi / 2 - (K(x) + K(y) - K(x + y))  # ... - K(x+y) < pi/2
+        # at order 2 the bounds subtract c_2(p) (x^2 + y^2 - w z^2)
+        p = mp_threshold(2) if family == "P3_lower" else 4
+        c2 = mp_c(2, p) if order >= 2 else 0
+        if family.endswith("lower"):  # K(x) + K(y) - 2 K((x+y)/2) > corr
+            z = (x + y) / 2
+            return K(x) + K(y) - 2 * K(z) - c2 * (x ** 2 + y ** 2 - 2 * z ** 2)
+        z = x + y                     # K(x) + K(y) - K(x+y) - corr < pi/2
+        return mp.pi / 2 - (K(x) + K(y) - K(z)
+                            - c2 * (x ** 2 + y ** 2 - z ** 2))
     x = mp_q(pt)
+    r = mp.sqrt(1 - x)
     if family == "RMK4_QI":         # alpha - (2 - pi e/8) x < alpha
         return (2 - mp.pi * e / 8) * x
+    if family == "P1_lower":        # K > ln(p/r' + sum_{n<=m} c_n(p) x^n)
+        p = mp_threshold(order + 1)
+        arg = p / r + mp.fsum(mp_c(n, p) * x ** n for n in range(order + 1))
+        return K(x) - mp.ln(arg)
     if family == "P1_upper":        # K < ln(4/r' + sum_{n<=m} c_n(4) x^n)
-        arg = 4 / mp.sqrt(1 - x) + mp.fsum(mp_c(n, 4) * x ** n
-                                           for n in range(order + 1))
+        arg = 4 / r + mp.fsum(mp_c(n, 4) * x ** n for n in range(order + 1))
         return mp.ln(arg) - K(x)
+    if family == "P2_lower":
+        # K > ln(4/r' + sum_{n<=m} c_n(4) (x^n - x^(m+1)))
+        arg = 4 / r + mp.fsum(mp_c(n, 4) * (x ** n - x ** (order + 1))
+                              for n in range(order + 1))
+        return K(x) - mp.ln(arg)
+    if family == "P2_upper":        # K < ln(4/r' + sum_{n<=m+1} c_n(4) x^n)
+        arg = 4 / r + mp.fsum(mp_c(n, 4) * x ** n for n in range(order + 2))
+        return mp.ln(arg) - K(x)
+    if family == "M1_identity":
+        # the sharp P1_lower arguments of orders 1 and 0 differ by
+        # pi (pi - 3) e x^2 (x + 3) / (96 r' (2 + (x + 2) r'))
+        p1, p2 = mp_threshold(1), mp_threshold(2)
+        gap = (p2 / r + mp_c(0, p2) + mp_c(1, p2) * x) - (p1 / r + mp_c(0, p1))
+        return gap - (mp.pi * (mp.pi - 3) * e * x ** 2 * (x + 3)
+                      / (96 * r * (2 + (x + 2) * r)))
     s = 1 - 2 * x                   # beta < H = ekd/(1 - 2x) < alpha
     H = mp_ekd(x) / s
     if family == "EKDIFF_upper":
@@ -236,8 +266,11 @@ ORACLE_PAIRS = [(F(1, 64), F(1, 32)), (F(1, 10), F(1, 5)), (F(1, 4), F(1, 3)),
 
 
 @pytest.mark.parametrize("family, order", [
-    ("CP3_lower", 0), ("CP3_upper", 0), ("RMK4_QI", 0), ("P1_upper", 0),
-    ("P1_upper", 1), ("EKDIFF_upper", 0), ("EKDIFF_lower", 0)])
+    ("CP3_lower", 0), ("CP3_upper", 0), ("RMK4_QI", 0), ("P1_lower", 0),
+    ("P1_lower", 1), ("P1_upper", 0), ("P1_upper", 1), ("P2_lower", 0),
+    ("P2_lower", 1), ("P2_upper", 0), ("P2_upper", 1), ("P3_lower", 2),
+    ("P3_upper", 2), ("EKDIFF_upper", 0), ("EKDIFF_lower", 0),
+    ("M1_identity", 0)])
 def test_margin_contains_its_mpmath_transcription(family, order):
     spec = resolve_spec(BoundSpec(family, order))
     pairs = FAMILIES[family].grid is default_pair_grid
@@ -247,6 +280,8 @@ def test_margin_contains_its_mpmath_transcription(family, order):
             want = mp_margin(family, order, pt)
             assert (mp_q(margin.lo_fraction()) <= want
                     <= mp_q(margin.hi_fraction())), pt
+            if FAMILIES[family].identity:   # the closed form holds
+                assert abs(want) < mp.mpf(10) ** -50, pt
 
 
 def test_identity_family_certifies():
@@ -281,6 +316,25 @@ def test_a_probe_from_too_few_bits_escalates(family):
     for bits in (1, 2, 8):
         cert = sharpness_probe(family, eps, precision=bits)
         assert cert.status is CertStatus.REFUTED, (bits, cert)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+@pytest.mark.parametrize("driver", [
+    lambda cap: grid_verify(BoundSpec("P1_lower"), [F(1, 3)],
+                            max_precision=cap),
+    lambda cap: certify_sequence("u_signs", 0, 3, max_precision=cap),
+    lambda cap: sharpness_probe("P1_lower", F(1, 100), max_precision=cap),
+    lambda cap: h_monotonicity([F(1, 3), F(2, 5)], max_precision=cap),
+    lambda cap: j_truncation_check(5, max_precision=cap),
+], ids=["grid_verify", "certify_sequence", "sharpness_probe",
+        "h_monotonicity", "j_truncation_check"])
+def test_a_cap_below_one_bit_is_refused_before_any_table_work(
+        monkeypatch, driver, cap):
+    # with no table to read, any table work would raise AttributeError
+    monkeypatch.setattr(certify, "_table", None)
+    with pytest.raises(DomainError,
+                       match=f"max_precision {cap} is below one bit"):
+        driver(cap)
 
 
 def test_a_domain_error_at_the_cap_still_raises():

@@ -516,12 +516,17 @@ def test_an_order_the_family_never_reads_is_a_usage_error(capsys, argv,
 @pytest.mark.parametrize("precision", ["0", "-5"])
 def test_precision_below_one_bit_is_one_usage_error(capsys, argv, precision):
     # every command that reads --precision refuses before any table work,
-    # with the same message
+    # with the same message, and so does every one that reads the cap
     stamp = ("--no-timestamp",) if argv[0] in (
         "certify", "verify", "sharpness") else ()
     rc, out, err = run(capsys, *argv, "--precision", precision, *stamp)
     assert rc == 2 and not out
     assert err == f"error: precision {precision} is below one bit\n"
+    if stamp:
+        rc, out, err = run(capsys, *argv, "--max-precision", precision,
+                           *stamp)
+        assert rc == 2 and not out
+        assert err == f"error: max_precision {precision} is below one bit\n"
 
 
 @pytest.mark.parametrize("argv, driver", [

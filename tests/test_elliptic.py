@@ -159,15 +159,16 @@ def outcome(fn, *args, **kwargs):
 
 @pytest.mark.parametrize("precision", [8, 64, 128, 272])
 def test_agm_matches_interval_loop(precision):
-    # 1 - m = 1/(3 * 2^(precision-2)) is not exact at the work scale and
-    # ceil(log2(1/(1-m))) = precision, so agm_K_m widens by precision - 24
+    # a rational m widens the work scale by L - 24 bits, L =
+    # ceil(log2(1/(1-m))), whether 1 - m is exact there (1 - 2^-precision)
+    # or not (1 - 1/(3 * 2^(precision-2))): both have L = precision
     inexact = 1 - F(1, 3 << (precision - 2))
     ms = [F(0), F(1, 1 << 60), F(1, 10 ** 6), F(1, 4), F(1, 2), F(81, 100),
           F(99, 100), F(1023, 1024), 1 - F(1, 1 << precision), inexact,
           F(-1, 10), F(1)]
     for m in ms:
-        work = precision + 32 + (max(0, precision - 24) if m == inexact
-                                 else 0)
+        L = elliptic._log2_inv(1 - m) if m < 1 else 0
+        work = precision + 32 + max(0, L - 24)
         assert outcome(agm_K_m, m, precision) == outcome(
             loop_agm_K_m, m, precision, work), m
         for prec in (precision // 2, precision + 40):
@@ -241,6 +242,37 @@ def test_asymptotic_defect_near_one_inexact_keeps_requested_bits(d):
         dd = mp.mpf(d.numerator) / d.denominator
         assert mp_contains(iv, mp.ellipk(1 - dd) - mp.log(4 / mp.sqrt(dd)))
     assert iv.width() <= F(1, 1 << 63)
+
+
+# the AGM reads sqrt(1 - m), irrational at these points even where 1 - m
+# is exact (odd k, or the factor 3), and K magnifies its rounding about
+# 2^k times
+@pytest.mark.parametrize("precision", [128, 256])
+def test_K_and_defect_keep_their_bits_where_1_minus_m_is_exact(precision):
+    with mp.workprec(4 * precision + 256):
+        for k in (precision - 7, precision - 3, precision + 23):
+            for d in (F(1, 1 << k), F(3, 1 << k)):
+                dd = mp.mpf(d.numerator) / d.denominator
+                K = mp.ellipk(1 - dd)
+                want = {agm_K_m: K, asymptotic_defect:
+                        K - mp.log(4 / mp.sqrt(dd))}
+                for fn, value in want.items():
+                    iv = fn(1 - d, precision)
+                    assert mp_contains(iv, value), (fn.__name__, k, d)
+                    assert iv.hi - iv.lo <= 2, (fn.__name__, k, iv.hi - iv.lo)
+
+
+@pytest.mark.parametrize("precision", [8, 64, 256])
+def test_exp_K_agm_keeps_its_bits_near_one(precision):
+    # e^K < 2^(L/2 + 2) magnifies the rounding of K, L = log2(1/(1 - m))
+    with mp.workprec(2 * precision + 512):
+        for k in (10, 20, 40, 100, 200):
+            for d in (F(1, 1 << k), F(1, 3 << k)):
+                iv = exp_K_agm(1 - d, precision)
+                value = mp.exp(mp.ellipk(1 - mp.mpf(d.numerator)
+                                         / d.denominator))
+                assert mp_contains(iv, value), (k, d)
+                assert iv.hi - iv.lo <= 2, (k, d, iv.hi - iv.lo)
 
 
 def test_lemniscate_closed_form():
@@ -871,21 +903,17 @@ def test_legendre_relation_at_the_lemniscate():
         enclose_constant("pi", 200).mul_scalar(F(1, 2)))
 
 
-def test_agm_KE_memo_and_domain():
-    # one memo gives K and E from one loop; its K has agm_K_m's bits
-    memo = elliptic._agm_KE
-    ke_int, ke_frac = memo(0, 64), memo(F(0), 64)
-    assert ke_int is not ke_frac
-    assert [ends(v) for v in ke_int] == [ends(v) for v in ke_frac]
+def test_agm_KE_bits_and_domain():
+    # one loop gives K and E; its K has agm_K_m's bits
+    KE = elliptic._agm_KE
+    assert [ends(v) for v in KE(0, 64)] == [ends(v) for v in KE(F(0), 64)]
     for m in (F(1, 3), F(1, 2), 1 - F(1, 1 << 20)):
-        K, E = memo(m, 96)
-        assert ends(K) == ends(agm_K_m(m, 96))
-        assert ends(E) == ends(memo.__wrapped__(m, 96)[1])
+        assert ends(KE(m, 96)[0]) == ends(agm_K_m(m, 96))
     with pytest.raises(TypeError):
-        memo(0.5, 64)
+        KE(0.5, 64)
     for m in (F(1), F(-1, 10)):
         with pytest.raises(DomainError, match="parameter m must lie in"):
-            memo(m, 64)
+            KE(m, 64)
 
 
 def test_g_g0_G_closed_forms_contain_mpmath():
@@ -902,7 +930,7 @@ def test_g_g0_G_closed_forms_contain_mpmath():
 def test_closed_forms_overlap_the_series(x):
     # where the series are tight, each triple and each functional agrees
     kinds = ("hh2", "3h3h2", "3h3h3")
-    for kind, form in zip(kinds, elliptic._gauss(x, 256, *kinds)[2]):
+    for kind, form in zip(kinds, elliptic._gauss(x, 256, *kinds)[3]):
         assert form.overlaps(hyp_series(kind, x, 256).enclosure), kind
     for fn, series in series_functionals(x, 256).items():
         assert fn(x, 256).overlaps(series), fn.__name__
@@ -933,11 +961,18 @@ def test_g_g0_G_run_no_series_and_G_one_agm(monkeypatch):
             fn(x, 64)
     assert series == []
     for kinds in (("hh2",), ("3h3h3", "3h3h2", "hh2")):
-        assert [ends(f) for f in elliptic._gauss(0, 64, *kinds)[2]] == [
+        assert [ends(f) for f in elliptic._gauss(0, 64, *kinds)[3]] == [
             ends(Interval.from_int(1, 80))] * len(kinds)
     agms.clear()
-    G_eval(F(4321, 8192), 77)           # a point and precision no test reads
+    G_eval(F(4321, 8192), 77)
     assert len(agms) == 1
+    # the K beside the forms is that run's K, at the forms' work scale
+    _, work, K, _ = elliptic._gauss(F(4321, 8192), 77)
+    assert ends(K) == ends(agm_K_m(F(4321, 8192), work))
+
+
+def mp_g4(t):
+    return mp.exp(mp.ellipk(t)) - 4 / mp.sqrt(1 - t)
 
 
 # 1 - x is not dyadic at these points, and near 1 4/sqrt(1 - x) magnifies
@@ -948,17 +983,28 @@ G4_END_POINTS = [y for k in (3, 10, 20, 30, 41, 60, 100, 200)
 
 @pytest.mark.parametrize("precision", [8, 64, 256])
 def test_G4_ekd_H_keep_their_bits_at_both_ends(precision):
-    def g4(t):
-        return mp.exp(mp.ellipk(t)) - 4 / mp.sqrt(1 - t)
     with mp.workprec(912):          # 1 - x and the cancellation keep 512 bits
         for x in G4_END_POINTS:
             t = mp_of(x)
-            ekd = g4(t) - g4(1 - t)
-            want = {G4_eval: g4(t), ekd_eval: ekd, H_eval: ekd / (1 - 2 * t)}
+            ekd = mp_g4(t) - mp_g4(1 - t)
+            want = {G4_eval: mp_g4(t), ekd_eval: ekd, H_eval: ekd / (1 - 2 * t)}
             for fn, value in want.items():
                 iv = fn(x, precision)
                 assert mp_contains(iv, value), (fn.__name__, x)
                 assert iv.hi - iv.lo <= 2, (fn.__name__, x, iv.hi - iv.lo)
+
+
+@pytest.mark.parametrize("precision", [8, 64, 256])
+def test_H_keeps_its_bits_near_one_half(precision):
+    # H divides ekd by 1 - 2x, which magnifies ekd's rounding
+    with mp.workprec(912):
+        for k in (3, 10, 20, 40, 60, 100, 200):
+            for x in (F(1, 2) - F(1, 3 << k), F(1, 2) + F(1, 3 << k)):
+                t = mp_of(x)
+                iv = H_eval(x, precision)
+                ekd = mp_g4(t) - mp_g4(1 - t)
+                assert mp_contains(iv, ekd / (1 - 2 * t)), x
+                assert iv.hi - iv.lo <= 2, (x, iv.hi - iv.lo)
 
 
 @pytest.mark.parametrize("fn", [g_eval, g0_eval, G_eval])
