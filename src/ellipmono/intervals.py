@@ -10,10 +10,16 @@ toward +inf), so any real number contained in the inputs is contained in
 the output.  There are no floats anywhere: results are reproducible
 bit-for-bit across platforms.
 
-``exp`` and ``ln`` are computed by argument reduction plus truncated
-series whose rounding and truncation errors are accounted in ulps of the
-working scale; the working scale carries guard bits so the returned
-width stays within a few ulps of the requested precision.
+``exp`` and ``ln`` sum series after argument reduction, with rounding and
+truncation errors counted in ulps of the working scale W = P + 48, so a
+result is a few ulps wide (times e^x, where e^x > 1).  exp reads x
+exactly as x/2^s at scale W + s, |x|/2^s <= 2^-R, R = max(2, isqrt(W)/2),
+and squares s times there (Brent & Zimmermann, *Modern Computer
+Arithmetic*, 2010, sec. 4.3-4.4).  One series runs per interval, at its
+lower end a; the upper end b is bounded from it (e^b <= e^a (1 + t + t^2),
+t = b - a <= 1; ln b <= ln a + (b - a)/a) when the bound's excess is under
+2^-40 ulps, else a second series runs at b.  So an end differs from two
+series' only where its value lies within about 2^-40 ulps of the grid.
 """
 
 from __future__ import annotations
@@ -249,17 +255,31 @@ class Interval:
         top = max(abs(self.lo), abs(self.hi)) >> p
         if 3 * top // 2 + p > BIT_BUDGET:
             raise BudgetError("exp argument too large for bit budget")
-        lo, _ = _exp_dyadic(self.lo, p)
-        _, hi = _exp_dyadic(self.hi, p)
-        return Interval(lo, hi, p)
+        lo, hi, g = _exp_fp(self.lo, p)
+        lo >>= g
+        d = self.hi - self.lo
+        # a second series at b, unless t <= 1 and the bound below exceeds
+        # e^b by under 2^-40 ulps (its excess is about e^b t^2 / 2)
+        if d and (d.bit_length() > p
+                  or hi.bit_length() - g + 2 * d.bit_length() >= 2 * p - 40):
+            _, hi, g = _exp_fp(self.hi, p)
+        else:  # e^b <= e^a (1 + t + t^2) for 0 <= t = (b - a) 2^-p <= 1
+            hi += _shr_ceil(hi * d * ((1 << p) + d), 2 * p)
+        return Interval(lo, _shr_ceil(hi, g), p)
 
     def ln(self) -> "Interval":
         if self.lo <= 0:
             raise DomainError("ln of an interval touching zero or below")
         p = self.prec
-        lo, _ = _ln_dyadic(self.lo, p)
-        _, hi = _ln_dyadic(self.hi, p)
-        return Interval(lo, hi, p)
+        a, d = self.lo, self.hi - self.lo
+        lo, hi = _ln_fp(a, p)
+        # a second series at b, unless the bound below exceeds ln b by
+        # under 2^-40 ulps (its excess is about (d/a)^2 / 2)
+        if d and 2 * (a.bit_length() - d.bit_length()) <= p + 42:
+            _, hi = _ln_fp(self.hi, p)
+        else:  # ln b <= ln a + (b - a)/a
+            hi += _div_ceil(d << (p + _GUARD), a)
+        return Interval(lo >> _GUARD, _shr_ceil(hi, _GUARD), p)
 
     # ------------------------------------------------------------------
     # rendering
@@ -281,31 +301,28 @@ class Interval:
 # dyadic exp / ln kernels (integer only, validated against mpmath)
 
 
-def _exp_dyadic(m: int, p: int) -> tuple[int, int]:
-    """Enclosure of exp(m * 2^-p) as scaled ints at ``p`` bits."""
+def _exp_fp(m: int, p: int) -> tuple[int, int, int]:
+    """(lo, hi, g): exp(m * 2^-p) lies in [lo, hi] * 2^-(p + g), g = 48 + s.
+
+    The Taylor sum at x/2^s, |x/2^s| <= 2^-R, floors each term (2 ulps a
+    term; with the tail, 2k + 8 ulps for k terms); squaring s times then
+    doubles the relative error s times, which the s extra bits absorb."""
     W = p + _GUARD
-    X = m << _GUARD
-    # halve until |x| <= 1/4; floor-shift error <= 1 ulp total (geometric)
-    s = 0
-    bound = 1 << (W - 2)
-    while abs(X) > bound:
-        X >>= 1
-        s += 1
-    # Taylor sum_k x^k / k! with floor rounding; per-term error <= 2 ulp
-    T = 1 << W
-    S = T
+    s = max(0, m.bit_length() - p + max(2, isqrt(W) // 2))
+    W += s
+    X = m << _GUARD  # x / 2^s at scale 2^W, exactly
+    T = S = 1 << W
     k = 0
-    while T != 0:
+    while T:
         k += 1
-        T = (T * X) >> W
-        T //= k
+        T = (T * X >> W) // k
         S += T
-    err = 2 * k + 8  # term roundings + tail + halving propagation
+    err = 2 * k + 8
     lo, hi = S - err, S + err
     for _ in range(s):
-        lo = (lo * lo) >> W if lo >= 0 else 0
+        lo = lo * lo >> W if lo >= 0 else 0
         hi = _shr_ceil(hi * hi, W)
-    return lo >> _GUARD, _shr_ceil(hi, _GUARD)
+    return lo, hi, _GUARD + s
 
 
 def _atanh_series_fp(U: int, W: int) -> tuple[int, int]:
@@ -352,8 +369,8 @@ def _ln2_fp(W: int) -> tuple[int, int]:
     return 2 * s - err, 2 * s + err
 
 
-def _ln_dyadic(m: int, p: int) -> tuple[int, int]:
-    """Enclosure of ln(m * 2^-p), m > 0, as scaled ints at ``p`` bits."""
+def _ln_fp(m: int, p: int) -> tuple[int, int]:
+    """Enclosure of ln(m * 2^-p), m > 0, at scale 2^-(p + 48)."""
     W = p + _GUARD
     e = m.bit_length() - p
     # z = m*2^-p = t*2^e with t in [1/2, 1); lift t into [2/3, 4/3]
@@ -375,7 +392,7 @@ def _ln_dyadic(m: int, p: int) -> tuple[int, int]:
     else:
         lo = S - err + e * hi_ln2
         hi = S + err + e * lo_ln2
-    return lo >> _GUARD, _shr_ceil(hi, _GUARD)
+    return lo, hi
 
 
 # ----------------------------------------------------------------------

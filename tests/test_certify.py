@@ -284,6 +284,17 @@ def test_margin_contains_its_mpmath_transcription(family, order):
                 assert abs(want) < mp.mpf(10) ** -50, pt
 
 
+@pytest.mark.parametrize("precision", [64, 128, 1100, 8192])
+def test_alpha_contains_its_mpmath_value(precision):
+    # alpha = H(0+) = e^(pi/2) - 4; at 8192 bits e^(pi/2) runs exp's
+    # reduction by 2^-45
+    alpha = elliptic.alpha_enclosure(precision)
+    with mp.workprec(precision + 64):
+        want = mp.exp(mp.pi / 2) - 4
+        assert (mp_q(alpha.lo_fraction()) <= want
+                <= mp_q(alpha.hi_fraction()))
+
+
 def test_identity_family_certifies():
     grid = [F(k, 23) for k in range(1, 23)]
     cert = grid_verify(BoundSpec("M1_identity", 0), grid)

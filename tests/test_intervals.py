@@ -181,6 +181,36 @@ def test_ln_contains_mpmath(x):
     assert iv.width() <= Fraction(1, 1 << 160)
 
 
+FAR_EXP = [Fraction(-700), Fraction(-100), Fraction(100), Fraction(700)]
+FAR_LN = [Fraction(2) ** 1000, Fraction(2) ** -1000,
+          3 * Fraction(2) ** 1000, 3 * Fraction(2) ** -1000]
+
+
+@pytest.mark.parametrize("p", [1024, 4160, 8256])
+def test_exp_ln_contain_mpmath_far_out(p):
+    # past the |x| <= 64, 400-bit reach of the random tests; 3 * 2^k runs
+    # ln's series, a power of two only its ln 2 part.  A fixed-point e^x
+    # holds its error relative to e^x: e^700 has 1010 integer bits, so its
+    # width is bounded relative to the value where that exceeds 1
+    cases = ([(Interval.exp, mp.exp, x) for x in FAR_EXP]
+             + [(Interval.ln, mp.ln, x) for x in FAR_LN])
+    for kernel, fn, x in cases:
+        iv = kernel(Interval.from_fraction(x, p))
+        with mp.workprec(p + 1200):
+            want = mp_fraction(fn(mpf(x.numerator) / x.denominator))
+        assert iv.lo_fraction() <= want <= iv.hi_fraction(), x
+        scale = max(1, want) if fn is mp.exp else 1
+        assert iv.width() <= Fraction(4, 1 << p) * scale, x
+
+
+def test_exp_of_a_wide_interval_sums_its_upper_end():
+    # e^-700 is far below an ulp at 64 bits, so the bound e^a (1 + t + t^2)
+    # would pass the size rule, but it holds only for t = b - a <= 1
+    iv = Interval(-700 << 64, -10 << 64, 64).exp()
+    with mp.workprec(400):
+        assert iv.hi_fraction() >= mp_fraction(mp.exp(-10))
+
+
 LN_ARGS = [Fraction(1, 1000), Fraction(1, 3), Fraction(999999, 1000000),
            Fraction(1), Fraction(2), Fraction(10 ** 6)]
 

@@ -8,6 +8,9 @@ the partial sum of ``exp_K`` (``exp_partial_sum``) by an Interval Horner
 loop over b~_n.  The ends of ``ratios``, ``ratio_gaps``, ``c_coeffs`` and
 ``exp_partial_sum`` are also compared at the table's scale, before that
 rounding, which can hide an ulp there.
+
+At the end, ``Interval.exp`` and ``Interval.ln`` are compared with their
+former kernels, which summed one series at each end of an interval.
 """
 
 import functools
@@ -17,12 +20,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellipmono import certify, coefficients, elliptic
+from ellipmono import certify, coefficients, elliptic, intervals
 from ellipmono.certify import certify_sequence
 from ellipmono.coefficients import (CoefficientTable, shared_coefficients,
                                     threshold)
 from ellipmono.constants import enclose_constant
-from ellipmono.intervals import Interval
+from ellipmono.intervals import (_GUARD, Interval, _atanh_series_fp,
+                                 _ln2_fp)
 from ellipmono.pi_expr import PiExpression
 
 # the ranges below cross n = 256 and 512, the cut points of a scan in
@@ -322,3 +326,129 @@ def test_whole_range_scan_keeps_late_and_early_refutations(claim, p,
     (witness,) = got["witnesses"]
     assert (got["status"], got["precision_used"], witness["location"],
             witness["value"]) == status
+
+
+# ----------------------------------------------------------------------
+# Interval.exp and Interval.ln against their former kernels, which summed
+# one series at each end of the interval, and reduced exp's argument by
+# floor-shifted halvings to |x| <= 1/4 and squared at the fixed scale
+# W = P + _GUARD.  Squaring there doubles the relative error s times, so
+# where e^x is large the former enclosure is wider: the new one nests in
+# it, and the two are equal wherever the upper end is at most 8.
+
+def two_series_exp_end(m, p):
+    """The former enclosure of exp(m 2^-p) at ``p`` bits."""
+    W = p + _GUARD
+    X = m << _GUARD
+    s = 0
+    while abs(X) > 1 << (W - 2):
+        X >>= 1
+        s += 1
+    T = S = 1 << W
+    k = 0
+    while T != 0:
+        k += 1
+        T = (T * X) >> W
+        T //= k
+        S += T
+    err = 2 * k + 8
+    lo, hi = S - err, S + err
+    for _ in range(s):
+        lo = (lo * lo) >> W if lo >= 0 else 0
+        hi = -((-hi * hi) >> W)
+    return lo >> _GUARD, -((-hi) >> _GUARD)
+
+
+def two_series_ln_end(m, p):
+    """The former enclosure of ln(m 2^-p) at ``p`` bits."""
+    W = p + _GUARD
+    e = m.bit_length() - p
+    T = m << _GUARD
+    zt = T >> e if e >= 0 else T << -e
+    if 3 * zt < (1 << (W + 1)):
+        e -= 1
+        zt <<= 1
+    U = ((zt - (1 << W)) << W) // (zt + (1 << W))
+    S, k = _atanh_series_fp(U, W)
+    S *= 2
+    err = 4 * (k + 4)
+    lo_ln2, hi_ln2 = _ln2_fp(W)
+    lo = S - err + e * (lo_ln2 if e >= 0 else hi_ln2)
+    hi = S + err + e * (hi_ln2 if e >= 0 else lo_ln2)
+    return lo >> _GUARD, -((-hi) >> _GUARD)
+
+
+def two_series(end, iv):
+    return end(iv.lo, iv.prec)[0], end(iv.hi, iv.prec)[1], iv.prec
+
+
+def widths(p):
+    """A point, a width well inside the one-series rule, or a wide one."""
+    return st.one_of(st.just(0), st.integers(1, 1 << max(1, p // 2 - 30)),
+                     st.integers(1 << (p // 2), 1 << p))
+
+
+@st.composite
+def exp_intervals(draw):
+    p = draw(st.integers(1, 1100))
+    whole = draw(st.integers(-700, 699))    # spread over the whole range
+    a = (whole << p) + draw(st.integers(0, (1 << p) - 1))
+    return Interval(a, a + draw(widths(p)), p)
+
+
+@st.composite
+def ln_intervals(draw):
+    p = draw(st.integers(1, 1100))
+    top = max(1, p + draw(st.integers(-299, 300)))  # a in [2^-300, 2^300]
+    a = draw(st.integers(1 << (top - 1), (1 << top) - 1))
+    return Interval(a, a + draw(widths(p)), p)
+
+
+def fixed_intervals(p, xs):
+    for x in xs:
+        a = Interval.from_fraction(x, p).lo
+        for w in (0, 5, 1 << (p - 2)):
+            yield Interval(a, a + w, p)
+
+
+FIXED_EXP = [F(-700), F(-1, 3), F(355, 226), F(100)]
+FIXED_LN = [F(1, 1 << 300), F(2, 3), F(10 ** 90)]
+
+
+def check_kernel(method, kernel, end, ivs):
+    """Each interval's image against the former kernel; returns the set of
+    (series summed, point) pairs seen, to show both branches ran."""
+    seen = set()
+    for iv in ivs:
+        with mock.patch.object(intervals, kernel,
+                               wraps=getattr(intervals, kernel)) as spy:
+            got = getattr(iv, method)()
+        want = two_series(end, iv)
+        if method == "ln" or iv.hi <= 8 << iv.prec:
+            assert bits(got) == want, iv
+        else:
+            assert want[0] <= got.lo <= got.hi <= want[1], iv
+        seen.add((spy.call_count, iv.lo == iv.hi))
+    return seen
+
+
+KERNELS = {"exp": ("_exp_fp", two_series_exp_end, FIXED_EXP),
+           "ln": ("_ln_fp", two_series_ln_end, FIXED_LN)}
+
+
+def test_exp_and_ln_match_the_two_series_kernels():
+    ivs = {"exp": [], "ln": []}
+
+    @settings(max_examples=250)
+    @given(exp_intervals(), ln_intervals())
+    def draw(x, y):
+        ivs["exp"].append(x)
+        ivs["ln"].append(y)
+
+    draw()
+    for method, (kernel, end, fixed) in KERNELS.items():
+        for p in (4160, 8256):
+            ivs[method] += fixed_intervals(p, fixed)
+        seen = check_kernel(method, kernel, end, ivs[method])
+        # one series on a point and on a narrow interval, two on a wide one
+        assert {(1, True), (1, False), (2, False)} <= seen, method
